@@ -81,8 +81,7 @@ class SpanRecorder:
 
     def timed_feed(self, fn: Callable) -> Callable:
         """``RequestParser.feed``: a chunk's parse time goes to the requests
-        it completes, split evenly; chunks completing none carry over.  The
-        row's extra is the time the request finished parsing."""
+        it completes, split evenly; chunks completing none carry over."""
         recorder = self
         carried = {}
 
@@ -98,7 +97,7 @@ class SpanRecorder:
             for request in completed:
                 recorder.rows.append(("netfront.parse",
                                       _trace_id(request.headers), start,
-                                      share, share, 0, end))
+                                      share, share, 0, None))
             return completed
 
         feed.__wrapped__ = fn

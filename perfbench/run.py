@@ -1,7 +1,7 @@
 """The serving benchmark: one workload, one seed, one measured window.
 
-    python3 perfbench/run.py --workload interactive_small --seed 1 \\
-        --seconds 20 --trace 0
+    python3 perfbench/run.py --workload pool_zipf --seed 1 \\
+        --seconds 40 --trace 0
 
 Runs from the root of a source checkout.  It builds the workload's bundle,
 starts ``repro-pecan serve`` in its own process from the default
@@ -10,9 +10,11 @@ drives it from a single-threaded generator over two keep-alive connections,
 checks every reply bitwise against a direct ``BundleEngine.predict``, and
 prints one JSON object as its last line.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
-workload twice with the same seed, untraced and then with the ledger spans
-of ``hooks.py`` installed in the server process, and reports the per-layer
+``--trace 0`` reports the end-to-end metrics: the window is split evenly
+across ``PASSES`` server launches, each replaying the same inputs against a
+fresh server, and their replies are pooled.  ``--trace 1`` runs the whole
+window twice with the same seed, untraced and then with the ledger spans of
+``hooks.py`` installed in the server process, and reports the per-layer
 metrics.  See README.md in this directory for what each number means.
 """
 
@@ -45,8 +47,9 @@ WORK = ROOT / ".perfbench_work"
 DEFAULT_SEED = 1
 HELD_OUT_SEED = 7919
 
-#: Server launches per ``--trace 0`` run; ``setup_s`` is their median.
-SETUP_LAUNCHES = 3
+#: Server launches per ``--trace 0`` run, each measuring an equal share of
+#: the window; ``setup_s`` is the median of their set-up times.
+PASSES = 3
 HOST = "127.0.0.1"
 TRACE_HEADER = "X-Trace-Id"
 URL_LINE = re.compile(r"(?:serving|routing) on http://([\d.]+):(\d+)")
@@ -62,28 +65,24 @@ class Workload:
     rate: Optional[float]       # open-loop req/s; None: closed loop
     samples: int                # samples per request
     warmup_s: float
-    zipf_items: int = 0         # >0, open loop: Zipf(alpha) over this many
-    alpha: float = 1.1
+    zipf_items: int = 0         # >0, open loop: Zipf(ZIPF_ALPHA) over these
     fields: Tuple[Tuple[str, str], ...] = ()   # extra /predict body fields
-    depth: int = 2              # closed loop: requests in flight per connection
     prewarm: int = 0            # Zipf: hottest items sent once before load
 
 
 WORKLOADS = {
     workload.name: workload for workload in (
-        # Not in BENCHMARK.json: its tail is not steady on a shared 2-core
-        # host (README.md).
-        Workload("interactive_small", model="toy", workers=1, rate=300.0,
-                 samples=1, warmup_s=2.0),
         Workload("bulk_resnet", model="resnet", workers=1, rate=None,
-                 samples=8, warmup_s=3.0,
+                 samples=8, warmup_s=2.0,
                  fields=(("priority", "batch"), ("tenant", "bulk"))),
         Workload("pool_zipf", model="toy", workers=2, rate=200.0,
-                 samples=1, warmup_s=2.0, zipf_items=4096, prewarm=512),
+                 samples=1, warmup_s=1.5, zipf_items=4096, prewarm=512),
     )
 }
 SHAPES = {"toy": (3, 12, 12), "resnet": (3, 16, 16)}
 CONNECTIONS = 2
+DEPTH = 2                       # closed loop: requests in flight per connection
+ZIPF_ALPHA = 1.1
 
 
 # --------------------------------------------------------------------------- #
@@ -135,6 +134,7 @@ class Plan:
 
         self.workload = workload
         self.seed = seed
+        self.seconds = seconds
         self.total_s = workload.warmup_s + seconds
         self.shape = SHAPES[workload.model]
         tag = list(WORKLOADS).index(workload.name)
@@ -154,7 +154,7 @@ class Plan:
 
             self.items = np.random.default_rng([seed, 2]).standard_normal(
                 (workload.zipf_items, workload.samples, *self.shape))
-            self.index = ZipfWorkload(self.items, alpha=workload.alpha,
+            self.index = ZipfWorkload(self.items, alpha=ZIPF_ALPHA,
                                       seed=seed).indices(len(self.schedule))
         # Zipf ranks are item indices: item 0 is the hottest.
         self.prewarm = [request_bytes(self.body_for(item),
@@ -330,7 +330,7 @@ class Pass:
     spans: Optional[list] = None
 
 
-def drive(server: Server, plan: Plan, seconds: float) -> Pass:
+def drive(server: Server, plan: Plan) -> Pass:
     import traffic
 
     workload = plan.workload
@@ -345,25 +345,26 @@ def drive(server: Server, plan: Plan, seconds: float) -> Pass:
     else:
         exchanges = traffic.run_closed_loop(
             HOST, server.port, plan.render, duration_s=plan.total_s,
-            connections=CONNECTIONS, depth=workload.depth)
+            connections=CONNECTIONS, depth=DEPTH)
         start = exchanges[0].due
-    window = (start + workload.warmup_s, start + workload.warmup_s + seconds)
+    window = (start + workload.warmup_s, start + plan.total_s)
     metrics = server.metrics()
     return Pass(exchanges, window, metrics, server.peak_rss_mb(), prewarm)
 
 
-def run_pass(workload: Workload, plan: Plan, bundle: Path, workdir: Path,
-             seconds: float, tag: str, ledger: bool = False) -> Pass:
+def run_pass(plan: Plan, bundle: Path, workdir: Path, tag: str,
+             ledger: bool = False) -> Tuple[Pass, float]:
+    """One server lifetime: ``(the pass, its set-up seconds)``."""
     ledger_path = workdir / f"ledger-{tag}.json" if ledger else None
-    server = Server(workload, bundle, workdir, tag, ledger=ledger_path)
+    server = Server(plan.workload, bundle, workdir, tag, ledger=ledger_path)
     try:
-        server.start()
-        result = drive(server, plan, seconds)
+        setup_s = server.start()
+        result = drive(server, plan)
     finally:
         server.stop()
     if ledger_path is not None:
         result.spans = json.loads(ledger_path.read_text())["rows"]
-    return result
+    return result, setup_s
 
 
 # --------------------------------------------------------------------------- #
@@ -450,64 +451,39 @@ def _median(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-#: A window is cut into equal slices of at least this many replies (at most
-#: ``MAX_SLICES``); p50 and p99 are the medians of the slices' values, so a
-#: few bad seconds of a run cannot set its tail.
-SLICE_REQUESTS = 1000
-MAX_SLICES = 10
-
-
 @dataclass
 class Summary:
-    """The end-to-end view of one pass's measured window."""
+    """The end-to-end view of the measured windows of one or more passes."""
 
     attempted: int
     failed: int
-    failed_outside: int
-    timeline: Dict[str, Tuple[float, float, float]]   # due, sent, done
-    slices: List[Dict[str, float]]    # per slice: requests, p50_ms, p99_ms
+    ok_samples: int
+    latency_ms: List[Tuple[str, float]]   # (trace id, ms) per correct reply
     p50_ms: float
     p99_ms: float
-    throughput_sps: float
     error_rate: float
     late_p99_ms: float
 
-    @property
-    def latency_ms(self) -> Dict[str, float]:
-        """Trace id -> latency of every bitwise-correct reply."""
-        return {key: (done - due) * 1e3
-                for key, (due, _, done) in self.timeline.items()}
 
-
-def summarize(plan: Plan, run: Pass, verdicts: Dict[int, str],
-              seconds: float) -> Summary:
+def summarize(plan: Plan, checked: Sequence[Tuple[Pass, Dict[int, str]]]
+              ) -> Summary:
+    """Pool the replies of every pass's window (a pass with its verdicts)."""
     import numpy as np
 
-    lo, hi = run.window
-    window = [x for x in run.exchanges if lo <= x.due < hi]
-    ok = [x for x in window if verdicts[x.index] == "ok"]
-    count = max(1, min(MAX_SLICES, len(ok) // SLICE_REQUESTS))
-    width = (hi - lo) / count
-    slices = []
-    for k in range(count):
-        latency = [(x.done - x.due) * 1e3 for x in ok
-                   if lo + k * width <= x.due < lo + (k + 1) * width]
-        p50, p99 = np.percentile(latency, [50, 99]).tolist() if latency \
-            else (0.0, 0.0)
-        slices.append({"requests": len(latency), "p50_ms": p50,
-                       "p99_ms": p99})
+    window, ok = [], []
+    for run, verdicts in checked:
+        lo, hi = run.window
+        inside = [x for x in run.exchanges if lo <= x.due < hi]
+        window += inside
+        ok += [x for x in inside if verdicts[x.index] == "ok"]
+    latency = [(plan.trace_id(x.index), (x.done - x.due) * 1e3) for x in ok]
+    p50, p99 = np.percentile([ms for _, ms in latency], [50, 99]).tolist() \
+        if latency else (0.0, 0.0)
     failed = len(window) - len(ok)
-    outside = sum(1 for x in run.exchanges
-                  if not lo <= x.due < hi and verdicts[x.index] != "ok")
     late = [(x.sent - x.due) * 1e3 for x in window]
     return Summary(
-        attempted=len(window), failed=failed, failed_outside=outside,
-        timeline={plan.trace_id(x.index): (x.due, x.sent, x.done)
-                  for x in ok},
-        slices=slices,
-        p50_ms=statistics.median(part["p50_ms"] for part in slices),
-        p99_ms=statistics.median(part["p99_ms"] for part in slices),
-        throughput_sps=len(ok) * plan.workload.samples / seconds,
+        attempted=len(window), failed=failed, ok_samples=len(ok) * plan.workload.samples, latency_ms=latency,
+        p50_ms=p50, p99_ms=p99,
         error_rate=failed / len(window) if window else 1.0,
         late_p99_ms=float(np.percentile(late, 99)) if late else 0.0)
 
@@ -606,13 +582,14 @@ def span_rows(workload: Workload, spans: list, summary: Summary,
               window: Tuple[float, float], seconds: float):
     """Per-layer rows and the p50 ledger from the traced pass's spans."""
     lo, hi = window
+    answered = {key for key, _ in summary.latency_ms}
     keyed: Dict[str, Dict[str, list]] = {}
     unkeyed: Dict[str, List[float]] = {}
     for name, key, start, duration, self_time, samples, extra in spans:
         if key is not None:
-            if key in summary.timeline:
+            if key in answered:
                 entry = keyed.setdefault(key, {}).setdefault(
-                    name, [0.0, 0.0, None, start])
+                    name, [0.0, 0.0, None])
                 entry[0] += duration
                 entry[1] += self_time
                 entry[2] = extra
@@ -698,41 +675,18 @@ LEDGER_POOL = (
 )
 
 
-def _gaps(rows: dict, timeline: Tuple[float, float, float],
-          handler: str) -> Dict[str, float]:
-    """The time no layer span covers, split at the span boundaries."""
-    due, sent, done = timeline
-    parsed = _part(rows, "netfront.parse", 2) or sent
-    http_start = _part(rows, handler, 3) or parsed
-    http_end = http_start + _part(rows, handler)
-    render_start = _part(rows, "netfront.render", 3) or http_end
-    render_end = render_start + _part(rows, "netfront.render")
-    return {
-        "generator lateness": sent - due,
-        "send -> parsed (wire, loop wake-up)":
-            parsed - sent - _part(rows, "netfront.parse"),
-        "parsed -> handler (app-thread bridge)": http_start - parsed,
-        "handler -> render": render_start - http_end,
-        "render -> received (write, wire, client)": done - render_end,
-    }
-
-
 def ledger(workload: Workload, keyed: dict, summary: Summary) -> dict:
     """Mean layer times of the requests around p50 (45th-55th percentile).
 
-    ``unattributed_ms`` is p50 minus the layer rows; ``gaps_ms`` splits it
-    at the layer boundaries using the generator's own timestamps.
+    ``unattributed_ms`` is p50 minus the layer rows.
     """
     import numpy as np
 
     latency = summary.latency_ms
-    low, high = np.percentile(list(latency.values()), [45, 55]) \
+    low, high = np.percentile([ms for _, ms in latency], [45, 55]) \
         if latency else (0.0, 0.0)
-    band = [key for key, ms in latency.items()
-            if low <= ms <= high and key in keyed]
-    pool = workload.workers > 1
-    spec = LEDGER_POOL if pool else LEDGER_SINGLE
-    handler = "pool.http" if pool else "server.http"
+    band = [key for key, ms in latency if low <= ms <= high and key in keyed]
+    spec = LEDGER_POOL if workload.workers > 1 else LEDGER_SINGLE
 
     def mean_ms(read) -> float:
         return statistics.fmean(read(key) for key in band) * 1e3 \
@@ -740,11 +694,8 @@ def ledger(workload: Workload, keyed: dict, summary: Summary) -> dict:
 
     rows = {label: mean_ms(lambda key: read(keyed[key]))
             for label, read in spec}
-    gaps = {label: mean_ms(lambda key: _gaps(
-                keyed[key], summary.timeline[key], handler)[label])
-            for label in _gaps({}, (0.0, 0.0, 0.0), handler)}
     attributed = sum(rows.values())
-    return {"rows_ms": rows, "gaps_ms": gaps, "band_requests": len(band),
+    return {"rows_ms": rows, "band_requests": len(band),
             "p50_ms": summary.p50_ms,
             "unattributed_ms": summary.p50_ms - attributed,
             "coverage": attributed / summary.p50_ms if summary.p50_ms else 0.0}
@@ -778,7 +729,7 @@ PER_LAYER = {
     "ops.multiplications_per_sample": "count",
     "pool.router_ms": "ms", "pool.hop_ms": "ms", "pool.proxy_retries": "count",
     "trace.spans_per_request": "count", "invariants.checks": "count",
-    "loadgen.late_p99_ms": "ms", "loadgen.window_requests": "count",
+    "loadgen.late_p99_ms": "ms",
     "ledger.unattributed_ms": "ms", "ledger.coverage": "fraction",
     "trace_overhead": "ratio", "error_rate": "fraction",
 }
@@ -804,18 +755,21 @@ def git_commit() -> Optional[str]:
     return out.stdout.strip() or None
 
 
-def check_pass(workload: Workload, plan: Plan, checker: Checker, run: Pass,
-               seconds: float, problems: List[str]):
-    """Bitwise and exact-count checks of one pass; returns its summary."""
+def check_pass(workload: Workload, checker: Checker, run: Pass,
+               problems: List[str]):
+    """Bitwise and exact-count checks of one pass.
+
+    Returns ``(verdicts, per-sample counts)``.  Every request counts, the
+    warm-up and cache pre-warm included.
+    """
     verdicts = checker.verdicts(run.exchanges)
-    summary = summarize(plan, run, verdicts, seconds)
     warm = checker.verdicts(run.prewarm, key_of=int)
-    outside = summary.failed_outside + sum(v != "ok" for v in warm.values())
-    mismatches = sum(v == "mismatch"
-                     for v in [*verdicts.values(), *warm.values()])
-    if summary.failed or outside:
-        problems.append(f"{summary.failed} failed in the window, {outside} "
-                        f"outside it ({mismatches} bitwise mismatches)")
+    every = [*verdicts.values(), *warm.values()]
+    bad = sum(v != "ok" for v in every)
+    if bad:
+        problems.append(f"{bad} of {len(every)} requests failed, were "
+                        f"refused or mismatched ({every.count('mismatch')} "
+                        f"bitwise mismatches)")
     counts = server_counts(workload, run.metrics)
     direct = checker.counts_per_sample()
     if counts != direct:
@@ -828,7 +782,7 @@ def check_pass(workload: Workload, plan: Plan, checker: Checker, run: Pass,
         # Every input is unique, so every request must fill the cache.
         problems.append(f"cache.fills {fills} != {len(run.exchanges)} "
                         f"requests sent")
-    return summary, counts
+    return verdicts, counts
 
 
 def check_repeatable(key: str, counts: dict, problems: List[str]) -> None:
@@ -849,45 +803,31 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
     import numpy
 
     bundle = build_bundle(workload.model, workdir)
-    plan = Plan(workload, seed, seconds)
+    # Traced: the whole window on one server, untraced and then traced.
+    # Untraced: an equal share of it on each of PASSES servers.
+    plan = Plan(workload, seed, seconds if trace else seconds / PASSES)
     checker = Checker(plan, bundle)
     problems: List[str] = []
     setups: List[float] = []
-    if trace:
-        untraced = run_pass(workload, plan, bundle, workdir, seconds,
-                            "untraced")
-        measured = run_pass(workload, plan, bundle, workdir, seconds,
-                            "traced", ledger=True)
-        passes = [untraced, measured]
-    else:
-        for launch in range(SETUP_LAUNCHES - 1):
-            server = Server(workload, bundle, workdir, f"setup{launch}")
-            try:
-                setups.append(server.start())
-            finally:
-                server.stop()
-        server = Server(workload, bundle, workdir, "main")
-        try:
-            setups.append(server.start())
-            measured = drive(server, plan, seconds)
-        finally:
-            server.stop()
-        passes = [measured]
-    summaries = []
+    passes: List[Pass] = []
+    for tag in (("untraced", "traced") if trace
+                else [f"pass{n}" for n in range(PASSES)]):
+        run, setup_s = run_pass(plan, bundle, workdir, tag,
+                                ledger=tag == "traced")
+        passes.append(run)
+        setups.append(setup_s)
+    checked = []
     for run in passes:
-        summary, counts = check_pass(workload, plan, checker, run, seconds,
-                                     problems)
-        summaries.append(summary)
-    summary = summaries[-1]
-    exact = dict(counts)
-    if workload.rate is not None and not workload.zipf_items:
-        # An open loop of unique inputs sends a count fixed by the seed.
-        exact["cache.fills"] = measured.metrics["cache"]["insertions"]
+        verdicts, counts = check_pass(workload, checker, run, problems)
+        checked.append((run, verdicts))
+    measured = passes[-1]
+    summary = summarize(plan, checked[-1:] if trace else checked)
     code = code_fingerprint()
     check_repeatable(f"{workload.name}|seed={seed}|seconds={seconds:g}|"
-                     f"code={code}", exact, problems)
+                     f"code={code}", counts, problems)
 
     if trace:
+        untraced_p50_ms = summarize(plan, checked[:1]).p50_ms
         rows = dict.fromkeys(PER_LAYER, 0.0)
         rows.update(counts)
         rows.update(metric_rows(workload, plan, measured.metrics,
@@ -900,11 +840,10 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
                                    - worker_latency_p50_ms(measured.metrics))
         rows.update({
             "loadgen.late_p99_ms": summary.late_p99_ms,
-            "loadgen.window_requests": len(summary.timeline),
             "ledger.unattributed_ms": book["unattributed_ms"],
             "ledger.coverage": book["coverage"],
-            "trace_overhead": (summary.p50_ms / summaries[0].p50_ms
-                               if summaries[0].p50_ms else 0.0),
+            "trace_overhead": summary.p50_ms / untraced_p50_ms
+            if untraced_p50_ms else 0.0,
             "error_rate": summary.error_rate,
         })
         metrics = {name: {"value": float(rows[name]), "unit": unit}
@@ -912,9 +851,9 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
     else:
         book = None
         values = {"p50_ms": summary.p50_ms, "p99_ms": summary.p99_ms,
-                  "throughput_sps": summary.throughput_sps,
+                  "throughput_sps": summary.ok_samples / seconds,
                   "setup_s": statistics.median(setups),
-                  "rss_mb": measured.rss_mb}
+                  "rss_mb": max(run.rss_mb for run in passes)}
         metrics = {name: {"value": float(values[name]), "unit": UNITS[name]}
                    for name in END_TO_END}
     fingerprint = {
@@ -930,8 +869,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
         "trace": int(trace), "fingerprint": fingerprint,
         "setup_launches_s": setups,
         "window": {"attempted": summary.attempted, "failed": summary.failed,
-                   "ok_requests": len(summary.timeline),
-                   "slices": summary.slices,
+                   "ok_requests": len(summary.latency_ms),
                    "error_rate": summary.error_rate},
         "ledger": book, "problems": problems,
         "result": {"correct": not problems, "attempted": summary.attempted,
@@ -946,11 +884,8 @@ def report(record: dict) -> None:
     print("fingerprint " + json.dumps(record["fingerprint"], sort_keys=True))
     window = record["window"]
     print(f"  requests in window: {window['attempted']} attempted, "
-          f"{window['ok_requests']} answered bitwise-correct, error_rate "
-          f"{window['error_rate']:.6g}")
-    print("  slices (requests, p50 ms, p99 ms): " + "  ".join(
-        f"{part['requests']} {part['p50_ms']:.3f} {part['p99_ms']:.3f}"
-        for part in window["slices"]))
+          f"{window['ok_requests']} answered bitwise-correct (the p50 and "
+          f"p99 sample), error_rate {window['error_rate']:.6g}")
     for name, metric in record["result"]["metrics"].items():
         print(f"  {name:34s} {metric['value']:>16.6g} {metric['unit']}")
     book = record["ledger"]
@@ -961,8 +896,6 @@ def report(record: dict) -> None:
                                 key=lambda item: -item[1]):
             print(f"    {label:44s} {ms:9.3f} ms")
         print(f"    {'unattributed':44s} {book['unattributed_ms']:9.3f} ms")
-        for label, ms in book["gaps_ms"].items():
-            print(f"      {label:42s} {ms:9.3f} ms")
     for problem in record["problems"]:
         print(f"  PROBLEM: {problem}")
 
@@ -976,7 +909,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (SRC / "repro" / "__init__.py").is_file():
