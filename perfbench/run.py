@@ -6,13 +6,16 @@
 Runs from the root of a source checkout.  It builds the workload's bundle,
 starts ``repro-pecan serve`` in its own process from the default
 ``ServeConfig`` (only the port set, plus ``workers=2`` for ``pool_zipf``),
-drives it from a single-threaded generator over two keep-alive connections,
-checks every reply bitwise against a direct ``BundleEngine.predict``, and
-prints one JSON object as its last line.
+drives it from a single-threaded closed-loop generator over two keep-alive
+connections with one request in flight on each, checks every reply bitwise
+against a direct ``BundleEngine.predict``, and prints one JSON object as its
+last line.
 
 ``--trace 0`` reports the end-to-end metrics: the window is split evenly
 across ``PASSES`` server launches, each replaying the same inputs against a
-fresh server, and their replies are pooled.  ``--trace 1`` runs the whole
+fresh server, and their replies are pooled.  Latency and throughput are
+taken over the quarter of the window's slices in which the host stole the
+least CPU time (:func:`quiet_slices`).  ``--trace 1`` runs the whole
 window twice with the same seed, untraced and then with the ledger spans of
 ``hooks.py`` installed in the server process, and reports the per-layer
 metrics.  See README.md in this directory for what each number means.
@@ -21,9 +24,11 @@ metrics.  See README.md in this directory for what each number means.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import http.client
 import json
+import math
 import os
 import platform
 import re
@@ -50,6 +55,10 @@ HELD_OUT_SEED = 7919
 #: Server launches per ``--trace 0`` run, each measuring an equal share of
 #: the window; ``setup_s`` is the median of their set-up times.
 PASSES = 3
+#: Latency and throughput are measured over the ``QUIET_SHARE`` of the
+#: window's ``SLICE_S`` slices in which the host stole the least CPU time.
+SLICE_S = 0.5
+QUIET_SHARE = 0.25
 HOST = "127.0.0.1"
 TRACE_HEADER = "X-Trace-Id"
 URL_LINE = re.compile(r"(?:serving|routing) on http://([\d.]+):(\d+)")
@@ -62,27 +71,27 @@ class Workload:
     name: str
     model: str                  # "toy" or "resnet"
     workers: int                # 1: PECANServer; >1: PoolServer
-    rate: Optional[float]       # open-loop req/s; None: closed loop
     samples: int                # samples per request
     warmup_s: float
-    zipf_items: int = 0         # >0, open loop: Zipf(ZIPF_ALPHA) over these
+    zipf_items: int = 0         # >0: Zipf(ZIPF_ALPHA) over these inputs
     fields: Tuple[Tuple[str, str], ...] = ()   # extra /predict body fields
     prewarm: int = 0            # Zipf: hottest items sent once before load
 
 
 WORKLOADS = {
     workload.name: workload for workload in (
-        Workload("bulk_resnet", model="resnet", workers=1, rate=None,
-                 samples=8, warmup_s=2.0,
+        Workload("bulk_resnet", model="resnet", workers=1, samples=8,
+                 warmup_s=2.0,
                  fields=(("priority", "batch"), ("tenant", "bulk"))),
-        Workload("pool_zipf", model="toy", workers=2, rate=200.0,
-                 samples=1, warmup_s=1.5, zipf_items=4096, prewarm=512),
+        Workload("pool_zipf", model="toy", workers=2, samples=1,
+                 warmup_s=1.5, zipf_items=4096, prewarm=512),
     )
 }
 SHAPES = {"toy": (3, 12, 12), "resnet": (3, 16, 16)}
 CONNECTIONS = 2
-DEPTH = 2                       # closed loop: requests in flight per connection
 ZIPF_ALPHA = 1.1
+#: Zipf draws per second of a pass; a faster server wraps round the stream.
+ZIPF_DRAWS_PER_S = 4000
 
 
 # --------------------------------------------------------------------------- #
@@ -139,35 +148,30 @@ class Plan:
         self.shape = SHAPES[workload.model]
         tag = list(WORKLOADS).index(workload.name)
         self.trace_prefix = f"{seed & 0xffffffff:08x}{tag:02x}"
-        self.schedule: List[float] = []
         self.items = None              # Zipf: the unique inputs
         self.index = None              # Zipf: item index per request
         self._bodies: Dict[int, bytes] = {}
-        if workload.rate is not None:
-            gaps = np.random.default_rng([seed, 1]).exponential(
-                1.0 / workload.rate,
-                int(workload.rate * self.total_s * 1.3) + 64)
-            times = np.cumsum(gaps)
-            self.schedule = times[times < self.total_s].tolist()
         if workload.zipf_items:
             from repro.serve import ZipfWorkload
 
             self.items = np.random.default_rng([seed, 2]).standard_normal(
                 (workload.zipf_items, workload.samples, *self.shape))
             self.index = ZipfWorkload(self.items, alpha=ZIPF_ALPHA,
-                                      seed=seed).indices(len(self.schedule))
+                                      seed=seed).indices(
+                int(ZIPF_DRAWS_PER_S * self.total_s))
         # Zipf ranks are item indices: item 0 is the hottest.
         self.prewarm = [request_bytes(self.body_for(item),
                                       f"{self.trace_prefix}ff{item:020x}")
                         for item in range(workload.prewarm)]
-        self.requests = [self.render(i) for i in range(len(self.schedule))]
 
     def trace_id(self, index: int) -> str:
         return f"{self.trace_prefix}{index:022x}"
 
     def key_of(self, index: int) -> int:
         """Request ``index``'s input identity (its Zipf item, if any)."""
-        return int(self.index[index]) if self.index is not None else index
+        if self.index is None:
+            return index
+        return int(self.index[index % len(self.index)])
 
     def inputs_for(self, key: int):
         """The ``(samples, C, H, W)`` inputs of one key."""
@@ -285,6 +289,24 @@ class Server:
             raise RuntimeError(f"/metrics answered {status}")
         return payload
 
+    def settled_metrics(self, timeout_s: float = 10.0) -> dict:
+        """``/metrics`` once the engines' work has stopped changing.
+
+        The pool router re-runs a sampled cache hit on a worker off the
+        request path, so an inference can still be running after the last
+        reply; a read in the middle of it would count the engine's work
+        before the batch that did it.
+        """
+        deadline = time.monotonic() + timeout_s
+        previous = None
+        while True:
+            payload = self.metrics()
+            current = engine_work(self.workload, payload)
+            if current == previous or time.monotonic() > deadline:
+                return payload
+            previous = current
+            time.sleep(0.1)
+
     def peak_rss_mb(self) -> float:
         """VmHWM of the server process, plus every pool worker."""
         total_kb = 0
@@ -318,6 +340,37 @@ class Server:
 # --------------------------------------------------------------------------- #
 # One measured pass
 # --------------------------------------------------------------------------- #
+class StealMeter:
+    """The host's stolen CPU time, sampled every ``SLICE_S`` of a pass.
+
+    On a virtual machine the hypervisor takes the guest's cores away from
+    time to time; ``/proc/stat`` counts that time as ``steal``.  Without
+    the file (or off a VM) every slice reads 0.
+    """
+
+    def __init__(self):
+        self.samples: List[Tuple[float, int, int]] = []  # (t, steal, total)
+        self._next = 0.0
+
+    def tick(self, now: float, force: bool = False) -> None:
+        if now < self._next and not force:
+            return
+        self._next = now + SLICE_S
+        try:
+            with open("/proc/stat") as stat:
+                fields = [int(v) for v in stat.readline().split()[1:9]]
+        except (OSError, ValueError):
+            return
+        self.samples.append((now, fields[7] if len(fields) > 7 else 0,
+                             sum(fields)))
+
+    def slices(self) -> List[Tuple[float, float, float]]:
+        """``(start, end, stolen share of the CPU time)`` per interval."""
+        return [(t0, t1, (s1 - s0) / (c1 - c0) if c1 > c0 else 0.0)
+                for (t0, s0, c0), (t1, s1, c1)
+                in zip(self.samples, self.samples[1:])]
+
+
 @dataclass
 class Pass:
     """One server lifetime under load, with its raw exchanges."""
@@ -327,29 +380,26 @@ class Pass:
     metrics: dict
     rss_mb: float
     prewarm: list                     # exchanges that warmed the cache
+    slices: List[Tuple[float, float, float]]   # StealMeter.slices()
     spans: Optional[list] = None
 
 
 def drive(server: Server, plan: Plan) -> Pass:
     import traffic
 
-    workload = plan.workload
     prewarm = traffic.run_closed_loop(
         HOST, server.port, plan.prewarm.__getitem__, count=len(plan.prewarm),
         connections=CONNECTIONS) if plan.prewarm else []
-    if workload.rate is not None:
-        exchanges = traffic.run_open_loop(HOST, server.port, plan.schedule,
-                                          plan.requests,
-                                          connections=CONNECTIONS)
-        start = exchanges[0].due - plan.schedule[0]
-    else:
-        exchanges = traffic.run_closed_loop(
-            HOST, server.port, plan.render, duration_s=plan.total_s,
-            connections=CONNECTIONS, depth=DEPTH)
-        start = exchanges[0].due
-    window = (start + workload.warmup_s, start + plan.total_s)
-    metrics = server.metrics()
-    return Pass(exchanges, window, metrics, server.peak_rss_mb(), prewarm)
+    meter = StealMeter()
+    exchanges = traffic.run_closed_loop(
+        HOST, server.port, plan.render, duration_s=plan.total_s,
+        connections=CONNECTIONS, tick=meter.tick)
+    meter.tick(time.monotonic(), force=True)
+    start = exchanges[0].due
+    window = (start + plan.workload.warmup_s, start + plan.total_s)
+    metrics = server.settled_metrics()
+    return Pass(exchanges, window, metrics, server.peak_rss_mb(), prewarm,
+                meter.slices())
 
 
 def run_pass(plan: Plan, bundle: Path, workdir: Path, tag: str,
@@ -457,35 +507,80 @@ class Summary:
 
     attempted: int
     failed: int
-    ok_samples: int
-    latency_ms: List[Tuple[str, float]]   # (trace id, ms) per correct reply
+    measured_s: float                     # seconds of the quiet slices
+    ok_samples: int                       # answered correctly in them
+    latency_ms: List[Tuple[str, float]]   # (trace id, ms) per such reply
     p50_ms: float
     p99_ms: float
     error_rate: float
     late_p99_ms: float
+    steal: Tuple[float, float]            # mean steal: window, quiet slices
+
+
+def quiet_slices(checked: Sequence[Tuple[Pass, Dict[int, str]]]
+                 ) -> Tuple[List[Tuple[int, float, float]], float, float]:
+    """The measured part of the passes' windows.
+
+    Returns ``(slices, mean steal of the window, of the slices)``, a slice
+    being ``(pass number, start, end)``: the ``QUIET_SHARE`` of the window's
+    slices with the least stolen time, ties included.
+    """
+    clipped = []
+    for number, (run, _) in enumerate(checked):
+        lo, hi = run.window
+        parts = [(max(a, lo), min(b, hi), steal)
+                 for a, b, steal in run.slices if a < hi and b > lo]
+        clipped += [(number, a, b, steal)
+                    for a, b, steal in parts or [(lo, hi, 0.0)]]
+    ranked = sorted(steal for *_, steal in clipped)
+    limit = ranked[max(0, math.ceil(len(ranked) * QUIET_SHARE) - 1)]
+    quiet = [entry for entry in clipped if entry[3] <= limit]
+
+    def mean_steal(entries) -> float:
+        seconds = sum(b - a for _, a, b, _ in entries)
+        return sum((b - a) * s for _, a, b, s in entries) / seconds
+
+    return ([(n, a, b) for n, a, b, _ in quiet], mean_steal(clipped),
+            mean_steal(quiet))
 
 
 def summarize(plan: Plan, checked: Sequence[Tuple[Pass, Dict[int, str]]]
               ) -> Summary:
-    """Pool the replies of every pass's window (a pass with its verdicts)."""
+    """Pool the replies of every pass's window (a pass with its verdicts).
+
+    Failures count over the whole window; latency and throughput over its
+    quiet slices (:func:`quiet_slices`).
+    """
     import numpy as np
 
-    window, ok = [], []
+    window, failed, ok = [], 0, []
+    by_pass = []                          # (window exchanges, their dues)
     for run, verdicts in checked:
         lo, hi = run.window
         inside = [x for x in run.exchanges if lo <= x.due < hi]
         window += inside
-        ok += [x for x in inside if verdicts[x.index] == "ok"]
-    latency = [(plan.trace_id(x.index), (x.done - x.due) * 1e3) for x in ok]
+        failed += sum(verdicts[x.index] != "ok" for x in inside)
+        inside.sort(key=lambda x: x.due)
+        by_pass.append((inside, [x.due for x in inside]))
+    slices, steal_all, steal_quiet = quiet_slices(checked)
+    for number, a, b in slices:
+        inside, times = by_pass[number]
+        verdicts = checked[number][1]
+        ok += [x for x in inside[bisect.bisect_left(times, a):
+                                 bisect.bisect_left(times, b)]
+               if verdicts[x.index] == "ok"]
+    latency = [(plan.trace_id(x.index), (x.done - x.sent) * 1e3) for x in ok]
     p50, p99 = np.percentile([ms for _, ms in latency], [50, 99]).tolist() \
         if latency else (0.0, 0.0)
-    failed = len(window) - len(ok)
     late = [(x.sent - x.due) * 1e3 for x in window]
     return Summary(
-        attempted=len(window), failed=failed, ok_samples=len(ok) * plan.workload.samples, latency_ms=latency,
+        attempted=len(window), failed=failed,
+        measured_s=sum(b - a for _, a, b in slices),
+        ok_samples=len(ok) * plan.workload.samples, latency_ms=latency,
         p50_ms=p50, p99_ms=p99,
         error_rate=failed / len(window) if window else 1.0,
-        late_p99_ms=float(np.percentile(late, 99)) if late else 0.0)
+        late_p99_ms=float(np.percentile(late, 99)) if late else 0.0,
+        steal=(steal_all, steal_quiet))
 
 
 def _serving_payloads(workload: Workload, metrics: dict):
@@ -499,6 +594,14 @@ def _serving_payloads(workload: Workload, metrics: dict):
 def _histogram_samples(server: dict) -> int:
     return sum(int(size) * count for size, count
                in server["batching"]["histogram"].items())
+
+
+def engine_work(workload: Workload, metrics: dict) -> Tuple[int, int]:
+    """(samples batched, CAM searches) summed over the serving engines."""
+    _, servers = _serving_payloads(workload, metrics)
+    return (sum(_histogram_samples(s["server"]) for s in servers),
+            sum(model["engine"]["cam"]["searches"] for s in servers
+                for model in s["models"].values()))
 
 
 def server_counts(workload: Workload, metrics: dict) -> Dict[str, float]:
@@ -851,7 +954,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
     else:
         book = None
         values = {"p50_ms": summary.p50_ms, "p99_ms": summary.p99_ms,
-                  "throughput_sps": summary.ok_samples / seconds,
+                  "throughput_sps": summary.ok_samples / summary.measured_s,
                   "setup_s": statistics.median(setups),
                   "rss_mb": max(run.rss_mb for run in passes)}
         metrics = {name: {"value": float(values[name]), "unit": UNITS[name]}
@@ -869,8 +972,11 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
         "trace": int(trace), "fingerprint": fingerprint,
         "setup_launches_s": setups,
         "window": {"attempted": summary.attempted, "failed": summary.failed,
+                   "error_rate": summary.error_rate,
+                   "measured_s": summary.measured_s,
                    "ok_requests": len(summary.latency_ms),
-                   "error_rate": summary.error_rate},
+                   "steal_window": summary.steal[0],
+                   "steal_measured": summary.steal[1]},
         "ledger": book, "problems": problems,
         "result": {"correct": not problems, "attempted": summary.attempted,
                    "failed": summary.failed, "metrics": metrics},
@@ -884,8 +990,12 @@ def report(record: dict) -> None:
     print("fingerprint " + json.dumps(record["fingerprint"], sort_keys=True))
     window = record["window"]
     print(f"  requests in window: {window['attempted']} attempted, "
-          f"{window['ok_requests']} answered bitwise-correct (the p50 and "
-          f"p99 sample), error_rate {window['error_rate']:.6g}")
+          f"error_rate {window['error_rate']:.6g}")
+    print(f"  measured: the quietest {window['measured_s']:.1f} s of it "
+          f"(host steal {window['steal_measured']:.3f} vs "
+          f"{window['steal_window']:.3f} over the window), "
+          f"{window['ok_requests']} bitwise-correct replies (the p50 and "
+          f"p99 sample)")
     for name, metric in record["result"]["metrics"].items():
         print(f"  {name:34s} {metric['value']:>16.6g} {metric['unit']}")
     book = record["ledger"]

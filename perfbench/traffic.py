@@ -1,19 +1,16 @@
 """Single-threaded HTTP/1.1 load generator over a few keep-alive connections.
 
 One :mod:`selectors` loop drives every connection, so the generator never
-competes with itself for the interpreter lock.  Two shapes:
-
-* open loop (:func:`run_open_loop`): request ``i`` is due at ``schedule[i]``
-  seconds after the start and is sent then, whether or not earlier replies
-  have arrived; requests queue on their connection and pipeline.  Latency
-  runs from the due time, so a stall is charged to every request it
-  delays, and the send delay is recorded separately as lateness.
-* closed loop (:func:`run_closed_loop`): each connection keeps ``depth``
-  requests in flight and sends the next one when a reply arrives.
+competes with itself for the interpreter lock.  The load is a closed loop
+(:func:`run_closed_loop`): each connection is one caller that sends a
+request, waits for its reply and then sends the next.  Requests are
+rendered ahead, while earlier ones are in flight, so a reply is answered by
+an immediate send.  A request is due when its connection became free; the
+gap to its actual send is recorded as the generator's lateness.
 
 Replies are stored raw; parsing and checking happen after the timed run.
-A connection the server drops fails the requests it carried and is opened
-again, so one reset shows as failures instead of ending the run.
+A connection the server drops fails the request it carried and is opened
+again, so one reset shows as a failure instead of ending the run.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Tuple
 
 _LENGTH = re.compile(rb"\r\ncontent-length:\s*(\d+)", re.IGNORECASE)
 
@@ -52,12 +49,10 @@ class _Conn:
 
 
 class _Loop:
-    """The shared socket loop behind both load shapes."""
+    """The socket loop: connections, sends, and replies parsed off the wire."""
 
     def __init__(self, host: str, port: int, connections: int):
-        # select(2) takes microsecond timeouts; epoll rounds up to whole
-        # milliseconds, which would make every open-loop send late.
-        self.selector = selectors.SelectSelector()
+        self.selector = selectors.DefaultSelector()
         self.address = (host, port)
         self.conns = [self._connect(_Conn(None)) for _ in range(connections)]
         self.finished: List[Exchange] = []
@@ -166,87 +161,51 @@ class _Loop:
         return any(conn.inflight for conn in self.conns)
 
 
-def run_open_loop(host: str, port: int, schedule: Sequence[float],
-                  requests: Sequence[bytes], *, connections: int = 2,
-                  drain_s: float = 30.0) -> List[Exchange]:
-    """Send ``requests[i]`` at ``start + schedule[i]`` on connection ``i % n``.
-
-    ``schedule`` must be sorted.  Returns every exchange, answered or not,
-    once all replies arrived or ``drain_s`` after the last send.
-    """
-    loop = _Loop(host, port, connections)
-    # A collection pause would delay sends and reply timestamps; what the
-    # run allocates is bounded by its request count.
-    gc.disable()
-    start = time.monotonic()
-    count = len(schedule)
-    next_index = 0
-    deadline = start + (schedule[-1] if count else 0.0) + drain_s
-    try:
-        while True:
-            now = time.monotonic()
-            while next_index < count and start + schedule[next_index] <= now:
-                exchange = Exchange(next_index, start + schedule[next_index])
-                loop.send(loop.conns[next_index % connections], exchange,
-                          requests[next_index])
-                next_index += 1
-            if next_index >= count and not loop.busy:
-                break
-            if now > deadline:
-                loop.fail_inflight("no reply before the drain deadline")
-                break
-            if next_index < count:
-                timeout = max(0.0, start + schedule[next_index] - now)
-            else:
-                timeout = 0.05
-            loop.poll(min(timeout, 0.05), lambda conn, exchange: None)
-    finally:
-        gc.enable()
-        loop.close()
-    return sorted(loop.finished, key=lambda exchange: exchange.index)
-
-
 def run_closed_loop(host: str, port: int, render: Callable[[int], bytes], *,
                     duration_s: float = float("inf"),
                     count: Optional[int] = None, connections: int = 2,
-                    depth: int = 2, drain_s: float = 60.0) -> List[Exchange]:
-    """Keep ``depth`` requests in flight per connection.
+                    drain_s: float = 60.0,
+                    tick: Callable[[float], None] = lambda now: None
+                    ) -> List[Exchange]:
+    """Keep one request in flight on each of ``connections`` connections.
 
     Sends until ``duration_s`` has passed or ``count`` requests went out.
-    ``render(i)`` builds request ``i`` just before it is sent.  A request's
-    due time is its send time.
+    ``render(i)`` builds request ``i``; one request per connection is kept
+    rendered ahead of its send.  ``tick(now)`` is called at least every
+    50 ms while the loop runs.
     """
     loop = _Loop(host, port, connections)
+    ready: Deque[Tuple[int, bytes]] = deque()
+    rendered = 0
+
+    def top_up() -> None:
+        nonlocal rendered
+        while len(ready) < connections and rendered != count:
+            ready.append((rendered, render(rendered)))
+            rendered += 1
+
+    def issue(conn: _Conn, due: float) -> None:
+        if due < stop_at and ready:
+            index, data = ready.popleft()
+            loop.send(conn, Exchange(index, due), data)
+
+    top_up()
     start = time.monotonic()
     stop_at = start + duration_s
     deadline = (start if count else stop_at) + drain_s
-    issued = 0
-
-    def issue(conn: _Conn) -> None:
-        nonlocal issued
-        if time.monotonic() >= stop_at or issued == count:
-            return
-        data = render(issued)
-        loop.send(conn, Exchange(issued, time.monotonic()), data)
-        issued += 1
-
-    def on_done(conn: _Conn, exchange: Exchange) -> None:
-        issue(conn)
-
-    def on_reset(conn: _Conn) -> None:
-        for _ in range(depth - len(conn.inflight)):
-            issue(conn)
-
     gc.disable()
     try:
+        tick(start)
         for conn in loop.conns:
-            for _ in range(depth):
-                issue(conn)
+            issue(conn, start)
         while loop.busy:
+            top_up()
+            tick(time.monotonic())
             if time.monotonic() > deadline:
                 loop.fail_inflight("no reply before the drain deadline")
                 break
-            loop.poll(0.05, on_done, on_reset)
+            loop.poll(0.05, lambda conn, exchange: issue(conn, exchange.done),
+                      lambda conn: issue(conn, time.monotonic()))
     finally:
         gc.enable()
         loop.close()
