@@ -45,8 +45,8 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, PoolServer, ServeClient, ZipfWorkload,
-                         canonical_response_bytes, run_zipf_load)
+from repro.serve import (BundleEngine, PoolServer, ServeClient, ServeConfig,
+                         ZipfWorkload, canonical_response_bytes, run_zipf_load)
 from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
@@ -106,11 +106,10 @@ def worker_engine_calls(client: ServeClient) -> int:
 
 
 def start_pool(bundle: Path, hardware_hz: float, *, cache_mb: float):
-    pool = PoolServer(
+    pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="cache_affinity",
         heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
-        hardware_hz=hardware_hz,
-        cache_mb=cache_mb, cache_check_every=0)
+        hardware_hz=hardware_hz, cache_mb=cache_mb, cache_check_every=0))
     pool.add_bundle(bundle, name="m")
     pool.start()
     assert pool.wait_ready(180.0), "pool never became ready"

@@ -1,32 +1,21 @@
-"""Bench PR9 — connection scale: event-loop vs threaded network front end.
+"""Bench PR9 — connection scale of the event-loop network front end.
 
-The same paced 2-worker pool (Section 4.3 accelerator cost model, cache
-disabled so every request really executes) is driven at 32 / 128 / 512
-concurrent **keep-alive** connections by the selectors-multiplexed
-closed-loop driver :func:`repro.serve.loadgen.run_concurrent_load`, once
-per front end:
+A paced 2-worker pool (Section 4.3 accelerator cost model, cache disabled so
+every request really executes) is driven at 32 / 128 / 512 concurrent
+**keep-alive** connections by the selectors-multiplexed closed-loop driver
+:func:`repro.serve.loadgen.run_concurrent_load`.  The ``selectors`` front end
+has one loop thread owning every socket, a deep accept backlog that absorbs
+the connect storm, and a bounded app-thread bridge that keeps serving-plane
+concurrency at ``io_threads`` no matter how many connections are open.
 
-* **eventloop** — the PR9 ``selectors`` front end: one loop thread owns
-  every socket, a deep accept backlog absorbs the connect storm, and the
-  bounded app-thread bridge keeps serving-plane concurrency at
-  ``io_threads`` no matter how many connections are open.
-* **threaded** — the legacy thread-per-connection stdlib server: its
-  five-deep listen backlog stalls the connect storm, and every connection
-  that does get in owns a serving thread, so admitted concurrency equals
-  the connection count and blows through the QoS waiting room.
-
-Contracts (the PR's acceptance criteria):
+Contracts:
 
 1. the event loop sustains all 512 clients — every connection established,
    zero errors, zero sheds;
 2. its 512-client throughput is within 10% of its own 32-client rate
    (capacity-bound either way: more connections queue, they don't thrash);
-3. every 200 response on both front ends is bitwise identical to the
-   reference engine's logits (``mismatches == 0`` wherever requests
-   complete);
-4. the threaded baseline at 512 visibly degrades: request errors
-   (429/503 storms once the waiting room overflows), or an accept stall
-   that leaves part of the storm unconnected, or ≥10% throughput loss.
+3. every 200 response is bitwise identical to the reference engine's
+   logits (``mismatches == 0``).
 
 Results land in ``BENCH_PR9.json`` (leaf keys ``requests_per_s`` /
 ``p50_ms`` / ``p95_ms`` / ``p99_ms`` line up with
@@ -50,7 +39,8 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, PoolServer, run_concurrent_load
+from repro.serve import (BundleEngine, PoolServer, ServeConfig,
+                         run_concurrent_load)
 from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
@@ -95,8 +85,8 @@ def build_bundle(tmp_path: Path) -> Path:
                                     input_shape=(IN_CHANNELS, IMAGE, IMAGE))
 
 
-def start_pool(bundle: Path, hardware_hz: float, backend: str) -> PoolServer:
-    pool = PoolServer(
+def start_pool(bundle: Path, hardware_hz: float) -> PoolServer:
+    pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="least_outstanding",
         heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
         # Small batches keep the pacing quantum fine (8 × 16 ms = 128 ms):
@@ -104,8 +94,7 @@ def start_pool(bundle: Path, hardware_hz: float, backend: str) -> PoolServer:
         # arriving in half-second bursts that quantize short windows.
         max_batch_size=8, max_wait_ms=2.0, request_timeout_s=10.0,
         hardware_hz=hardware_hz, cache_mb=0.0,
-        http_backend=backend,
-        max_connections=max(CONN_LEVELS) + 88)   # budget above the storm
+        max_connections=max(CONN_LEVELS) + 88))   # budget above the storm
     pool.add_bundle(bundle, name="m")
     pool.start()
     assert pool.wait_ready(180.0), "pool never became ready"
@@ -118,7 +107,7 @@ def run_leg(pool: PoolServer, bodies, references, conns: int,
     # exactly ``per_conn`` requests, and requests_per_s is total completions
     # over the time the whole storm took — queue ramp and tail are part of
     # the work, not artifacts cut off by a wall-clock window.  The window
-    # below is only a safety cap against a wedged baseline.
+    # below is only a safety cap against a wedged pool.
     cap_s = 2.0 * per_conn * conns / CAPACITY_RPS + 15.0
     result = run_concurrent_load(
         "127.0.0.1", pool.port, bodies,
@@ -157,41 +146,22 @@ def test_bench_connections(tmp_path):
     #: Total requests per leg, scaled by the CI window knob; every
     #: connection gets at least two so keep-alive reuse is always exercised.
     target_total = int(512 * max(WINDOW_S, 0.5))
-    results: dict = {}
-    for backend in ("eventloop", "threaded"):
-        # The threaded baseline only needs its endpoints (the contract is
-        # "fine at 32, degraded at 512") — its stalled middle leg would
-        # just burn CI minutes demonstrating the same failure mode.
-        levels = (CONN_LEVELS if backend == "eventloop"
-                  else [CONN_LEVELS[0], max(CONN_LEVELS)])
-        pool = start_pool(bundle, hardware_hz, backend)
-        legs = {}
-        try:
-            for conns in levels:
-                per_conn = max(2, round(target_total / conns))
-                legs[f"c{conns}"] = run_leg(pool, bodies, references,
-                                            conns, per_conn)
-        finally:
-            pool.stop(drain=True)
-        results[backend] = legs
+    legs: dict = {}
+    pool = start_pool(bundle, hardware_hz)
+    try:
+        for conns in CONN_LEVELS:
+            per_conn = max(2, round(target_total / conns))
+            legs[f"c{conns}"] = run_leg(pool, bodies, references, conns,
+                                        per_conn)
+    finally:
+        pool.stop(drain=True)
 
-    def ratio(legs):
-        low = legs[f"c{CONN_LEVELS[0]}"]["requests_per_s"]
-        high = legs[f"c{max(CONN_LEVELS)}"]["requests_per_s"]
-        return round(high / low, 3) if low else 0.0
-
-    event_ratio = ratio(results["eventloop"])
-    threaded_ratio = ratio(results["threaded"])
-    event_512 = results["eventloop"][f"c{max(CONN_LEVELS)}"]
-    threaded_512 = results["threaded"][f"c{max(CONN_LEVELS)}"]
-    threaded_degraded = {
-        "request_errors": threaded_512["errors"] > 0,
-        "accept_stall": threaded_512["connects"] < max(CONN_LEVELS),
-        "throughput_loss": threaded_ratio < 0.9,
-    }
+    low = legs[f"c{CONN_LEVELS[0]}"]["requests_per_s"]
+    event_512 = legs[f"c{max(CONN_LEVELS)}"]
+    event_ratio = round(event_512["requests_per_s"] / low, 3) if low else 0.0
 
     payload = {
-        "bench": "connection scale, eventloop vs threaded front end (PR9)",
+        "bench": "connection scale of the eventloop front end (PR9)",
         "platform": platform.machine(),
         "cpu_count": os.cpu_count(),
         "config": {
@@ -204,18 +174,15 @@ def test_bench_connections(tmp_path):
             "hardware_hz": round(hardware_hz, 1),
         },
         "results": {
-            "eventloop": results["eventloop"],
-            "threaded": results["threaded"],
+            "eventloop": legs,
             "eventloop_512_vs_32_throughput_ratio": event_ratio,
-            "threaded_512_vs_32_throughput_ratio": threaded_ratio,
-            "threaded_degraded": threaded_degraded,
         },
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
 
     # Contract 1: the event loop sustains the full storm at every level.
-    for name, leg in results["eventloop"].items():
+    for name, leg in legs.items():
         assert leg["requests"] > 0, name
         assert leg["errors"] == 0, (name, leg["error_sample"])
         assert leg["connect_errors"] == 0, name
@@ -224,10 +191,6 @@ def test_bench_connections(tmp_path):
     # Contract 2: within 10% of its own 32-client throughput at 512.
     assert event_ratio >= 0.9, payload["results"]
 
-    # Contract 3: bitwise parity everywhere a response completed.
-    for legs in results.values():
-        for name, leg in legs.items():
-            assert leg["mismatches"] == 0, (name, leg)
-
-    # Contract 4: the threaded baseline degrades or errors at 512.
-    assert any(threaded_degraded.values()), payload["results"]
+    # Contract 3: bitwise parity on every completed response.
+    for name, leg in legs.items():
+        assert leg["mismatches"] == 0, (name, leg)

@@ -38,7 +38,7 @@ import pytest
 
 from repro.io import export_deployment_bundle
 from repro.models import build_model
-from repro.serve import BundleEngine, PECANServer, ServeClient
+from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 
@@ -121,8 +121,9 @@ def bench_results(tmp_path_factory):
 
     results = {}
     for budget in BATCH_BUDGETS:
-        server = PECANServer(port=0, max_batch_size=budget, max_wait_ms=4.0,
-                             max_queue_depth=1024, audit_every=16)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_batch_size=budget, max_wait_ms=4.0,
+            max_queue_depth=1024, audit_every=16, cache_mb=0.0))
         server.add_bundle(bundle_path, name="bench", preload=True)
         with server:
             client = ServeClient(server.url)

@@ -47,7 +47,7 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, PoolServer, ServeClient
+from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
@@ -120,10 +120,10 @@ def run_load(client: ServeClient, images: np.ndarray, window_s: float):
 
 def run_pool_config(bundle_path: Path, workers: int, images: np.ndarray,
                     expected: np.ndarray, hardware_hz=None):
-    pool = PoolServer(port=0, workers=workers, policy="least_outstanding",
-                      heartbeat_interval_s=0.25, heartbeat_timeout_s=10.0,
-                      max_wait_ms=3.0, max_queue_depth=1024,
-                      hardware_hz=hardware_hz)
+    pool = PoolServer(config=ServeConfig.build(
+        port=0, workers=workers, policy="least_outstanding",
+        heartbeat_interval_s=0.25, heartbeat_timeout_s=10.0, max_wait_ms=3.0,
+        max_queue_depth=1024, hardware_hz=hardware_hz, cache_mb=0.0))
     pool.add_bundle(bundle_path, name="bench")
     with pool:
         assert pool.wait_ready(180.0), "pool never became ready"

@@ -39,7 +39,8 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, PoolServer, QoSConfig, ServeClient
+from repro.serve import (BundleEngine, PoolServer, QoSConfig, ServeClient,
+                         ServeConfig)
 from repro.serve.client import BulkScorer
 from repro.serve.server import _AcceleratorPacer
 
@@ -238,22 +239,22 @@ def test_bench_qos(tmp_path):
     pacer = _AcceleratorPacer(probe_engine, hz=1.0)
     hardware_hz = pacer._cycles() / ACCEL_SECONDS_PER_SAMPLE
 
-    pool = PoolServer(
+    config = ServeConfig.build(
         # Round-robin, not least_outstanding: a long-lived bulk chunk counts
         # the same as a quick interactive call in the outstanding tally, so
         # least_outstanding would occasionally pile every interactive client
         # onto one worker and fatten the p99 tail this bench measures.
         port=0, workers=WORKERS, policy="round_robin",
         heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
-        hardware_hz=hardware_hz,
-        # Slots are sized so steady mixed traffic is never slot-limited (the
-        # per-batch bulk budget does the isolation); queue_high is low enough
-        # that the overload burst overflows the slots and engages the
-        # brownout ladder.
-        qos_config=QoSConfig(slots_per_worker=4, queue_high=2.0, alpha=0.7,
-                             min_dwell_s=0.2, recover_at=0.5,
-                             emergency_at=1e9,
-                             batch_class_samples=BATCH_CLASS_SAMPLES))
+        hardware_hz=hardware_hz, cache_mb=0.0)
+    # Slots are sized so steady mixed traffic is never slot-limited (the
+    # per-batch bulk budget does the isolation); queue_high is low enough
+    # that the overload burst overflows the slots and engages the brownout
+    # ladder.
+    config.qos = QoSConfig(slots_per_worker=4, queue_high=2.0, alpha=0.7,
+                           min_dwell_s=0.2, recover_at=0.5, emergency_at=1e9,
+                           batch_class_samples=BATCH_CLASS_SAMPLES)
+    pool = PoolServer(config=config)
     pool.add_bundle(bundle, name="m")
     pool.start()
     assert pool.wait_ready(180.0), "pool never became ready"

@@ -43,7 +43,7 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, PoolServer, ServeClient
+from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
@@ -144,9 +144,10 @@ def test_bench_rollout_lifecycle(tmp_path):
     per_sample_cycles = pacer._cycles()
     hardware_hz = per_sample_cycles / ACCEL_SECONDS_PER_SAMPLE
 
-    pool = PoolServer(port=0, workers=WORKERS, policy="least_outstanding",
-                      heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                      max_wait_ms=2.0, hardware_hz=hardware_hz)
+    pool = PoolServer(config=ServeConfig.build(
+        port=0, workers=WORKERS, policy="least_outstanding",
+        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
+        hardware_hz=hardware_hz, cache_mb=0.0))
     pool.add_bundle(bundle, name="m")
     pool.start()
     assert pool.wait_ready(180.0), "pool never became ready"

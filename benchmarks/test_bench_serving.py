@@ -35,7 +35,7 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, PECANServer, ServeClient
+from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
 
@@ -105,8 +105,9 @@ def bench_results(tmp_path_factory):
 
     results = {}
     for budget in BATCH_BUDGETS:
-        server = PECANServer(port=0, max_batch_size=budget, max_wait_ms=4.0,
-                             max_queue_depth=1024, audit_every=16)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_batch_size=budget, max_wait_ms=4.0,
+            max_queue_depth=1024, audit_every=16, cache_mb=0.0))
         server.add_bundle(bundle_path, name="bench", preload=True)
         with server:
             client = ServeClient(server.url)

@@ -37,7 +37,7 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, PoolServer, ServeClient
+from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
@@ -122,12 +122,11 @@ def run_closed_loop(url: str, images: np.ndarray, window_s: float):
 
 def run_mode(bundle: Path, images: np.ndarray, probe: np.ndarray,
              hardware_hz: float, *, traced: bool):
-    pool = PoolServer(
+    pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="round_robin",
         heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
-        hardware_hz=hardware_hz,
-        trace_enabled=traced,
-        invariant_every=16 if traced else 0)
+        hardware_hz=hardware_hz, invariant_every=16 if traced else 0,
+        cache_mb=0.0, **{"trace.enabled": traced}))
     pool.add_bundle(bundle, name="m")
     pool.start()
     assert pool.wait_ready(180.0), "pool never became ready"

@@ -424,18 +424,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _serve_single(config) -> int:
     from repro.serve import PECANServer
-    from repro.serve.registry import ModelRegistry
 
-    mmap_mode = config.engine.mmap_mode
-    engine_factory = None
-    if config.engine.optimize:
-        from repro.serve import BundleEngine
-
-        engine_factory = (lambda path:                        # noqa: E731
-                          BundleEngine(path, optimize=True, mmap_mode=mmap_mode))
-    registry = ModelRegistry(max_total_values=config.engine.max_total_values,
-                             engine_factory=engine_factory, mmap_mode=mmap_mode)
-    server = PECANServer(registry=registry, config=config)
+    server = PECANServer(config=config)
     for spec in config.lifecycle.bundles:
         name, path = _parse_bundle_spec(spec)
         registered = server.add_bundle(path, name=name,

@@ -9,8 +9,7 @@ on the PECAN-D lookup path), without importing autograd.
 Two layers of API:
 
 * plain NumPy functions (:func:`conv2d`, :func:`linear`, :func:`relu`, ...) —
-  the lowerings themselves, importable directly (``repro.serve.ops``
-  re-exports them for backwards compatibility);
+  the lowerings themselves, importable directly;
 * the registry — :func:`register_op` binds each graph op name to an
   :class:`OpSpec` whose kernel executes one :class:`~repro.ir.graph.Node`
   given its input arrays and an execution context (the

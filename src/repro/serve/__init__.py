@@ -18,9 +18,8 @@ inference program); this package turns that file back into a serving process:
 * :mod:`repro.serve.metrics` — :class:`ServerMetrics`, latency percentiles,
   batch-size histogram, throughput, audit counters;
 * :mod:`repro.serve.server` — :class:`PECANServer`, the JSON serving
-  process (``/predict``, ``/models``, ``/metrics``, ``/healthz``) behind a
-  pluggable network front end (event loop by default, legacy
-  thread-per-connection retained);
+  process (``/predict``, ``/models``, ``/metrics``, ``/healthz``) behind the
+  event-loop network front end;
 * :mod:`repro.serve.pool` — :class:`PoolServer`, a data-parallel router over
   N worker processes (each a full ``PECANServer`` over memory-mapped bundle
   arrays) with pluggable routing policies, heartbeat-driven respawn of
@@ -64,21 +63,18 @@ inference program); this package turns that file back into a serving process:
   :class:`SlowlorisSwarm` for slow-client chaos;
 * :mod:`repro.serve.netfront` — :class:`EventLoopFrontEnd`, the
   ``selectors``-based HTTP/1.1 network front end shared by
-  :class:`PECANServer` and :class:`PoolServer`: non-blocking accept/read/
-  write on one loop thread, incremental parsing (:class:`RequestParser`),
+  :class:`PECANServer`, :class:`PoolServer` and :class:`FrontRouter`:
+  non-blocking accept/read/write on one loop thread, incremental parsing
+  (:class:`RequestParser`),
   keep-alive with in-order pipelining, a bounded connection budget
   (503 + ``Retry-After`` past it), and slowloris/idle timeouts — handing
   parsed requests to the blocking serving plane over a bounded completion
   bridge;
-* :mod:`repro.serve.ops` — backwards-compatible re-exports of the unified
-  lowerings in :mod:`repro.ir.ops` (which mirror
-  :mod:`repro.autograd.functional` exactly);
 * :mod:`repro.serve.config` — :class:`ServeConfig`, the layered configuration
   tree that is the ONE constructor argument for :class:`PECANServer` /
   :class:`PoolServer` / :class:`FrontRouter`; every ``repro-pecan serve``
   flag, its ``--help`` text and the README reference table are generated
-  from its field metadata, with argv ⇄ config ⇄ JSON round trips and a
-  one-release deprecation shim for the old flat kwargs;
+  from its field metadata, with argv ⇄ config ⇄ JSON round trips;
 * :mod:`repro.serve.adminapi` — the typed ``/admin/*`` wire contract shared
   by every server and the client: request schemas per verb, structured
   errors (``code`` / ``reason`` / ``retry_after``) and the common dispatch;
@@ -113,9 +109,8 @@ from repro.serve.client import BulkScorer, ServeClient, ServeHTTPError
 from repro.serve.config import (AutoscaleConfig, CacheConfig, EngineConfig,
                                 FederationConfig, LifecycleConfig, NetConfig,
                                 PoolConfig, ServeConfig, TraceConfig,
-                                add_serve_arguments, config_from_legacy_kwargs,
-                                config_reference_table, serve_config_from_args,
-                                serve_config_to_args)
+                                add_serve_arguments, config_reference_table,
+                                serve_config_from_args, serve_config_to_args)
 from repro.serve.federation import FrontRouter, HashRing, MemberPool
 from repro.serve.engine import BundleEngine
 from repro.serve.loadgen import (LoadResult, SlowlorisSwarm, ZipfWorkload,
@@ -169,7 +164,6 @@ __all__ = [
     "ServeConfig",
     "TraceConfig",
     "add_serve_arguments",
-    "config_from_legacy_kwargs",
     "config_reference_table",
     "serve_config_from_args",
     "serve_config_to_args",

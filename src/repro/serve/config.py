@@ -21,10 +21,6 @@ tree:
   :func:`serve_config_to_args`) and JSON ⇄ config (:func:`to_json_dict` /
   :func:`from_json_dict`), plus ``--config serve.json`` support with
   *defaults < config file < explicit flags* precedence.
-* **Legacy shim** — :func:`config_from_legacy_kwargs` maps the deprecated
-  flat constructor kwargs (with their historical defaults, e.g. the cache
-  off by default when constructed programmatically) onto the tree, so old
-  call sites keep working for one release behind a ``DeprecationWarning``.
 
 Field metadata convention (shared with :class:`~repro.serve.qos.QoSConfig`,
 which lives in :mod:`repro.serve.qos` and is reused as the ``qos`` section
@@ -55,7 +51,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Type)
+                    Tuple)
 
 from repro.serve.qos import QoSConfig
 
@@ -72,7 +68,6 @@ __all__ = [
     "TraceConfig",
     "add_serve_arguments",
     "cfgfield",
-    "config_from_legacy_kwargs",
     "config_reference_table",
     "flag_specs",
     "from_json_dict",
@@ -115,12 +110,6 @@ class NetConfig:
     host: str = cfgfield("127.0.0.1", parse=str, help="bind address")
     port: int = cfgfield(8080, parse=int,
                          help="bind port (0 picks a free port)")
-    http_backend: str = cfgfield(
-        "eventloop", parse=str, choices=("eventloop", "threaded"),
-        help="network front end: 'eventloop' multiplexes all connections "
-             "through one selectors loop with keep-alive, pipelining, a "
-             "connection budget and slowloris/idle timeouts; 'threaded' is "
-             "the legacy thread-per-connection stdlib server")
     max_connections: int = cfgfield(
         512, parse=int,
         help="open-connection budget for the eventloop front end; "
@@ -382,10 +371,9 @@ class ServeConfig:
     """Every serving knob, layered by subsystem.
 
     ``PECANServer(config=ServeConfig(...))`` (and the same for ``PoolServer``
-    / ``FrontRouter``) is the one non-deprecated construction path; the flat
-    keyword constructors remain for one release behind a
-    ``DeprecationWarning``.  :meth:`build` offers a flat convenience spelling
-    for tests and scripts: ``ServeConfig.build(port=0, workers=4)``.
+    / ``FrontRouter``) is the one construction path.  :meth:`build` offers a
+    flat convenience spelling for tests and scripts:
+    ``ServeConfig.build(port=0, workers=4)``.
     """
 
     net: NetConfig = field(default_factory=NetConfig)
@@ -736,84 +724,3 @@ def config_reference_table() -> str:
         lines.append(f"| {section_name} | `{spec.name}` | {flag} "
                      f"| `{default}` | {summary} |")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------- #
-# Legacy constructor shim
-# --------------------------------------------------------------------------- #
-#: Deprecated flat kwarg -> (section, field).  ``mmap_mode`` and
-#: ``qos_config`` are special-cased below.  Legacy programmatic defaults that
-#: differ from the config-tree defaults (the CLI defaults) are recorded so a
-#: legacy call site keeps its historical behaviour exactly.
-_LEGACY_KWARGS: Dict[str, Tuple[str, str]] = {
-    "host": ("net", "host"),
-    "port": ("net", "port"),
-    "http_backend": ("net", "http_backend"),
-    "max_connections": ("net", "max_connections"),
-    "idle_timeout_s": ("net", "idle_timeout_s"),
-    "request_read_timeout_s": ("net", "request_read_timeout_s"),
-    "io_threads": ("net", "io_threads"),
-    "max_batch_size": ("engine", "max_batch_size"),
-    "max_wait_ms": ("engine", "max_wait_ms"),
-    "max_queue_depth": ("engine", "max_queue_depth"),
-    "request_timeout_s": ("engine", "request_timeout_s"),
-    "batch_chunk": ("engine", "batch_chunk"),
-    "audit_every": ("engine", "audit_every"),
-    "max_total_values": ("engine", "max_total_values"),
-    "optimize": ("engine", "optimize"),
-    "hardware_hz": ("engine", "hardware_hz"),
-    "workers": ("pool", "workers"),
-    "policy": ("pool", "policy"),
-    "heartbeat_interval_s": ("pool", "heartbeat_interval_s"),
-    "heartbeat_timeout_s": ("pool", "heartbeat_timeout_s"),
-    "start_timeout_s": ("pool", "start_timeout_s"),
-    "proxy_retries": ("pool", "proxy_retries"),
-    "proxy_timeout_s": ("pool", "proxy_timeout_s"),
-    "start_method": ("pool", "start_method"),
-    "monitor_trips_gate": ("pool", "monitor_trips_gate"),
-    "cache_mb": ("cache", "cache_mb"),
-    "cache_check_every": ("cache", "cache_check_every"),
-    "trace_dir": ("trace", "trace_dir"),
-    "trace_enabled": ("trace", "enabled"),
-    "trace_ring": ("trace", "trace_ring"),
-    "invariant_every": ("trace", "invariant_every"),
-    "preload": ("lifecycle", "preload"),
-    "autoscale_config": ("autoscale", None),       # whole-section override
-    "qos_config": ("qos", None),                   # whole-section override
-    "mmap_mode": ("engine", "mmap"),               # "r"/None -> bool
-}
-
-#: Historical programmatic defaults that differ from the config-tree (CLI)
-#: defaults.  The flat constructors shipped with the cache off and
-#: ``PoolServer`` defaulted to two workers.
-_LEGACY_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "server": {"cache_mb": 0.0},
-    "pool": {"cache_mb": 0.0, "workers": 2},
-}
-
-
-def config_from_legacy_kwargs(kind: str, kwargs: Mapping[str, Any],
-                              allowed: Optional[Sequence[str]] = None
-                              ) -> ServeConfig:
-    """Map deprecated flat constructor kwargs onto a :class:`ServeConfig`.
-
-    ``kind`` selects the historical default set (``"server"`` / ``"pool"``).
-    Unknown kwargs raise ``TypeError`` exactly like a real signature would.
-    """
-    config = ServeConfig()
-    for name, value in _LEGACY_DEFAULTS.get(kind, {}).items():
-        section, field_name = _LEGACY_KWARGS[name]
-        setattr(getattr(config, section), field_name, value)
-    for name, value in kwargs.items():
-        target = _LEGACY_KWARGS.get(name)
-        if target is None or (allowed is not None and name not in allowed):
-            raise TypeError(f"unexpected keyword argument {name!r}")
-        section, field_name = target
-        if field_name is None:                       # whole-section override
-            if value is not None:
-                setattr(config, section, value)
-            continue
-        if name == "mmap_mode":
-            value = value is not None
-        setattr(getattr(config, section), field_name, value)
-    return config

@@ -137,8 +137,7 @@ class MemberPool:
 class FrontRouter:
     """Shard the serving namespace across member pools (see module docstring).
 
-    Constructed from a :class:`~repro.serve.config.ServeConfig` only — the
-    federation tier is new API and carries no deprecated flat-kwarg shim.
+    Constructed from a :class:`~repro.serve.config.ServeConfig`.
     ``config.federation.members`` lists the member base addresses
     (``host:port``); ``config.net`` configures the front's own listener.
     """
@@ -150,7 +149,6 @@ class FrontRouter:
         self.config = config
         self.host = config.net.host
         self.port = config.net.port
-        self.http_backend = config.net.http_backend
         self.members: Dict[str, MemberPool] = {}
         for url in config.federation.members:
             member = MemberPool(url)
@@ -169,8 +167,6 @@ class FrontRouter:
         self._lock = threading.RLock()
         self._running = False
         self._frontend = None
-        self._httpd = None
-        self._http_thread: Optional[threading.Thread] = None
         self._probe_stop = threading.Event()
         self._probe_thread: Optional[threading.Thread] = None
 
@@ -185,26 +181,11 @@ class FrontRouter:
         self._probe_thread = threading.Thread(
             target=self._probe_loop, name="repro-front-probe", daemon=True)
         self._probe_thread.start()
-        if self.http_backend == "eventloop":
-            from repro.serve.netfront import EventLoopFrontEnd
+        from repro.serve.netfront import EventLoopFrontEnd
 
-            self._frontend = EventLoopFrontEnd(
-                self.handle_http, self.host, self.port,
-                max_connections=int(self.config.net.max_connections),
-                idle_timeout_s=float(self.config.net.idle_timeout_s),
-                request_timeout_s=float(self.config.net.request_read_timeout_s),
-                io_threads=int(self.config.net.io_threads)).start()
-            self.port = self._frontend.port
-            return self
-        from repro.serve.server import _ServeHTTPServer
-
-        self._httpd = _ServeHTTPServer((self.host, self.port),
-                                       _build_front_handler(self))
-        self.port = self._httpd.server_address[1]
-        self._http_thread = threading.Thread(target=self._httpd.serve_forever,
-                                             name="repro-front-http",
-                                             daemon=True)
-        self._http_thread.start()
+        self._frontend = EventLoopFrontEnd.from_net_config(
+            self.handle_http, self.config.net, self.port).start()
+        self.port = self._frontend.port
         return self
 
     def stop(self) -> None:
@@ -216,13 +197,6 @@ class FrontRouter:
         if self._frontend is not None:
             self._frontend.stop()
             self._frontend = None
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join(5.0)
-            self._http_thread = None
         self.tracer.close()
 
     def serve_forever(self) -> None:
@@ -529,24 +503,3 @@ class FrontRouter:
 
 def _json_bytes(payload: Dict[str, object]) -> bytes:
     return json.dumps(payload).encode("utf-8")
-
-
-def _build_front_handler(front: FrontRouter):
-    """Threaded-backend shim (mirrors the pool's)."""
-    from repro.serve.server import JSONHandlerBase
-
-    class Handler(JSONHandlerBase):
-        def do_GET(self) -> None:                # noqa: N802 - stdlib signature
-            status, body, headers = front.handle_http(
-                "GET", self.path, self.headers, b"")
-            self._reply_bytes(status, body, headers=headers)
-
-        def do_POST(self) -> None:               # noqa: N802 - stdlib signature
-            body = self._read_body()
-            if body is None:
-                return
-            status, out, headers = front.handle_http(
-                "POST", self.path, self.headers, body)
-            self._reply_bytes(status, out, headers=headers)
-
-    return Handler

@@ -1,10 +1,10 @@
 """``repro.serve.netfront`` — the selectors-based event-loop HTTP front end.
 
-``ThreadingHTTPServer`` spends one OS thread per connection: hundreds of
-mostly-idle keep-alive clients burn a thread apiece, and a connect storm
-overflows its five-slot listen backlog long before the engine saturates.
-This module replaces that network plane with a single event-loop thread
-multiplexing every connection through :mod:`selectors`:
+A thread-per-connection server (``ThreadingHTTPServer``) spends one OS
+thread per connection: hundreds of mostly-idle keep-alive clients burn a
+thread apiece, and a connect storm overflows its five-slot listen backlog
+long before the engine saturates.  This module serves instead from a single
+event-loop thread multiplexing every connection through :mod:`selectors`:
 
 * non-blocking accept/read/write with an **incremental HTTP/1.1 parser**
   (:class:`RequestParser`) that survives torn reads and parses pipelined
@@ -28,10 +28,10 @@ becomes an ordered slot on its connection; the application thread renders
 the response bytes and posts the slot back to the loop through a socketpair
 wakeup, so the loop thread remains the only writer to any socket.
 
-The wire protocol is byte-compatible with the threaded front end: the same
-JSON bodies, the same ``Content-Type``/``Content-Length`` framing, the same
-trace and ``Retry-After`` headers — both front ends call the same
-``handle_http`` application hook, so they cannot drift apart.
+This is the only network plane: :class:`~repro.serve.server.PECANServer`,
+:class:`~repro.serve.pool.PoolServer` and
+:class:`~repro.serve.federation.FrontRouter` each hand it their
+``handle_http`` application hook.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ __all__ = [
 
 #: Response value of the application hook: ``(status, body_bytes, headers)``.
 AppResponse = Tuple[int, bytes, Dict[str, str]]
-#: The application hook both front ends share:
+#: The application hook each server hands the front end:
 #: ``app(method, path, headers, body) -> (status, body, headers)``.
 AppCallable = Callable[[str, str, "Headers", bytes], AppResponse]
 
@@ -241,9 +241,9 @@ class RequestParser:
 def render_response(status: int, body: bytes,
                     headers: Optional[Dict[str, str]] = None, *,
                     close: bool = False) -> bytes:
-    """Serialize one HTTP/1.1 response, framed exactly like the threaded
-    front end: ``Content-Type: application/json`` + ``Content-Length`` then
-    any application headers (trace ids, ``Retry-After``)."""
+    """Serialize one HTTP/1.1 response: ``Content-Type: application/json``
+    + ``Content-Length`` then any application headers (trace ids,
+    ``Retry-After``)."""
     reason = http.client.responses.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",
@@ -289,8 +289,7 @@ class _AppThreadPool:
 
     Deliberately not ``concurrent.futures``: daemon threads keep a request
     blocked deep in a 30-second batcher deadline from pinning interpreter
-    exit (the same contract ``ThreadingHTTPServer.daemon_threads`` gave the
-    threaded front end), and there is no future plumbing to leak.
+    exit, and there is no future plumbing to leak.
     """
 
     def __init__(self, size: int, name: str):
@@ -332,8 +331,8 @@ class EventLoopFrontEnd:
     ----------
     app:
         ``app(method, path, headers, body) -> (status, body_bytes, headers)``
-        — the backend-agnostic dispatch both :class:`PECANServer` and
-        :class:`PoolServer` expose as ``handle_http``.  Called on an
+        — the dispatch :class:`PECANServer`, :class:`PoolServer` and
+        :class:`FrontRouter` expose as ``handle_http``.  Called on an
         application thread; may block (batcher waits, worker proxying).
     max_connections:
         Concurrent-connection budget.  Overflow connections are answered
@@ -347,8 +346,7 @@ class EventLoopFrontEnd:
         answered 408 and the connection dropped.
     io_threads:
         Application-thread pool size — the concurrency ceiling for blocking
-        serving-plane calls (the threaded front end's analogue was
-        one-thread-per-connection, unbounded).
+        serving-plane calls.
     max_pipeline:
         Per-connection cap on queued pipelined requests; past it the
         connection's reads pause until responses drain (backpressure, not
@@ -405,6 +403,20 @@ class EventLoopFrontEnd:
             "requests_total": 0,
         }
 
+    @classmethod
+    def from_net_config(cls, app: AppCallable, net,
+                        port: int) -> "EventLoopFrontEnd":
+        """The front end a :class:`~repro.serve.config.NetConfig` describes.
+
+        ``port`` overrides ``net.port`` so a restarted server can rebind the
+        port it bound before.
+        """
+        return cls(app, net.host, port,
+                   max_connections=net.max_connections,
+                   idle_timeout_s=net.idle_timeout_s,
+                   request_timeout_s=net.request_read_timeout_s,
+                   io_threads=net.io_threads)
+
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -416,8 +428,7 @@ class EventLoopFrontEnd:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
         # A deep accept backlog is half the point: a 512-client connect storm
-        # must queue in the kernel, not bounce off ThreadingHTTPServer's
-        # request_queue_size=5.
+        # must queue in the kernel, not bounce off a shallow listen backlog.
         listener.listen(min(max(self.max_connections, 128), 4096))
         listener.setblocking(False)
         self.port = listener.getsockname()[1]
@@ -454,7 +465,6 @@ class EventLoopFrontEnd:
         with self._lock:
             counters = dict(self._stats)
         return {
-            "backend": "eventloop",
             "max_connections": self.max_connections,
             "open_connections": len(self._connections),
             "io_threads": self.io_threads,

@@ -65,8 +65,7 @@ import signal
 import socket
 import threading
 import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -78,7 +77,7 @@ from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, ResultCache,
                                canonical_input_hash, canonical_response_bytes,
                                splice_response, stable_route_hash)
 from repro.serve.client import ServeHTTPError
-from repro.serve.config import ServeConfig, config_from_legacy_kwargs
+from repro.serve.config import CacheConfig, NetConfig, ServeConfig
 from repro.serve.lifecycle import (PROMOTED, ROLLED_BACK, CanaryPolicy,
                                    LifecycleError, Rollout, RolloutGate,
                                    format_versioned, split_versioned)
@@ -101,48 +100,40 @@ PathLike = Union[str, Path]
 class WorkerConfig:
     """Everything a worker process needs to stand up its serving plane.
 
-    Only plain picklable values: the config crosses the process boundary at
-    spawn time.  Bundles travel as ``(name, path)`` pairs — each worker loads
-    (and memory-maps) its own engines from disk.
+    Picklable: the config crosses the process boundary at spawn time.
+    ``serve`` is the router's own :class:`ServeConfig`; the worker derives
+    its server's config from it (:func:`worker_serve_config`).  Bundles
+    travel as ``(name, path)`` pairs — each worker loads (and memory-maps)
+    its own engines from disk.
     """
 
+    serve: ServeConfig
     bundles: Tuple[Tuple[str, str], ...]
     #: ``(base, version)`` pairs applied after bundle registration, so a
     #: worker respawned mid-lifecycle (after a deploy/promote/rollback) comes
     #: up with the same alias state as the survivors.
     active_versions: Tuple[Tuple[str, int], ...] = ()
-    host: str = "127.0.0.1"
-    max_batch_size: int = 32
-    max_wait_ms: float = 5.0
-    max_queue_depth: int = 256
-    request_timeout_s: Optional[float] = 30.0
-    batch_chunk: Optional[int] = None
-    audit_every: int = 0
-    optimize: bool = False
-    max_total_values: Optional[int] = None
-    mmap_mode: Optional[str] = "r"
-    hardware_hz: Optional[float] = None
-    preload: bool = True
-    heartbeat_interval_s: float = 0.25
-    #: Bulk-class sample budget for each worker's batcher (the one QoS knob
-    #: workers enforce themselves; admission and fairness live at the router).
-    batch_class_samples: Optional[int] = None
-    #: Tracing + runtime verification: JSONL export dir (shared with the
-    #: router — filenames carry service + pid), span ring size, master
-    #: tracing switch, and the workers' invariant sample rate.
-    trace_dir: Optional[str] = None
-    trace_ring: int = 2048
-    trace_enabled: bool = True
-    invariant_every: int = 16
-    #: Worker-side response-cache budget (MiB).  The pool always passes 0:
-    #: the router's cache is the single source of cached bytes, which keeps
-    #: the sampled cache-parity probes honest (a probe re-executes on a
-    #: worker — a worker-side cache would just echo its own entry back).
-    cache_mb: float = 0.0
-    #: Network backend each worker's :class:`PECANServer` serves through
-    #: (``"eventloop"`` or ``"threaded"``) — mirrored from the router so the
-    #: whole pool rides one front-end implementation.
-    http_backend: str = "eventloop"
+
+
+def worker_serve_config(router: ServeConfig) -> ServeConfig:
+    """The :class:`PECANServer` config of one pool worker.
+
+    A worker keeps the router's engine, trace and lifecycle settings and its
+    bind host, with four exceptions:
+
+    * it binds an ephemeral loopback port of its own;
+    * its response cache is off: the router's cache is the single source of
+      cached bytes, which keeps the sampled cache-parity probes honest (a
+      probe re-executes on a worker — a worker-side cache would just echo
+      its own entry back);
+    * its network front end runs the default budgets;
+    * of the QoS plane it enforces only the bulk-class sample budget of its
+      batcher — admission and fairness live at the router.
+    """
+    return replace(
+        router, net=NetConfig(host=router.net.host, port=0),
+        qos=QoSConfig(batch_class_samples=router.qos.batch_class_samples),
+        cache=CacheConfig(enabled=False))
 
 
 def _worker_admin(server, message: Dict[str, object]) -> Dict[str, object]:
@@ -192,41 +183,18 @@ def _worker_main(config: WorkerConfig, conn) -> None:
     # module stays cheap and the child builds everything fresh.
     import queue as queue_module
 
-    from repro.serve.registry import ModelRegistry
     from repro.serve.server import PECANServer
 
+    serve_config = worker_serve_config(config.serve)
     try:
-        from repro.serve.engine import BundleEngine
-
-        from repro.serve.config import ServeConfig
-
-        registry = ModelRegistry(
-            max_total_values=config.max_total_values,
-            engine_factory=lambda path: BundleEngine(
-                path, mmap_mode=config.mmap_mode, optimize=config.optimize))
-        serve_config = ServeConfig.build(
-            host=config.host, port=0,
-            max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
-            max_queue_depth=config.max_queue_depth,
-            request_timeout_s=config.request_timeout_s,
-            batch_chunk=config.batch_chunk, audit_every=config.audit_every,
-            hardware_hz=config.hardware_hz,
-            trace_dir=config.trace_dir, trace_ring=config.trace_ring,
-            **{"trace.enabled": config.trace_enabled,
-               "trace.invariant_every": config.invariant_every},
-            cache_mb=config.cache_mb,
-            http_backend=config.http_backend)
-        serve_config.qos = QoSConfig(
-            batch_class_samples=config.batch_class_samples)
-        server = PECANServer(registry=registry, config=serve_config,
-                             trace_service="worker")
+        server = PECANServer(config=serve_config, trace_service="worker")
         for name, path in config.bundles:
-            server.add_bundle(path, name=name, preload=config.preload)
+            server.add_bundle(path, name=name,
+                              preload=serve_config.lifecycle.preload)
         # A worker spawned mid-lifecycle replays the pool's promote history
         # so its aliases match the surviving workers'.
         for base, version in config.active_versions:
-            if registry.active_version(base) != version:
+            if server.registry.active_version(base) != version:
                 server.promote(base, version=version)
         server.start()
     except Exception as exc:                       # noqa: BLE001 - reported to parent
@@ -266,7 +234,7 @@ def _worker_main(config: WorkerConfig, conn) -> None:
             while not admin_results.empty():
                 req, payload = admin_results.get_nowait()
                 conn.send(("admin", {"req": req, **payload}))
-            if conn.poll(config.heartbeat_interval_s):
+            if conn.poll(serve_config.pool.heartbeat_interval_s):
                 try:
                     message = conn.recv()
                 except EOFError:
@@ -469,98 +437,45 @@ def make_policy(policy: Union[str, RoutingPolicy]) -> RoutingPolicy:
 class PoolServer:
     """Route ``/predict`` traffic over a self-healing pool of worker processes.
 
-    Parameters
-    ----------
-    host / port:
-        Router bind address (``port=0`` picks a free port, exposed as
-        :attr:`port` after :meth:`start`).  Workers always bind ephemeral
-        loopback ports of their own.
-    workers:
-        Number of data-parallel worker processes.
-    policy:
-        Routing policy name (:data:`POLICIES`) or instance.
-    heartbeat_interval_s / heartbeat_timeout_s:
-        Worker heartbeat cadence, and the silence after which a *ready*
-        worker is declared hung, killed and respawned.
-    start_timeout_s:
-        How long a worker may take to reach ``ready`` (spawn + imports +
-        bundle load) before being treated as hung.
-    proxy_retries:
-        How many *additional* workers a request is retried on after a
-        connection-level failure (a worker dying mid-request).  Timeouts are
-        never retried — the work may still be running.
-    proxy_timeout_s:
-        Socket timeout for one proxied request.
-    cache_mb / cache_check_every:
-        Router-level deterministic response cache: budget in MiB (0 — the
-        library default — disables caching *and* coalescing) and the
-        sampling stride of the cache-parity probes (every Nth hit is
-        re-executed on a worker and compared bitwise; 0 disables probes).
-    start_method:
-        ``multiprocessing`` start method.  The default ``"spawn"`` gives
-        every worker a pristine interpreter (fork duplicating a threaded,
-        BLAS-warmed parent is undefined behaviour territory).
-    mmap_mode / max_batch_size / max_wait_ms / max_queue_depth /
-    request_timeout_s / batch_chunk / audit_every / optimize /
-    max_total_values / hardware_hz / preload:
-        Per-worker serving-plane knobs, forwarded verbatim into each
-        :class:`~repro.serve.server.PECANServer` (see there); ``mmap_mode="r"``
-        is the pool default so workers share bundle pages.
+    Constructed from a :class:`~repro.serve.config.ServeConfig` (``None``
+    means the defaults).  The router reads:
 
-    ``PoolServer(config=ServeConfig(...))`` is the one non-deprecated
-    construction path (the ``autoscale`` section turns the fixed worker
-    count into an elastic envelope — see :mod:`repro.serve.autoscale`);
-    every flat keyword above still works for one release behind a
-    ``DeprecationWarning``, keeping its historical defaults (two workers,
-    cache off).
+    ``net``
+        Router bind address (``port=0`` picks a free port, exposed as
+        :attr:`port` after :meth:`start`) and event-loop budgets.  Workers
+        always bind ephemeral loopback ports of their own.
+    ``pool``
+        ``workers`` (data-parallel worker processes), ``policy``
+        (:data:`POLICIES`), the heartbeat cadence and the silence after
+        which a *ready* worker is declared hung, killed and respawned,
+        ``start_timeout_s`` (spawn + imports + bundle load before a worker
+        counts as hung), ``proxy_retries`` (*additional* workers a request
+        is retried on after a connection-level failure; timeouts are never
+        retried — the work may still be running), ``proxy_timeout_s`` and
+        ``start_method`` (the default ``"spawn"`` gives every worker a
+        pristine interpreter).
+    ``cache``
+        The router-level deterministic response cache and the sampling
+        stride of its cache-parity probes (every Nth hit is re-executed on
+        a worker and compared bitwise; 0 disables probes).
+    ``qos`` / ``autoscale``
+        Admission, fairness and brownout at the router; the ``autoscale``
+        section turns the fixed worker count into an elastic envelope (see
+        :mod:`repro.serve.autoscale`).
+
+    ``engine``, ``trace`` and ``lifecycle`` configure every worker's
+    :class:`~repro.serve.server.PECANServer` (see
+    :func:`worker_serve_config`); ``engine.mmap`` (on by default) lets the
+    workers share bundle pages.
     """
 
-    #: Flat kwargs the deprecated constructor accepts (the pre-config
-    #: signature, verbatim).
-    _LEGACY_KWARGS = (
-        "host", "port", "workers", "policy", "heartbeat_interval_s",
-        "heartbeat_timeout_s", "start_timeout_s", "proxy_retries",
-        "proxy_timeout_s", "start_method", "mmap_mode", "max_batch_size",
-        "max_wait_ms", "max_queue_depth", "request_timeout_s", "batch_chunk",
-        "audit_every", "optimize", "max_total_values", "hardware_hz",
-        "preload", "qos_config", "trace_dir", "trace_ring", "trace_enabled",
-        "invariant_every", "monitor_trips_gate", "cache_mb",
-        "cache_check_every", "http_backend", "max_connections",
-        "idle_timeout_s", "request_read_timeout_s", "io_threads",
-        "autoscale_config")
-
-    def __init__(self, host: Optional[str] = None, port: Optional[int] = None,
-                 *, config: Optional[ServeConfig] = None, **legacy):
-        if host is not None:
-            legacy["host"] = host
-        if port is not None:
-            legacy["port"] = port
-        if config is not None and legacy:
-            raise TypeError(
-                "PoolServer takes either config=ServeConfig(...) or flat "
-                f"keyword arguments, not both (got {sorted(legacy)})")
-        if config is None:
-            if legacy:
-                warnings.warn(
-                    "PoolServer(**kwargs) is deprecated; pass "
-                    "config=ServeConfig(...) (see repro.serve.config)",
-                    DeprecationWarning, stacklevel=2)
-            config = config_from_legacy_kwargs(
-                "pool", legacy, allowed=self._LEGACY_KWARGS)
+    def __init__(self, *, config: Optional[ServeConfig] = None):
+        config = config if config is not None else ServeConfig()
         if config.pool.workers < 1:
             raise ValueError("a pool needs at least one worker")
-        if config.net.http_backend not in ("eventloop", "threaded"):
-            raise ValueError(
-                f"unknown http_backend {config.net.http_backend!r} "
-                "(expected 'eventloop' or 'threaded')")
         self.config = config
         self.host = config.net.host
         self.port = config.net.port
-        self.http_backend = config.net.http_backend
-        self.max_connections = int(config.net.max_connections)
-        self.idle_timeout_s = float(config.net.idle_timeout_s)
-        self.request_read_timeout_s = float(config.net.request_read_timeout_s)
-        self.io_threads = int(config.net.io_threads)
         self.num_workers = int(config.pool.workers)
         self.policy = make_policy(config.pool.policy)
         #: The QoS plane: weighted-fair dispatch slots, per-tenant token
@@ -578,23 +493,6 @@ class PoolServer:
         self.start_method = config.pool.start_method
         self.mmap_mode = config.engine.mmap_mode
         trace_dir = config.trace.trace_dir
-        self._worker_options = dict(
-            max_batch_size=config.engine.max_batch_size,
-            max_wait_ms=config.engine.max_wait_ms,
-            max_queue_depth=config.engine.max_queue_depth,
-            request_timeout_s=config.engine.request_timeout_s,
-            batch_chunk=config.engine.batch_chunk,
-            audit_every=config.engine.audit_every,
-            optimize=config.engine.optimize,
-            max_total_values=config.engine.max_total_values,
-            hardware_hz=config.engine.hardware_hz,
-            preload=config.lifecycle.preload,
-            batch_class_samples=self.qos_config.batch_class_samples,
-            trace_dir=(str(trace_dir) if trace_dir else None),
-            trace_ring=config.trace.trace_ring,
-            trace_enabled=config.trace.enabled,
-            invariant_every=config.trace.invariant_every,
-            http_backend=config.net.http_backend)
         #: Elastic worker-target policy; ``None`` for a fixed-size pool.
         #: The autoscaler owns the *target*, the monitor loop owns the
         #: mechanics (spawn / probe / retire), the crash-loop breaker stays
@@ -662,8 +560,6 @@ class PoolServer:
         self._stop_requested = threading.Event()
         self._monitor_stop = threading.Event()
         self._monitor_thread: Optional[threading.Thread] = None
-        self._httpd = None
-        self._http_thread: Optional[threading.Thread] = None
         self._frontend = None
 
     # ------------------------------------------------------------------ #
@@ -701,9 +597,8 @@ class PoolServer:
         with self._lock:
             bundles = tuple(self._bundles)
             active = tuple(sorted(self._active_versions.items()))
-        return WorkerConfig(bundles=bundles, active_versions=active,
-                            heartbeat_interval_s=self.heartbeat_interval_s,
-                            mmap_mode=self.mmap_mode, **self._worker_options)
+        return WorkerConfig(serve=self.config, bundles=bundles,
+                            active_versions=active)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -724,25 +619,11 @@ class PoolServer:
         self._monitor_thread = threading.Thread(
             target=self._monitor_loop, name="repro-pool-monitor", daemon=True)
         self._monitor_thread.start()
-        if self.http_backend == "eventloop":
-            from repro.serve.netfront import EventLoopFrontEnd
+        from repro.serve.netfront import EventLoopFrontEnd
 
-            self._frontend = EventLoopFrontEnd(
-                self.handle_http, self.host, self.port,
-                max_connections=self.max_connections,
-                idle_timeout_s=self.idle_timeout_s,
-                request_timeout_s=self.request_read_timeout_s,
-                io_threads=self.io_threads).start()
-            self.port = self._frontend.port
-            return self
-        from repro.serve.server import _ServeHTTPServer
-
-        self._httpd = _ServeHTTPServer((self.host, self.port),
-                                       _build_pool_handler(self))
-        self.port = self._httpd.server_address[1]
-        self._http_thread = threading.Thread(target=self._httpd.serve_forever,
-                                             name="repro-pool-http", daemon=True)
-        self._http_thread.start()
+        self._frontend = EventLoopFrontEnd.from_net_config(
+            self.handle_http, self.config.net, self.port).start()
+        self.port = self._frontend.port
         return self
 
     def _spawn_worker(self) -> WorkerHandle:
@@ -782,7 +663,7 @@ class PoolServer:
         waits for the outstanding proxied-request count to reach zero, then
         stops the workers (each drains its own batchers) and the router.
         """
-        if not self._running and self._httpd is None and self._frontend is None:
+        if not self._running and self._frontend is None:
             return
         with self._lock:
             self._draining = True
@@ -817,13 +698,6 @@ class PoolServer:
         if self._frontend is not None:
             self._frontend.stop()
             self._frontend = None
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join(5.0)
-            self._http_thread = None
         self.tracer.close()
         # The stop request is consumed only here — never by start() — so a
         # SIGTERM that lands before/while start() runs (the CLI installs its
@@ -1128,11 +1002,9 @@ class PoolServer:
                     body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         """Answer one parsed request: ``(status, body_bytes, headers)``.
 
-        The router's backend-agnostic application hook, mirroring
-        :meth:`PECANServer.handle_http` — the event-loop front end and the
-        threaded handler both dispatch through here, so the pool's wire
-        protocol is identical across backends (and to the single-process
-        server's).
+        The router's application hook behind the event-loop front end,
+        mirroring :meth:`PECANServer.handle_http` so the pool's wire
+        protocol is identical to the single-process server's.
         """
         from repro.serve.server import _json_response, _trace_query
 
@@ -2226,7 +2098,7 @@ class PoolServer:
             "cache": (self.cache.snapshot() if self.cache is not None
                       else {"enabled": False}),
             "frontend": (self._frontend.stats() if self._frontend is not None
-                         else {"backend": self.http_backend}),
+                         else {}),
             "autoscale": (self.autoscaler.snapshot()
                           if self.autoscaler is not None
                           else {"enabled": False}),
@@ -2314,27 +2186,3 @@ def _retry_after_from(headers: Optional[Dict[str, str]]) -> Optional[float]:
         return float(headers.get("Retry-After", ""))
     except (TypeError, ValueError):
         return None
-
-
-# --------------------------------------------------------------------------- #
-# Router HTTP handler
-# --------------------------------------------------------------------------- #
-def _build_pool_handler(pool: PoolServer):
-    """Threaded-backend shim: frame bytes in/out of ``pool.handle_http``."""
-    from repro.serve.server import JSONHandlerBase
-
-    class Handler(JSONHandlerBase):
-        def do_GET(self) -> None:                # noqa: N802 - stdlib signature
-            status, body, headers = pool.handle_http(
-                "GET", self.path, self.headers, b"")
-            self._reply_bytes(status, body, headers=headers)
-
-        def do_POST(self) -> None:               # noqa: N802 - stdlib signature
-            body = self._read_body()
-            if body is None:
-                return
-            status, out, headers = pool.handle_http(
-                "POST", self.path, self.headers, body)
-            self._reply_bytes(status, out, headers=headers)
-
-    return Handler

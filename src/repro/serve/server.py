@@ -1,15 +1,11 @@
 """Stdlib HTTP front end for bundle-backed CAM inference.
 
 Zero new dependencies: a small JSON protocol in front of the registry +
-scheduler + auditor stack.  The network plane is pluggable
-(``http_backend``): the default ``"eventloop"`` multiplexes every
-connection through one :mod:`selectors` thread
-(:class:`~repro.serve.netfront.EventLoopFrontEnd` — keep-alive,
-pipelining, a bounded connection budget, idle/slowloris timeouts), while
-``"threaded"`` keeps the original ``http.server.ThreadingHTTPServer``
-(one thread per connection) as the baseline the connection bench compares
-against.  Both backends dispatch through the same
-:meth:`PECANServer.handle_http`, so their responses are byte-identical.
+scheduler + auditor stack.  The network plane is
+:class:`~repro.serve.netfront.EventLoopFrontEnd`: every connection is
+multiplexed through one :mod:`selectors` thread (keep-alive, pipelining, a
+bounded connection budget, idle/slowloris timeouts) and each parsed request
+is answered by :meth:`PECANServer.handle_http`.
 
 Endpoints
 ---------
@@ -35,9 +31,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -47,32 +41,19 @@ from repro.serve import adminapi
 from repro.serve.auditor import ParityAuditor
 from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, ResultCache,
                                canonical_input_hash, canonical_response_bytes)
-from repro.serve.config import ServeConfig, config_from_legacy_kwargs
+from repro.serve.config import ServeConfig
 from repro.serve.engine import BundleEngine
 from repro.serve.invariants import InvariantMonitor
 from repro.serve.lifecycle import (LifecycleError, format_versioned,
                                    split_versioned)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.netfront import EventLoopFrontEnd
-from repro.serve.qos import QoSConfig, RequestQoS, ShedError, parse_qos
+from repro.serve.qos import RequestQoS, ShedError, parse_qos
 from repro.serve.registry import EngineLease, ModelRegistry, PathLike
 from repro.serve.scheduler import (DynamicBatcher, QueueFullError, RequestTimeout,
                                    SchedulerStopped)
 from repro.serve.trace import (LAMPORT_HEADER, TRACE_HEADER, TraceContext,
                                Tracer, parse_trace_context)
-
-
-class _ServeHTTPServer(ThreadingHTTPServer):
-    """HTTP server tuned for rapid start/stop cycles (tests, CI, pools).
-
-    ``allow_reuse_address`` lets a restarted server rebind a port still in
-    ``TIME_WAIT`` from its predecessor instead of flaking on ``EADDRINUSE``;
-    ``daemon_threads`` keeps a hung keep-alive connection from blocking
-    interpreter exit.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 class _AcceleratorPacer:
@@ -150,107 +131,39 @@ class PECANServer:
     Parameters
     ----------
     registry:
-        Optional pre-populated :class:`ModelRegistry`; by default an empty
-        one is created and bundles are added via :meth:`add_bundle`.
-    host / port:
-        Bind address; ``port=0`` picks a free port (see :attr:`port` after
-        :meth:`start`).
-    max_batch_size / max_wait_ms / max_queue_depth / request_timeout_s:
-        Dynamic-batching and admission-control knobs, applied per model.
-    batch_chunk:
-        Forwarded to ``engine.predict(batch_chunk=)`` so a coalesced batch
-        streams through the engine with bounded peak memory.
-    audit_every:
-        Parity-audit sample rate (0 disables): one of every N dispatched
-        batches is re-run through the per-group reference engine.
-    hardware_hz:
-        Emulate a CAM accelerator clocked at this frequency: every dispatched
-        batch is paced (via :class:`_AcceleratorPacer`) to the latency the
-        paper's cost model predicts for its traced operations, with the CPU
-        released during the wait.  ``None`` (default) serves at host speed.
-    trace_dir / trace_ring / trace_enabled / trace_service:
-        Distributed tracing: every request carries a trace id (generated
-        here when the caller sent none) and records per-hop spans into a
-        bounded ring buffer, exported as otel-style JSONL under
-        ``trace_dir`` when set.  See :mod:`repro.serve.trace`.
-    invariant_every:
-        Runtime-verification sample rate: one of every N responses is
-        checked against the online invariants (finite logits, stable
-        shape/dtype, retry-stable argmax); 0 disables.  Violations appear
-        in ``/metrics`` under ``runtime_verification``.
-    cache_mb:
-        Deterministic response cache budget in MiB (0 — the default —
-        disables caching and coalescing).  PECAN-D inference is bitwise
-        deterministic per ``(model@version, canonical input)``, so repeat
-        requests are answered from memory with exactly the bytes a fresh
-        engine call would produce; namespaces are retired on
-        promote/rollback/undeploy.  See :mod:`repro.serve.cache`.
-    http_backend:
-        ``"eventloop"`` (default) serves through the selectors-based
-        :class:`~repro.serve.netfront.EventLoopFrontEnd`; ``"threaded"``
-        keeps the original one-thread-per-connection
-        ``ThreadingHTTPServer``.  Responses are byte-identical either way.
-    max_connections / idle_timeout_s / request_read_timeout_s / io_threads:
-        Event-loop knobs (ignored by the threaded backend): the concurrent
-        connection budget (overflow → 503 + ``Retry-After``, reason
-        ``connection-budget``), the keep-alive idle reaping horizon, the
-        slowloris guard (a half-received request older than this gets 408)
-        and the application-thread pool size.
-
-    ``PECANServer(config=ServeConfig(...))`` is the one non-deprecated
-    construction path; every flat keyword above still works for one release
-    behind a ``DeprecationWarning`` (legacy calls keep their historical
-    defaults, e.g. the response cache stays off unless ``cache_mb`` is
-    passed).  ``registry`` and ``trace_service`` are identity, not
-    configuration, and stay real parameters on both paths.
+        Optional pre-populated :class:`ModelRegistry`.  By default one is
+        built from ``config.engine`` (``max_total_values``, ``optimize``,
+        ``mmap``) and bundles are added via :meth:`add_bundle`.
+    config:
+        Every serving knob (:class:`~repro.serve.config.ServeConfig`;
+        ``None`` means the defaults).  The server reads ``net`` (bind
+        address, ``port=0`` picks a free port — see :attr:`port` after
+        :meth:`start` — and the event-loop budgets), ``engine`` (batching,
+        admission, ``batch_chunk``, ``audit_every`` parity sampling,
+        ``hardware_hz`` accelerator pacing via :class:`_AcceleratorPacer`),
+        ``qos``, ``cache`` (the deterministic response cache, see
+        :mod:`repro.serve.cache`) and ``trace`` (spans and the sampled
+        invariant checks, see :mod:`repro.serve.trace`).
+    trace_service:
+        The service name this process's spans carry (``"worker"`` inside a
+        pool).
     """
 
-    #: Flat kwargs the deprecated constructor accepts (the pre-config
-    #: signature, verbatim).
-    _LEGACY_KWARGS = (
-        "host", "port", "max_batch_size", "max_wait_ms", "max_queue_depth",
-        "request_timeout_s", "batch_chunk", "audit_every", "hardware_hz",
-        "qos_config", "trace_dir", "trace_ring", "trace_enabled",
-        "invariant_every", "cache_mb", "http_backend", "max_connections",
-        "idle_timeout_s", "request_read_timeout_s", "io_threads")
-
-    _CONFIG_KIND = "server"
-
-    def __init__(self, registry: Optional[ModelRegistry] = None,
-                 host: Optional[str] = None, port: Optional[int] = None, *,
+    def __init__(self, registry: Optional[ModelRegistry] = None, *,
                  config: Optional[ServeConfig] = None,
-                 trace_service: str = "server",
-                 **legacy):
-        if host is not None:
-            legacy["host"] = host
-        if port is not None:
-            legacy["port"] = port
-        if config is not None and legacy:
-            raise TypeError(
-                f"{type(self).__name__} takes either config=ServeConfig(...) "
-                f"or flat keyword arguments, not both "
-                f"(got {sorted(legacy)})")
-        if config is None:
-            if legacy:
-                warnings.warn(
-                    f"{type(self).__name__}(**kwargs) is deprecated; pass "
-                    f"config=ServeConfig(...) (see repro.serve.config)",
-                    DeprecationWarning, stacklevel=2)
-            config = config_from_legacy_kwargs(
-                self._CONFIG_KIND, legacy, allowed=self._LEGACY_KWARGS)
-        if config.net.http_backend not in ("eventloop", "threaded"):
-            raise ValueError(
-                f"unknown http_backend {config.net.http_backend!r} "
-                "(expected 'eventloop' or 'threaded')")
+                 trace_service: str = "server"):
+        config = config if config is not None else ServeConfig()
         self.config = config
-        self.registry = registry if registry is not None else ModelRegistry()
+        if registry is None:
+            engine = config.engine
+            mmap_mode, optimize = engine.mmap_mode, engine.optimize
+            registry = ModelRegistry(
+                max_total_values=engine.max_total_values, mmap_mode=mmap_mode,
+                engine_factory=lambda path: BundleEngine(
+                    path, mmap_mode=mmap_mode, optimize=optimize))
+        self.registry = registry
         self.host = config.net.host
         self.port = config.net.port
-        self.http_backend = config.net.http_backend
-        self.max_connections = int(config.net.max_connections)
-        self.idle_timeout_s = float(config.net.idle_timeout_s)
-        self.request_read_timeout_s = float(config.net.request_read_timeout_s)
-        self.io_threads = int(config.net.io_threads)
         self.max_batch_size = config.engine.max_batch_size
         self.max_wait_ms = config.engine.max_wait_ms
         self.max_queue_depth = config.engine.max_queue_depth
@@ -284,8 +197,6 @@ class PECANServer:
         self.brownout = self.qos_config.make_brownout(self._overload_signal)
         self._served: Dict[str, ServedModel] = {}
         self._lock = threading.RLock()
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
         self._frontend: Optional[EventLoopFrontEnd] = None
 
     def _overload_signal(self):
@@ -815,16 +726,14 @@ class PECANServer:
         }
 
     # ------------------------------------------------------------------ #
-    # Backend-agnostic HTTP dispatch (both front ends call this)
+    # HTTP dispatch (the event-loop front end calls this)
     # ------------------------------------------------------------------ #
     def handle_http(self, method: str, path: str, headers,
                     body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         """Answer one parsed request: ``(status, body_bytes, headers)``.
 
-        The single application hook behind both network backends — the
-        threaded handler and the event-loop bridge feed it identically, so
-        the wire protocol cannot drift between them.  ``headers`` is any
-        case-insensitive ``.get()`` mapping (stdlib ``email.Message`` or
+        The application hook behind the event-loop front end.  ``headers``
+        is any case-insensitive ``.get()`` mapping (typically
         :class:`~repro.serve.netfront.Headers`).
         """
         if method == "GET":
@@ -936,45 +845,25 @@ class PECANServer:
     # ------------------------------------------------------------------ #
     def start(self) -> "PECANServer":
         """Bind and serve on a background thread (idempotent)."""
-        if self._httpd is not None or self._frontend is not None:
+        if self._frontend is not None:
             return self
-        if self.http_backend == "eventloop":
-            self._frontend = EventLoopFrontEnd(
-                self.handle_http, self.host, self.port,
-                max_connections=self.max_connections,
-                idle_timeout_s=self.idle_timeout_s,
-                request_timeout_s=self.request_read_timeout_s,
-                io_threads=self.io_threads).start()
-            # Expose the ephemeral bound port (port=0 requests) so tests,
-            # pools and clients can address the server without racing its
-            # startup.
-            self.port = self._frontend.port
-            return self
-        handler = _build_handler(self)
-        self._httpd = _ServeHTTPServer((self.host, self.port), handler)
-        self.port = self._httpd.server_address[1]
-        self._http_thread = threading.Thread(target=self._httpd.serve_forever,
-                                             name="repro-serve-http", daemon=True)
-        self._http_thread.start()
+        self._frontend = EventLoopFrontEnd.from_net_config(
+            self.handle_http, self.config.net, self.port).start()
+        # Expose the ephemeral bound port (port=0 requests) so tests, pools
+        # and clients can address the server without racing its startup.
+        self.port = self._frontend.port
         return self
 
     def frontend_snapshot(self) -> Dict[str, object]:
-        """Network-plane counters for ``/metrics`` (both backends)."""
+        """Network-plane counters for ``/metrics``."""
         if self._frontend is not None:
             return self._frontend.stats()
-        return {"backend": self.http_backend}
+        return {}
 
     def stop(self) -> None:
         if self._frontend is not None:
             self._frontend.stop()
             self._frontend = None
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join(5.0)
-            self._http_thread = None
         with self._lock:
             records = list(self._served.values())
             self._served.clear()
@@ -986,14 +875,8 @@ class PECANServer:
         """Blocking variant for the CLI: start and run until interrupted."""
         self.start()
         try:
-            if self._http_thread is not None:
-                while True:
-                    self._http_thread.join(1.0)
-                    if not self._http_thread.is_alive():
-                        break
-            else:
-                while self._frontend is not None:
-                    time.sleep(0.5)
+            while self._frontend is not None:
+                time.sleep(0.5)
         except KeyboardInterrupt:
             pass
         finally:
@@ -1008,65 +891,6 @@ class PECANServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-# --------------------------------------------------------------------------- #
-# Request handler
-# --------------------------------------------------------------------------- #
-class JSONHandlerBase(BaseHTTPRequestHandler):
-    """Shared scaffolding for the JSON-over-HTTP handlers.
-
-    Both the single-process server and the pool router derive from this, so
-    protocol mechanics (keep-alive version, logging policy, response framing)
-    live in exactly one place and the two front ends cannot drift apart.
-    """
-
-    protocol_version = "HTTP/1.1"
-
-    # Silence per-request stderr logging; metrics carry the signal.
-    def log_message(self, format, *args):        # noqa: A002 - stdlib signature
-        pass
-
-    def _reply_bytes(self, status: int, body: bytes,
-                     headers: Optional[Dict[str, str]] = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply(self, status: int, payload: Dict[str, object],
-               headers: Optional[Dict[str, str]] = None) -> None:
-        self._reply_bytes(status, json.dumps(payload).encode("utf-8"),
-                          headers=headers)
-
-    def _reply_shed(self, exc, trace_id: Optional[str] = None,
-                    extra_headers: Optional[Dict[str, str]] = None) -> None:
-        """Answer a QoS refusal (brownout / rate limit) with ``Retry-After``."""
-        payload = {"error": str(exc), "reason": exc.reason,
-                   "retry_after_s": exc.retry_after_s}
-        headers = {"Retry-After": f"{max(exc.retry_after_s, 0.0):.3f}"}
-        if trace_id:
-            payload["trace_id"] = trace_id
-            headers[TRACE_HEADER] = trace_id
-        if extra_headers:
-            headers.update(extra_headers)
-        self._reply(exc.status, payload, headers=headers)
-
-    def _read_body(self) -> Optional[bytes]:
-        """The request body, or ``None`` after replying 400 to a bad frame."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            # A negative length would turn rfile.read() into read-to-EOF,
-            # pinning this handler thread until the client hangs up.
-            self._reply(400, {"error": "bad Content-Length"})
-            return None
-        return self.rfile.read(length)
 
 
 def _json_response(status: int, payload: Dict[str, object],
@@ -1101,24 +925,3 @@ def _trace_query(path: str) -> Optional[str]:
         return None
     values = parse_qs(parsed.query).get("id", [])
     return values[0] if values else ""
-
-
-def _build_handler(server: PECANServer):
-    """Threaded-backend shim: frame bytes in/out of :meth:`handle_http`."""
-    class Handler(JSONHandlerBase):
-        pecan = server
-
-        def do_GET(self) -> None:                # noqa: N802 - stdlib signature
-            status, body, headers = self.pecan.handle_http(
-                "GET", self.path, self.headers, b"")
-            self._reply_bytes(status, body, headers=headers)
-
-        def do_POST(self) -> None:               # noqa: N802 - stdlib signature
-            body = self._read_body()
-            if body is None:
-                return
-            status, out, headers = self.pecan.handle_http(
-                "POST", self.path, self.headers, body)
-            self._reply_bytes(status, out, headers=headers)
-
-    return Handler

@@ -216,7 +216,7 @@ class TestLifecycleCommands:
         from repro.pecan.config import PQLayerConfig
         from repro.pecan.convert import convert_to_pecan
         from repro.io import export_deployment_bundle
-        from repro.serve import PECANServer
+        from repro.serve import PECANServer, ServeConfig
 
         def bundle(seed, path):
             rng = np.random.default_rng(seed)
@@ -229,7 +229,8 @@ class TestLifecycleCommands:
 
         v1 = bundle(0, tmp_path / "v1.npz")
         v2 = bundle(1, tmp_path / "v2.npz")
-        server = PECANServer(port=0, max_wait_ms=1.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, cache_mb=0.0))
         server.add_bundle(v1, name="m", preload=True)
         server.start()
         yield server, v2
@@ -285,7 +286,7 @@ class TestScoreCommand:
         from repro.pecan.config import PQLayerConfig
         from repro.pecan.convert import convert_to_pecan
         from repro.io import export_deployment_bundle
-        from repro.serve import PECANServer, QoSConfig
+        from repro.serve import PECANServer, QoSConfig, ServeConfig
 
         rng = np.random.default_rng(3)
         cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
@@ -294,8 +295,9 @@ class TestScoreCommand:
         bundle = export_deployment_bundle(convert_to_pecan(model, cfg, rng=rng),
                                           tmp_path / "toy.npz",
                                           input_shape=(1, 10, 10))
-        server = PECANServer(port=0, max_wait_ms=1.0,
-                             qos_config=QoSConfig(batch_class_samples=4))
+        config = ServeConfig.build(port=0, max_wait_ms=1.0, cache_mb=0.0)
+        config.qos = QoSConfig(batch_class_samples=4)
+        server = PECANServer(config=config)
         server.add_bundle(bundle, name="toy", preload=True)
         server.start()
         yield server

@@ -23,9 +23,10 @@ from repro.io.deployment import BundleFormatError, _MANIFEST_KEY
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, DynamicBatcher, ModelRegistry, ParityAuditor,
-                         PECANServer, QueueFullError, RequestTimeout, SchedulerStopped,
-                         ServeClient, ServeHTTPError, ServerMetrics)
+from repro.serve import (BundleEngine, DynamicBatcher, ModelRegistry,
+                         ParityAuditor, PECANServer, QueueFullError,
+                         RequestTimeout, SchedulerStopped, ServeClient,
+                         ServeConfig, ServeHTTPError, ServerMetrics)
 from repro.serve.metrics import percentile
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -460,8 +461,9 @@ class TestParityAuditor:
 class TestServerEndToEnd:
     @pytest.fixture
     def server(self, bundle_path):
-        server = PECANServer(port=0, max_batch_size=8, max_wait_ms=25.0,
-                             audit_every=1)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_batch_size=8, max_wait_ms=25.0, audit_every=1,
+            cache_mb=0.0))
         server.add_bundle(bundle_path, name="toy", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -585,8 +587,8 @@ class TestServerEviction:
                                                    input_shape=(1, 10, 10))
         one = BundleEngine(paths["a"]).bundle.total_values()
         registry = ModelRegistry(max_total_values=one)       # room for one engine
-        server = PECANServer(registry=registry, port=0, max_wait_ms=1.0,
-                             audit_every=1)
+        server = PECANServer(registry=registry, config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, audit_every=1, cache_mb=0.0))
         server.add_bundle(paths["a"], name="a")
         server.add_bundle(paths["b"], name="b")
         x = rng.standard_normal((1, 1, 10, 10))
@@ -600,6 +602,36 @@ class TestServerEviction:
             # The evicted model still answers: it reloads (and evicts "b").
             assert "outputs" in server.predict(x, model="a")
             assert set(registry.loaded_names()) == {"a"}
+        finally:
+            server.stop()
+
+    def test_default_registry_honours_engine_config(self, rng, tmp_path):
+        # Without an explicit registry the server builds one from
+        # config.engine: the value budget, the optimization passes and eager
+        # (non-mmap) loading must all reach the engines it serves.
+        paths = {}
+        for name in ("a", "b"):
+            paths[name] = export_deployment_bundle(small_model(rng),
+                                                   tmp_path / f"{name}.npz",
+                                                   input_shape=(1, 10, 10))
+        one = BundleEngine(paths["a"]).bundle.total_values()
+        server = PECANServer(config=ServeConfig.build(
+            max_total_values=one, optimize=True, mmap=False,
+            max_wait_ms=1.0, cache_mb=0.0))
+        server.add_bundle(paths["a"], name="a")
+        server.add_bundle(paths["b"], name="b")
+        x = rng.standard_normal((1, 1, 10, 10))
+        try:
+            server.predict(x, model="a")
+            outputs = server.predict(x, model="b")["outputs"]    # evicts "a"
+            assert set(server.registry.loaded_names()) == {"b"}
+            engine = server._served["b"].engine
+            assert engine.optimized
+            assert engine.mmap_mode is None
+            lut = next(iter(engine.bundle.luts.values()))
+            assert not isinstance(lut.table, np.memmap)
+            np.testing.assert_allclose(
+                outputs, BundleEngine(paths["b"]).predict(x), atol=1e-8)
         finally:
             server.stop()
 

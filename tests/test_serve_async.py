@@ -24,8 +24,8 @@ from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, Headers, HTTPParseError, PECANServer,
-                         RequestParser, ServeClient, SlowlorisSwarm,
-                         render_response, run_concurrent_load,
+                         RequestParser, ServeClient, ServeConfig,
+                         SlowlorisSwarm, render_response, run_concurrent_load,
                          slowloris_connections)
 
 
@@ -204,8 +204,9 @@ class TestRequestParser:
 class TestEventLoopWire:
     @pytest.fixture
     def server(self, bundles):
-        server = PECANServer(port=0, max_wait_ms=1.0, max_connections=16,
-                             idle_timeout_s=30.0, request_read_timeout_s=5.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, max_connections=16, idle_timeout_s=30.0,
+            request_read_timeout_s=5.0, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -262,7 +263,8 @@ class TestEventLoopWire:
         assert after == before
 
     def test_connection_budget_rejects_with_shed_shape(self, bundles):
-        server = PECANServer(port=0, max_wait_ms=1.0, max_connections=2)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, max_connections=2, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             holders = [self.connect(server) for _ in range(2)]
@@ -301,8 +303,8 @@ class TestEventLoopWire:
                     sock.close()
 
     def test_slowloris_answered_408_and_dropped(self, bundles):
-        server = PECANServer(port=0, max_wait_ms=1.0,
-                             request_read_timeout_s=0.5)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, request_read_timeout_s=0.5, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             with self.connect(server) as sock:
@@ -321,7 +323,8 @@ class TestEventLoopWire:
                 assert client.predict(x, model="m").shape == (1, 6)
 
     def test_idle_keep_alive_connection_reaped(self, bundles):
-        server = PECANServer(port=0, max_wait_ms=1.0, idle_timeout_s=0.3)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, idle_timeout_s=0.3, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             with self.connect(server) as sock:
@@ -338,7 +341,8 @@ class TestEventLoopWire:
             assert server.frontend_snapshot()["idle_closed"] >= 1
 
     def test_keep_alive_survives_deploy_and_promote(self, bundles):
-        server = PECANServer(port=0, max_wait_ms=1.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -368,9 +372,9 @@ class TestEventLoopWire:
 class TestConnectionChaos:
     def test_sheds_misbehaving_connections_without_stalling_load(
             self, bundles):
-        server = PECANServer(port=0, max_wait_ms=2.0, max_batch_size=8,
-                             request_read_timeout_s=0.5,
-                             max_connections=128)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=2.0, max_batch_size=8,
+            request_read_timeout_s=0.5, max_connections=128, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         engine = BundleEngine(bundles["v1"])
         rng = np.random.default_rng(8)

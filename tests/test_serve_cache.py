@@ -27,9 +27,10 @@ from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, CacheAffinityPolicy, InvariantMonitor,
                          ModelRegistry, PECANServer, PoolServer, ResultCache,
-                         ServeClient, ZipfWorkload, canonical_input_hash,
-                         canonical_response_bytes, format_versioned,
-                         run_zipf_load, splice_response, stable_route_hash)
+                         ServeClient, ServeConfig, ZipfWorkload,
+                         canonical_input_hash, canonical_response_bytes,
+                         format_versioned, run_zipf_load, splice_response,
+                         stable_route_hash)
 from repro.serve.scheduler import RequestTimeout
 
 
@@ -300,7 +301,8 @@ class TestCacheInvariants:
 def server(bundles):
     registry = ModelRegistry()
     registry.register("m", bundles["v1"])
-    return PECANServer(registry, port=0, cache_mb=8.0)
+    return PECANServer(registry, config=ServeConfig.build(
+        port=0, cache_mb=8.0))
 
 
 class TestServerCache:
@@ -350,7 +352,8 @@ class TestServerCache:
 
         registry = ModelRegistry()
         registry.register("m", bundles["v1"])
-        server = PECANServer(registry, port=0, cache_mb=8.0)
+        server = PECANServer(registry, config=ServeConfig.build(
+            port=0, cache_mb=8.0))
         x = np.random.default_rng(4).normal(size=(1, 1, 10, 10))
         _, call = server.cache.begin(
             format_versioned("m", 1), canonical_input_hash(x))
@@ -365,7 +368,8 @@ class TestServerCache:
     def test_promote_retires_outgoing_namespace(self, bundles):
         registry = ModelRegistry()
         registry.register("m", bundles["v1"])
-        server = PECANServer(registry, port=0, cache_mb=8.0)
+        server = PECANServer(registry, config=ServeConfig.build(
+            port=0, cache_mb=8.0))
         x = np.random.default_rng(5).normal(size=(2, 1, 10, 10))
         v1_outputs = server.predict(x)["outputs"]
         assert server.predict(x).get("cached") is True   # primed
@@ -382,7 +386,8 @@ class TestServerCache:
     def test_explicit_version_namespaces_are_isolated(self, bundles):
         registry = ModelRegistry()
         registry.register("m", bundles["v1"])
-        server = PECANServer(registry, port=0, cache_mb=8.0)
+        server = PECANServer(registry, config=ServeConfig.build(
+            port=0, cache_mb=8.0))
         server.deploy_bundle(bundles["v2"], "m")
         x = np.random.default_rng(6).normal(size=(1, 1, 10, 10))
         active = server.predict(x)             # bare name → v1 namespace
@@ -394,7 +399,8 @@ class TestServerCache:
     def test_undeploy_invalidates_namespace(self, bundles):
         registry = ModelRegistry()
         registry.register("m", bundles["v1"])
-        server = PECANServer(registry, port=0, cache_mb=8.0)
+        server = PECANServer(registry, config=ServeConfig.build(
+            port=0, cache_mb=8.0))
         server.deploy_bundle(bundles["v2"], "m")
         x = np.random.default_rng(7).normal(size=(1, 1, 10, 10))
         server.predict(x, model="m@v2")
@@ -408,9 +414,10 @@ class TestServerCache:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def pool(bundles):
-    pool = PoolServer(port=0, workers=2, policy="cache_affinity",
-                      heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                      max_wait_ms=2.0, cache_mb=8.0, cache_check_every=0)
+    pool = PoolServer(config=ServeConfig.build(
+        port=0, workers=2, policy="cache_affinity", heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=8.0,
+        cache_check_every=0))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()
     assert pool.wait_ready(120.0), "pool workers never became ready"
@@ -438,6 +445,9 @@ class TestPoolCache:
         assert np.array_equal(np.asarray(hit["outputs"]),
                               BundleEngine(bundles["v1"]).predict(x))
         assert _worker_engine_calls(client) == before   # no engine work
+        # The router's cache is the only one: workers always run cache-off.
+        assert all(worker["cache"] == {"enabled": False}
+                   for worker in client.metrics()["workers"].values())
         forced = client.predict_response(x, no_cache=True)
         assert "cached" not in forced
         assert forced["outputs"] == fresh["outputs"]
@@ -549,9 +559,10 @@ class TestPoolCache:
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 def test_zipf_load_under_crash_chaos_serves_no_stale_bytes(bundles):
-    pool = PoolServer(port=0, workers=2, policy="cache_affinity",
-                      heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                      max_wait_ms=2.0, cache_mb=8.0, cache_check_every=0)
+    pool = PoolServer(config=ServeConfig.build(
+        port=0, workers=2, policy="cache_affinity", heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=8.0,
+        cache_check_every=0))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()
     try:

@@ -1,19 +1,16 @@
 """Tests for :mod:`repro.serve.config` — the layered serving configuration.
 
-The contract under test is the PR's api_redesign: ``ServeConfig`` is the one
-non-deprecated constructor argument for every server, every ``repro-pecan
-serve`` flag is generated from field metadata, argv ⇄ config ⇄ JSON round
-trips are exact (property-tested), ``--config`` files compose with explicit
-flags at the documented precedence, and the legacy flat-kwarg constructors
-keep working for one release behind a ``DeprecationWarning`` with their
-historical defaults intact.
+The contract under test: ``ServeConfig`` is the one constructor argument for
+every server (flat keyword arguments are a ``TypeError``), every
+``repro-pecan serve`` flag is generated from field metadata, argv ⇄ config ⇄
+JSON round trips are exact (property-tested), and ``--config`` files compose
+with explicit flags at the documented precedence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,9 +18,8 @@ from hypothesis import strategies as st
 
 from repro.cli import build_parser
 from repro.serve.config import (SECTION_ORDER, ServeConfig,
-                                add_serve_arguments,
-                                config_from_legacy_kwargs,
-                                config_reference_table, flag_specs,
+                                add_serve_arguments, config_reference_table,
+                                flag_specs,
                                 from_json_dict, iter_serve_fields,
                                 load_config_file, serve_config_from_args,
                                 serve_config_to_args, to_json_dict)
@@ -64,7 +60,6 @@ PRE_EXISTING_FLAGS = {
     "--cache_mb": 64.0,
     "--no_cache": False,
     "--cache_check_every": 64,
-    "--http_backend": "eventloop",
     "--max_connections": 512,
     "--idle_timeout_s": 30.0,
     "--request_read_timeout_s": 10.0,
@@ -96,8 +91,7 @@ class TestPreExistingFlagParity:
             "--max_queue", "64", "--timeout_s", "5", "--workers", "3",
             "--policy", "cache_affinity", "--no_mmap", "--no_cache",
             "--no_trace", "--lazy_load", "--optimize",
-            "--p99_slo_ms", "50", "--tenant_rate", "10",
-            "--http_backend", "threaded"])
+            "--p99_slo_ms", "50", "--tenant_rate", "10"])
         config = serve_config_from_args(args)
         assert config.net.host == "0.0.0.0" and config.net.port == 9000
         assert config.engine.max_batch_size == 8
@@ -112,7 +106,6 @@ class TestPreExistingFlagParity:
         assert config.lifecycle.preload is False    # --lazy_load inverts
         assert config.engine.optimize is True
         assert config.qos.p99_slo_ms == 50.0 and config.qos.tenant_rate == 10.0
-        assert config.net.http_backend == "threaded"
         assert config.lifecycle.bundles == ("m=toy.npz",)
 
     def test_every_config_field_declares_serve_metadata(self):
@@ -268,70 +261,29 @@ class TestBuild:
 
 
 # --------------------------------------------------------------------------- #
-# The deprecation shim (one release of flat kwargs)
+# One constructor
 # --------------------------------------------------------------------------- #
-class TestLegacyShim:
-    def test_server_legacy_kwargs_warn_and_map(self):
-        from repro.serve import PECANServer
-
-        with pytest.warns(DeprecationWarning, match="config=ServeConfig"):
-            server = PECANServer(port=0, max_batch_size=4, max_wait_ms=1.0)
-        assert server.port == 0 and server.max_batch_size == 4
-        # Historical programmatic default: the cache stays OFF.
-        assert server.cache is None
-
-    def test_pool_legacy_kwargs_warn_and_keep_two_workers(self):
-        from repro.serve import PoolServer
-
-        with pytest.warns(DeprecationWarning, match="config=ServeConfig"):
-            pool = PoolServer(port=0, heartbeat_interval_s=0.1)
-        assert pool.num_workers == 2                   # historical default
-        assert pool.cache is None                      # cache off by default
-
-    def test_bare_constructors_do_not_warn(self):
+class TestOneConstructor:
+    def test_flat_kwargs_are_a_type_error(self):
         from repro.serve import PECANServer, PoolServer
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            server = PECANServer()
-            pool = PoolServer()
-        assert server.cache is None and pool.cache is None
+        with pytest.raises(TypeError):
+            PECANServer(port=0)
+        with pytest.raises(TypeError):
+            PECANServer(None, "127.0.0.1")
+        with pytest.raises(TypeError):
+            PoolServer(workers=4)
 
-    def test_config_path_does_not_warn_and_enables_cache(self):
+    def test_bare_constructors_use_the_config_defaults(self):
         from repro.serve import PECANServer, PoolServer
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            server = PECANServer(config=ServeConfig.build(port=0))
-            pool = PoolServer(config=ServeConfig.build(port=0, workers=3))
-        assert server.cache is not None                # CLI-tree default: on
-        assert pool.num_workers == 3 and pool.cache is not None
-
-    def test_config_plus_legacy_kwargs_is_a_type_error(self):
-        from repro.serve import PECANServer, PoolServer
-
-        with pytest.raises(TypeError, match="not both"):
-            PECANServer(config=ServeConfig(), port=0)
-        with pytest.raises(TypeError, match="not both"):
-            PoolServer(config=ServeConfig(), workers=4)
-
-    def test_unknown_legacy_kwarg_raises_type_error(self):
-        from repro.serve import PECANServer
-
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                PECANServer(warp_speed=11)
-
-    def test_legacy_mmap_mode_and_qos_config_map_through(self):
-        from repro.serve.qos import QoSConfig
-
-        config = config_from_legacy_kwargs(
-            "pool", {"mmap_mode": None, "qos_config": QoSConfig(max_waiting=7)})
-        assert config.engine.mmap is False
-        assert config.qos.max_waiting == 7
-        config = config_from_legacy_kwargs("pool", {"mmap_mode": "r"})
-        assert config.engine.mmap is True and config.engine.mmap_mode == "r"
+        server = PECANServer()
+        pool = PoolServer()
+        assert server.config == ServeConfig() and pool.config == ServeConfig()
+        assert server.cache is not None and pool.cache is not None
+        assert server.registry.mmap_mode == "r"        # engine.mmap default
+        assert pool.num_workers == 1
+        server.stop()
 
 
 # --------------------------------------------------------------------------- #

@@ -27,8 +27,8 @@ from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, CanaryPolicy, LifecycleError,
                          ModelRegistry, PECANServer, PoolServer, RolloutGate,
-                         ServeClient, ServeHTTPError, format_versioned,
-                         split_versioned)
+                         ServeClient, ServeConfig, ServeHTTPError,
+                         format_versioned, split_versioned)
 from repro.serve.server import _AcceleratorPacer
 
 
@@ -287,7 +287,8 @@ class TestRegistryRefcounts:
 class TestServerHotReload:
     def test_deploy_promote_rollback_in_process(self, bundles, probe):
         x, expected = probe
-        server = PECANServer(port=0, max_wait_ms=1.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         try:
             deployed = server.deploy_bundle(bundles["v3"], name="m")
@@ -317,7 +318,8 @@ class TestServerHotReload:
 
     def test_admin_http_endpoints(self, bundles, probe):
         x, expected = probe
-        server = PECANServer(port=0, max_wait_ms=1.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         server.start()
         try:
@@ -345,7 +347,8 @@ class TestServerHotReload:
     def test_failed_deploy_leaves_no_version_behind(self, bundles, tmp_path):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"this is not a bundle")
-        server = PECANServer(port=0, max_wait_ms=1.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, cache_mb=0.0))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         try:
             with pytest.raises(Exception):
@@ -455,9 +458,9 @@ class TestClientTransientRetry:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def lifecycle_pool(bundles):
-    pool = PoolServer(port=0, workers=2, policy="round_robin",
-                      heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                      max_wait_ms=2.0)
+    pool = PoolServer(config=ServeConfig.build(
+        port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=0.0))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()
     assert pool.wait_ready(120.0), "pool workers never became ready"
@@ -617,9 +620,10 @@ class TestDrainDuringDeploy:
         engine = BundleEngine(bundles["v1"])
         engine.predict(np.zeros((1, 1, 10, 10)))
         cycles = _AcceleratorPacer(engine, hz=1.0)._cycles()
-        pool = PoolServer(port=0, workers=1, heartbeat_interval_s=0.1,
-                          heartbeat_timeout_s=5.0,
-                          hardware_hz=cycles / 0.8)     # ~0.8 s per batch
+        pool = PoolServer(config=ServeConfig.build(
+            port=0, workers=1, heartbeat_interval_s=0.1,
+            heartbeat_timeout_s=5.0, cache_mb=0.0,
+            hardware_hz=cycles / 0.8))                   # ~0.8 s per batch
         pool.add_bundle(bundles["v1"], name="m")
         pool.start()
         assert pool.wait_ready(120.0)

@@ -24,7 +24,7 @@ from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.pecan.training import PECANTrainer
 from repro.perf import kernel_available
-from repro.serve import BundleEngine, PECANServer, ServeClient
+from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
 
 def toy_model(rng, mode, subvector_dim=None, in_channels=1, image_size=12):
@@ -76,7 +76,8 @@ class TestTrainedBundleParity:
         /predict with outputs identical to CAMInferenceEngine on the model."""
         model, images = trained_setup
         expected = CAMInferenceEngine(model).predict(images)
-        server = PECANServer(port=0, max_batch_size=8, max_wait_ms=10.0)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_batch_size=8, max_wait_ms=10.0, cache_mb=0.0))
         server.add_bundle(trained_bundle, name="trained", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -214,8 +215,9 @@ class TestMultiTopologyParity:
     def test_server_round_trip(self, topology):
         model, path, images = topology
         expected = CAMInferenceEngine(model).predict(images)
-        server = PECANServer(port=0, max_batch_size=8, max_wait_ms=10.0,
-                             audit_every=1)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_batch_size=8, max_wait_ms=10.0, audit_every=1,
+            cache_mb=0.0))
         server.add_bundle(path, name="topo", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -259,8 +261,9 @@ class TestMultiTopologyParity:
         model, path, images = topology
         registry = ModelRegistry(
             engine_factory=lambda p: BundleEngine(p, optimize=True))
-        server = PECANServer(registry=registry, port=0, max_batch_size=8,
-                             max_wait_ms=5.0, audit_every=1)
+        server = PECANServer(registry=registry, config=ServeConfig.build(
+            port=0, max_batch_size=8, max_wait_ms=5.0, audit_every=1,
+            cache_mb=0.0))
         server.add_bundle(path, name="opt", preload=True)
         try:
             for start in range(0, 4, 2):

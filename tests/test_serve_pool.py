@@ -24,10 +24,14 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, LeastOutstandingPolicy, ModelAffinityPolicy,
-                         PECANServer, PoolServer, RoundRobinPolicy, ServeClient,
+from repro.serve import (BundleEngine, LeastOutstandingPolicy,
+                         ModelAffinityPolicy, PECANServer, PoolServer,
+                         RoundRobinPolicy, ServeClient, ServeConfig,
                          ServeHTTPError, WorkerConfig, aggregate_counter_trees,
                          make_policy)
+from repro.serve.config import NetConfig
+from repro.serve.pool import worker_serve_config
+from repro.serve.qos import QoSConfig
 from repro.serve.server import _AcceleratorPacer
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -163,9 +167,23 @@ class TestMmapEngine:
     def test_worker_config_is_picklable(self, pool_bundle):
         import pickle
 
-        config = WorkerConfig(bundles=(("toy", str(pool_bundle)),), hardware_hz=1e6)
+        router = ServeConfig.build(
+            host="0.0.0.0", port=9000, max_connections=7, hardware_hz=1e6,
+            cache_mb=8.0, batch_class_samples=4, slots_per_worker=3)
+        config = WorkerConfig(serve=router,
+                              bundles=(("toy", str(pool_bundle)),))
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
+        # What the spawned worker derives from it: the router's engine and
+        # trace settings on an ephemeral port, cache off, default front-end
+        # budgets, and only the bulk-class budget of the QoS plane.
+        worker = worker_serve_config(clone.serve)
+        assert worker.net == NetConfig(host="0.0.0.0", port=0)
+        assert worker.cache.effective_mb == 0.0
+        assert worker.qos == QoSConfig(batch_class_samples=4)
+        assert worker.engine == router.engine
+        assert worker.trace == router.trace
+        assert worker.lifecycle == router.lifecycle
 
     def test_pacer_stretches_batches_to_modeled_latency(self, pool_bundle):
         engine = BundleEngine(pool_bundle)
@@ -193,14 +211,15 @@ class TestServerPortChurn:
     def test_rapid_rebind_of_same_port(self, pool_bundle):
         # allow_reuse_address: an immediate restart on the very port a server
         # just released (socket in TIME_WAIT) must not flake with EADDRINUSE.
-        first = PECANServer(port=0)
+        first = PECANServer(config=ServeConfig.build(port=0, cache_mb=0.0))
         first.add_bundle(pool_bundle, name="toy")
         first.start()
         bound = first.port
         assert bound != 0                      # ephemeral port is exposed
         first.stop()
         for _ in range(3):
-            server = PECANServer(port=bound)
+            server = PECANServer(config=ServeConfig.build(
+                port=bound, cache_mb=0.0))
             server.add_bundle(pool_bundle, name="toy")
             server.start()
             assert server.port == bound
@@ -212,9 +231,9 @@ class TestServerPortChurn:
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def pool(pool_bundle):
-    server = PoolServer(port=0, workers=2, policy="round_robin",
-                        heartbeat_interval_s=0.1, heartbeat_timeout_s=1.5,
-                        max_wait_ms=2.0)
+    server = PoolServer(config=ServeConfig.build(
+        port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=1.5, max_wait_ms=2.0, cache_mb=0.0))
     server.add_bundle(pool_bundle, name="toy")
     server.start()
     assert server.wait_ready(120.0), "pool workers never became ready"
@@ -323,13 +342,15 @@ class TestPoolLifecycle:
 
     def test_pool_requires_workers_and_bundles(self, pool_bundle):
         with pytest.raises(ValueError, match="at least one worker"):
-            PoolServer(workers=0)
-        empty = PoolServer(port=0, workers=1)
+            PoolServer(config=ServeConfig.build(workers=0))
+        empty = PoolServer(config=ServeConfig.build(
+            port=0, workers=1, cache_mb=0.0))
         with pytest.raises(ValueError, match="no bundles"):
             empty.start()
 
     def test_unstarted_pool_rejects_requests(self, pool_bundle):
-        idle = PoolServer(port=0, workers=1)
+        idle = PoolServer(config=ServeConfig.build(
+            port=0, workers=1, cache_mb=0.0))
         idle.add_bundle(pool_bundle)
         with pytest.raises(ServeHTTPError) as excinfo:
             idle.predict(np.zeros((1, 1, 10, 10)))
@@ -343,9 +364,10 @@ class TestPoolLifecycle:
         engine.predict(np.zeros((1, 1, 10, 10)))
         pacer = _AcceleratorPacer(engine, hz=1.0)
         per_sample_cycles = pacer._cycles()
-        drain_pool = PoolServer(port=0, workers=1,
-                                heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                                hardware_hz=per_sample_cycles / 0.7)
+        drain_pool = PoolServer(config=ServeConfig.build(
+            port=0, workers=1, heartbeat_interval_s=0.1,
+            heartbeat_timeout_s=5.0, hardware_hz=per_sample_cycles / 0.7,
+            cache_mb=0.0))
         drain_pool.add_bundle(pool_bundle, name="toy")
         drain_pool.start()
         assert drain_pool.wait_ready(120.0)

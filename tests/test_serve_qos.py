@@ -30,7 +30,7 @@ from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BrownoutController, FairScheduler, PECANServer,
                          PoolServer, QoSConfig, RequestQoS, ServeClient,
-                         ServeHTTPError, ShedError, TokenBucket,
+                         ServeConfig, ServeHTTPError, ShedError, TokenBucket,
                          TokenBucketTable, parse_qos)
 from repro.serve.client import BulkScorer
 from repro.serve.qos import backoff_delay, merge_qos_into_payload
@@ -538,8 +538,10 @@ class TestClientBackoff:
 class TestServerQoS:
     @pytest.fixture
     def server(self, qos_bundle):
-        server = PECANServer(port=0, max_batch_size=8, max_wait_ms=5.0,
-                             qos_config=QoSConfig(min_dwell_s=0.1))
+        config = ServeConfig.build(port=0, max_batch_size=8, max_wait_ms=5.0,
+                                   cache_mb=0.0)
+        config.qos = QoSConfig(min_dwell_s=0.1)
+        server = PECANServer(config=config)
         server.add_bundle(qos_bundle, name="toy", preload=True)
         with server:
             client = ServeClient(server.url, backoff_retries=0)
@@ -655,11 +657,11 @@ def _wait_for_injected_latency(pool, x, at_least_s, timeout_s=10.0):
 
 @pytest.fixture(scope="module")
 def qos_pool(qos_bundle):
-    pool = PoolServer(
-        port=0, workers=1, heartbeat_interval_s=0.1, max_wait_ms=2.0,
-        qos_config=QoSConfig(slots_per_worker=1, min_dwell_s=0.1,
-                             tenant_burst=1.0,
-                             tenant_rates={"limited": 0.5}))
+    config = ServeConfig.build(port=0, workers=1, heartbeat_interval_s=0.1,
+                               max_wait_ms=2.0, cache_mb=0.0)
+    config.qos = QoSConfig(slots_per_worker=1, min_dwell_s=0.1,
+                           tenant_burst=1.0, tenant_rates={"limited": 0.5})
+    pool = PoolServer(config=config)
     pool.add_bundle(qos_bundle, name="toy")
     pool.start()
     assert pool.wait_ready(120.0), "pool worker never became ready"
@@ -760,11 +762,13 @@ class TestPoolQoS:
 @pytest.mark.slow
 class TestChaosBrownout:
     def test_overload_brownout_engages_and_recovers(self, qos_bundle):
-        pool = PoolServer(
-            port=0, workers=2, heartbeat_interval_s=0.1, max_wait_ms=2.0,
-            qos_config=QoSConfig(slots_per_worker=1, queue_high=2.0,
-                                 alpha=0.7, min_dwell_s=0.2, recover_at=0.5,
-                                 emergency_at=1e9))
+        config = ServeConfig.build(port=0, workers=2,
+                                   heartbeat_interval_s=0.1, max_wait_ms=2.0,
+                                   cache_mb=0.0)
+        config.qos = QoSConfig(slots_per_worker=1, queue_high=2.0, alpha=0.7,
+                               min_dwell_s=0.2, recover_at=0.5,
+                               emergency_at=1e9)
+        pool = PoolServer(config=config)
         pool.add_bundle(qos_bundle, name="toy")
         pool.start()
         assert pool.wait_ready(120.0)

@@ -37,7 +37,7 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan import PQLayerConfig, convert_to_pecan
 from repro.serve import (InvariantMonitor, PECANServer, PoolServer, QoSConfig,
-                         ServeClient, check_causal_order)
+                         ServeClient, ServeConfig, check_causal_order)
 from repro.serve.trace import (ATTEMPT_HEADER, LAMPORT_HEADER,
                                PARENT_SPAN_HEADER, TRACE_HEADER, LamportClock,
                                Tracer, causal_sort, group_by_trace,
@@ -351,8 +351,9 @@ class TestServerTracing:
     @pytest.fixture(scope="class")
     def server(self, trace_bundle, tmp_path_factory):
         trace_dir = tmp_path_factory.mktemp("server-traces")
-        server = PECANServer(port=0, max_batch_size=8, max_wait_ms=2.0,
-                             trace_dir=str(trace_dir), invariant_every=1)
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_batch_size=8, max_wait_ms=2.0,
+            trace_dir=str(trace_dir), invariant_every=1, cache_mb=0.0))
         server.add_bundle(trace_bundle, name="toy", preload=True)
         with server:
             client = ServeClient(server.url, backoff_retries=0)
@@ -444,10 +445,10 @@ def pool_trace_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trace_pool(trace_bundle, pool_trace_dir):
-    pool = PoolServer(port=0, workers=2, policy="round_robin",
-                      heartbeat_interval_s=0.1, heartbeat_timeout_s=1.5,
-                      max_wait_ms=2.0, trace_dir=str(pool_trace_dir),
-                      invariant_every=1)
+    pool = PoolServer(config=ServeConfig.build(
+        port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=1.5, max_wait_ms=2.0,
+        trace_dir=str(pool_trace_dir), invariant_every=1, cache_mb=0.0))
     pool.add_bundle(trace_bundle, name="toy")
     pool.start()
     assert pool.wait_ready(120.0), "pool workers never became ready"
@@ -588,12 +589,13 @@ class TestPoolTracing:
 
 @pytest.fixture
 def shed_pool(trace_bundle, tmp_path):
-    config = QoSConfig(slots_per_worker=1, min_dwell_s=0.1,
-                       tenant_burst=1.0, tenant_rates={"limited": 0.5})
-    pool = PoolServer(port=0, workers=1, policy="round_robin",
-                      heartbeat_interval_s=0.1, heartbeat_timeout_s=1.5,
-                      max_wait_ms=2.0, qos_config=config,
-                      trace_dir=str(tmp_path / "traces"))
+    config = ServeConfig.build(
+        port=0, workers=1, policy="round_robin", heartbeat_interval_s=0.1,
+        heartbeat_timeout_s=1.5, max_wait_ms=2.0, cache_mb=0.0,
+        trace_dir=str(tmp_path / "traces"))
+    config.qos = QoSConfig(slots_per_worker=1, min_dwell_s=0.1,
+                           tenant_burst=1.0, tenant_rates={"limited": 0.5})
+    pool = PoolServer(config=config)
     pool.add_bundle(trace_bundle, name="toy")
     pool.start()
     assert pool.wait_ready(120.0)
@@ -681,10 +683,10 @@ class TestRuntimeVerificationTripsRollout:
         watch the violation surface under ``runtime_verification`` in
         ``/metrics``, and watch an in-flight canary rollout flip to
         ``rollback`` without operator action."""
-        pool = PoolServer(port=0, workers=2, policy="round_robin",
-                          heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                          max_wait_ms=2.0, invariant_every=1,
-                          trace_dir=str(tmp_path / "traces"))
+        pool = PoolServer(config=ServeConfig.build(
+            port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
+            heartbeat_timeout_s=5.0, max_wait_ms=2.0, invariant_every=1,
+            trace_dir=str(tmp_path / "traces"), cache_mb=0.0))
         pool.add_bundle(trace_bundle, name="toy")
         pool.start()
         assert pool.wait_ready(120.0)
@@ -862,13 +864,14 @@ class TestChaosTracing:
         with a matching trace id, and that the export never tore."""
         trace_dir = Path(os.environ.get("REPRO_CHAOS_TRACE_DIR",
                                         tmp_path / "chaos-traces"))
-        config = QoSConfig(slots_per_worker=1, queue_high=2.0, alpha=0.7,
-                           min_dwell_s=0.2, recover_at=0.5, emergency_at=1e9,
-                           max_waiting=4)
-        pool = PoolServer(port=0, workers=1, policy="round_robin",
-                          heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-                          max_wait_ms=2.0, qos_config=config,
-                          trace_dir=str(trace_dir), invariant_every=4)
+        config = ServeConfig.build(
+            port=0, workers=1, policy="round_robin", heartbeat_interval_s=0.1,
+            heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=0.0,
+            trace_dir=str(trace_dir), invariant_every=4)
+        config.qos = QoSConfig(slots_per_worker=1, queue_high=2.0, alpha=0.7,
+                               min_dwell_s=0.2, recover_at=0.5,
+                               emergency_at=1e9, max_waiting=4)
+        pool = PoolServer(config=config)
         pool.add_bundle(trace_bundle, name="toy")
         pool.start()
         assert pool.wait_ready(120.0)
