@@ -123,7 +123,7 @@ def bench_results(tmp_path_factory):
     for budget in BATCH_BUDGETS:
         server = PECANServer(config=ServeConfig.build(
             port=0, max_batch_size=budget, max_wait_ms=4.0,
-            max_queue_depth=1024, audit_every=16, cache_mb=0.0))
+            max_queue_depth=1024, audit_every=16, cache_mb=0.0, mmap=False))
         server.add_bundle(bundle_path, name="bench", preload=True)
         with server:
             client = ServeClient(server.url)

@@ -47,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.serve.config import NetConfig
 from repro.serve.qos import connection_budget_shed
 
 __all__ = [
@@ -334,49 +335,40 @@ class EventLoopFrontEnd:
         — the dispatch :class:`PECANServer`, :class:`PoolServer` and
         :class:`FrontRouter` expose as ``handle_http``.  Called on an
         application thread; may block (batcher waits, worker proxying).
-    max_connections:
-        Concurrent-connection budget.  Overflow connections are answered
-        with the QoS shed wire shape (503, reason ``connection-budget``,
-        ``Retry-After``) and closed.
-    idle_timeout_s:
-        Reap a keep-alive connection with no request in flight after this
-        long.
-    request_timeout_s:
-        Slowloris guard: a partially-received request older than this is
-        answered 408 and the connection dropped.
-    io_threads:
-        Application-thread pool size — the concurrency ceiling for blocking
-        serving-plane calls.
-    max_pipeline:
-        Per-connection cap on queued pipelined requests; past it the
-        connection's reads pause until responses drain (backpressure, not
-        disconnect).
+    net:
+        The :class:`~repro.serve.config.NetConfig` the front end runs:
+        ``host``, the ``max_connections`` budget (overflow connections are
+        answered with the QoS shed wire shape — 503, reason
+        ``connection-budget``, ``Retry-After`` — and closed), the keep-alive
+        ``idle_timeout_s``, the ``request_read_timeout_s`` slowloris guard
+        (a partially-received request older than this is answered 408 and
+        the connection dropped) and ``io_threads``, the application-thread
+        pool size that caps concurrent blocking serving-plane calls.
+    port:
+        The port to bind; overrides ``net.port`` so a restarted server can
+        rebind the port it bound before.
     """
 
-    def __init__(self, app: AppCallable, host: str = "127.0.0.1",
-                 port: int = 0, *,
-                 max_connections: int = 512,
-                 idle_timeout_s: float = 30.0,
-                 request_timeout_s: float = 10.0,
-                 io_threads: int = 32,
-                 max_header_bytes: int = 32768,
-                 max_body_bytes: int = 256 * 1024 * 1024,
-                 max_pipeline: int = 32,
-                 budget_retry_after_s: float = 1.0):
-        if max_connections < 1:
+    max_header_bytes = 32768
+    max_body_bytes = 256 * 1024 * 1024
+    #: Per-connection cap on queued pipelined requests; past it the
+    #: connection's reads pause until responses drain (backpressure, not
+    #: disconnect).
+    max_pipeline = 32
+    budget_retry_after_s = 1.0
+
+    def __init__(self, app: AppCallable, net: NetConfig, port: int):
+        if net.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         self.app = app
-        self.host = host
+        self.host = net.host
         self.port = port
-        self.max_connections = int(max_connections)
-        self.idle_timeout_s = float(idle_timeout_s)
-        self.request_timeout_s = float(request_timeout_s)
-        self.io_threads = int(io_threads)
-        self.max_header_bytes = int(max_header_bytes)
-        self.max_body_bytes = int(max_body_bytes)
-        self.max_pipeline = max(1, int(max_pipeline))
+        self.max_connections = int(net.max_connections)
+        self.idle_timeout_s = float(net.idle_timeout_s)
+        self.request_timeout_s = float(net.request_read_timeout_s)
+        self.io_threads = int(net.io_threads)
         shed = connection_budget_shed(self.max_connections,
-                                      budget_retry_after_s)
+                                      self.budget_retry_after_s)
         self._budget_reply = render_response(
             shed.status,
             json.dumps({"error": str(shed), "reason": shed.reason,
@@ -402,20 +394,6 @@ class EventLoopFrontEnd:
             "parse_errors": 0,
             "requests_total": 0,
         }
-
-    @classmethod
-    def from_net_config(cls, app: AppCallable, net,
-                        port: int) -> "EventLoopFrontEnd":
-        """The front end a :class:`~repro.serve.config.NetConfig` describes.
-
-        ``port`` overrides ``net.port`` so a restarted server can rebind the
-        port it bound before.
-        """
-        return cls(app, net.host, port,
-                   max_connections=net.max_connections,
-                   idle_timeout_s=net.idle_timeout_s,
-                   request_timeout_s=net.request_read_timeout_s,
-                   io_threads=net.io_threads)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -621,7 +621,7 @@ class PoolServer:
         self._monitor_thread.start()
         from repro.serve.netfront import EventLoopFrontEnd
 
-        self._frontend = EventLoopFrontEnd.from_net_config(
+        self._frontend = EventLoopFrontEnd(
             self.handle_http, self.config.net, self.port).start()
         self.port = self._frontend.port
         return self

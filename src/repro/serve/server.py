@@ -688,6 +688,7 @@ class PECANServer:
                 "batching": {
                     "max_batch_size": record.batcher.max_batch_size,
                     "max_wait_ms": record.batcher.max_wait_s * 1e3,
+                    "batch_class_samples": record.batcher.batch_class_samples,
                 },
             }
             if record.pacer is not None:
@@ -847,7 +848,7 @@ class PECANServer:
         """Bind and serve on a background thread (idempotent)."""
         if self._frontend is not None:
             return self
-        self._frontend = EventLoopFrontEnd.from_net_config(
+        self._frontend = EventLoopFrontEnd(
             self.handle_http, self.config.net, self.port).start()
         # Expose the ephemeral bound port (port=0 requests) so tests, pools
         # and clients can address the server without racing its startup.

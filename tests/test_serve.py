@@ -463,7 +463,7 @@ class TestServerEndToEnd:
     def server(self, bundle_path):
         server = PECANServer(config=ServeConfig.build(
             port=0, max_batch_size=8, max_wait_ms=25.0, audit_every=1,
-            cache_mb=0.0))
+            cache_mb=0.0, mmap=False))
         server.add_bundle(bundle_path, name="toy", preload=True)
         with server:
             client = ServeClient(server.url)

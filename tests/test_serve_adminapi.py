@@ -155,7 +155,8 @@ def admin_bundle(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="module")
 def single_server(admin_bundle):
-    server = PECANServer(config=ServeConfig.build(port=0, max_wait_ms=1.0))
+    server = PECANServer(config=ServeConfig.build(
+        port=0, max_wait_ms=1.0, mmap=False))
     server.add_bundle(admin_bundle, name="m", preload=True)
     server.start()
     yield server

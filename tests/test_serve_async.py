@@ -206,7 +206,7 @@ class TestEventLoopWire:
     def server(self, bundles):
         server = PECANServer(config=ServeConfig.build(
             port=0, max_wait_ms=1.0, max_connections=16, idle_timeout_s=30.0,
-            request_read_timeout_s=5.0, cache_mb=0.0))
+            request_read_timeout_s=5.0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -264,7 +264,8 @@ class TestEventLoopWire:
 
     def test_connection_budget_rejects_with_shed_shape(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, max_connections=2, cache_mb=0.0))
+            port=0, max_wait_ms=1.0, max_connections=2, cache_mb=0.0,
+            mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             holders = [self.connect(server) for _ in range(2)]
@@ -304,7 +305,8 @@ class TestEventLoopWire:
 
     def test_slowloris_answered_408_and_dropped(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, request_read_timeout_s=0.5, cache_mb=0.0))
+            port=0, max_wait_ms=1.0, request_read_timeout_s=0.5, cache_mb=0.0,
+            mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             with self.connect(server) as sock:
@@ -324,7 +326,8 @@ class TestEventLoopWire:
 
     def test_idle_keep_alive_connection_reaped(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, idle_timeout_s=0.3, cache_mb=0.0))
+            port=0, max_wait_ms=1.0, idle_timeout_s=0.3, cache_mb=0.0,
+            mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             with self.connect(server) as sock:
@@ -342,7 +345,7 @@ class TestEventLoopWire:
 
     def test_keep_alive_survives_deploy_and_promote(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, cache_mb=0.0))
+            port=0, max_wait_ms=1.0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -374,7 +377,8 @@ class TestConnectionChaos:
             self, bundles):
         server = PECANServer(config=ServeConfig.build(
             port=0, max_wait_ms=2.0, max_batch_size=8,
-            request_read_timeout_s=0.5, max_connections=128, cache_mb=0.0))
+            request_read_timeout_s=0.5, max_connections=128, cache_mb=0.0,
+            mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         engine = BundleEngine(bundles["v1"])
         rng = np.random.default_rng(8)

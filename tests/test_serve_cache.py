@@ -417,7 +417,7 @@ def pool(bundles):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=2, policy="cache_affinity", heartbeat_interval_s=0.1,
         heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=8.0,
-        cache_check_every=0))
+        cache_check_every=0, batch_class_samples=3))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()
     assert pool.wait_ready(120.0), "pool workers never became ready"
@@ -445,9 +445,14 @@ class TestPoolCache:
         assert np.array_equal(np.asarray(hit["outputs"]),
                               BundleEngine(bundles["v1"]).predict(x))
         assert _worker_engine_calls(client) == before   # no engine work
-        # The router's cache is the only one: workers always run cache-off.
-        assert all(worker["cache"] == {"enabled": False}
-                   for worker in client.metrics()["workers"].values())
+        # The router's cache is the only one: workers always run cache-off,
+        # and their batchers keep the router's bulk-class sample budget.
+        workers = list(client.metrics()["workers"].values())
+        assert all(worker["cache"] == {"enabled": False} for worker in workers)
+        budgets = [model["batching"]["batch_class_samples"]
+                   for worker in workers
+                   for model in worker["models"].values()]
+        assert budgets and set(budgets) == {3}
         forced = client.predict_response(x, no_cache=True)
         assert "cached" not in forced
         assert forced["outputs"] == fresh["outputs"]

@@ -119,7 +119,8 @@ def federation(fed_bundle):
     can answer any namespace after a failover) behind one FrontRouter."""
     members = []
     for _ in range(2):
-        server = PECANServer(config=ServeConfig.build(port=0, max_wait_ms=1.0))
+        server = PECANServer(config=ServeConfig.build(
+            port=0, max_wait_ms=1.0, mmap=False))
         for name in MODEL_NAMES:
             server.add_bundle(fed_bundle, name=name, preload=True)
         server.start()
@@ -257,7 +258,7 @@ class TestFederationFailover:
         members = []
         for _ in range(2):
             server = PECANServer(
-                config=ServeConfig.build(port=0, max_wait_ms=1.0))
+                config=ServeConfig.build(port=0, max_wait_ms=1.0, mmap=False))
             for name in MODEL_NAMES:
                 server.add_bundle(fed_bundle, name=name, preload=True)
             server.start()

@@ -77,7 +77,8 @@ class TestTrainedBundleParity:
         model, images = trained_setup
         expected = CAMInferenceEngine(model).predict(images)
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_batch_size=8, max_wait_ms=10.0, cache_mb=0.0))
+            port=0, max_batch_size=8, max_wait_ms=10.0, cache_mb=0.0,
+            mmap=False))
         server.add_bundle(trained_bundle, name="trained", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -217,7 +218,7 @@ class TestMultiTopologyParity:
         expected = CAMInferenceEngine(model).predict(images)
         server = PECANServer(config=ServeConfig.build(
             port=0, max_batch_size=8, max_wait_ms=10.0, audit_every=1,
-            cache_mb=0.0))
+            cache_mb=0.0, mmap=False))
         server.add_bundle(path, name="topo", preload=True)
         with server:
             client = ServeClient(server.url)

@@ -211,7 +211,8 @@ class TestServerPortChurn:
     def test_rapid_rebind_of_same_port(self, pool_bundle):
         # allow_reuse_address: an immediate restart on the very port a server
         # just released (socket in TIME_WAIT) must not flake with EADDRINUSE.
-        first = PECANServer(config=ServeConfig.build(port=0, cache_mb=0.0))
+        first = PECANServer(config=ServeConfig.build(
+            port=0, cache_mb=0.0, mmap=False))
         first.add_bundle(pool_bundle, name="toy")
         first.start()
         bound = first.port
@@ -219,7 +220,7 @@ class TestServerPortChurn:
         first.stop()
         for _ in range(3):
             server = PECANServer(config=ServeConfig.build(
-                port=bound, cache_mb=0.0))
+                port=bound, cache_mb=0.0, mmap=False))
             server.add_bundle(pool_bundle, name="toy")
             server.start()
             assert server.port == bound

@@ -539,7 +539,7 @@ class TestServerQoS:
     @pytest.fixture
     def server(self, qos_bundle):
         config = ServeConfig.build(port=0, max_batch_size=8, max_wait_ms=5.0,
-                                   cache_mb=0.0)
+                                   cache_mb=0.0, mmap=False)
         config.qos = QoSConfig(min_dwell_s=0.1)
         server = PECANServer(config=config)
         server.add_bundle(qos_bundle, name="toy", preload=True)

@@ -353,7 +353,8 @@ class TestServerTracing:
         trace_dir = tmp_path_factory.mktemp("server-traces")
         server = PECANServer(config=ServeConfig.build(
             port=0, max_batch_size=8, max_wait_ms=2.0,
-            trace_dir=str(trace_dir), invariant_every=1, cache_mb=0.0))
+            trace_dir=str(trace_dir), invariant_every=1, cache_mb=0.0,
+            mmap=False))
         server.add_bundle(trace_bundle, name="toy", preload=True)
         with server:
             client = ServeClient(server.url, backoff_retries=0)
