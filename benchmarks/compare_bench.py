@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Diff freshly generated ``BENCH_*.json`` files against committed baselines.
 
-CI's bench-smoke job regenerates the serving benchmarks' JSON artifacts in
-the working tree; the committed versions (``git show HEAD:BENCH_x.json``)
-are the baselines recorded when the corresponding PR landed.  This script
-walks both trees, pulls out every comparable scalar metric (throughput and
+The benchmarks write fresh results to the gitignored ``.bench_results/``
+directory (see ``benchmarks/bench_results.py``); the ``BENCH_*.json`` files
+committed at the repository root (``git show HEAD:BENCH_x.json``) are the
+baselines recorded when the corresponding PR landed.  This script walks
+both trees, pulls out every comparable scalar metric (throughput and
 latency percentiles), and renders a GitHub-flavoured markdown table suitable
 for ``$GITHUB_STEP_SUMMARY``.
 
@@ -17,7 +18,7 @@ Usage::
 
     python benchmarks/compare_bench.py [--threshold 0.2] [--baseline-ref HEAD]
 
-Run from the repository root (where the BENCH_*.json files live).
+Run from the repository root.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ HIGHER_IS_BETTER = {"requests_per_s", "samples_per_s", "throughput_rps",
                     "images_per_s", "speedup", "scaling_vs_1"}
 LOWER_IS_BETTER = {"p50_ms", "p95_ms", "p99_ms", "mean_ms", "latency_ms"}
 COMPARABLE = HIGHER_IS_BETTER | LOWER_IS_BETTER
+
+#: Where the benchmarks write fresh results (relative to the repository root).
+RESULTS_DIR = Path(".bench_results")
 
 
 def walk_metrics(tree: object, prefix: str = "") -> Iterator[Tuple[str, str, float]]:
@@ -90,9 +94,9 @@ def main(argv=None) -> int:
     parser.add_argument("--glob", default="BENCH_*.json")
     args = parser.parse_args(argv)
 
-    files = sorted(Path(".").glob(args.glob))
+    files = sorted(RESULTS_DIR.glob(args.glob))
     if not files:
-        print("no BENCH_*.json files found — nothing to compare")
+        print(f"no fresh {args.glob} files in {RESULTS_DIR}/ — nothing to compare")
         return 0
 
     all_regressions = []

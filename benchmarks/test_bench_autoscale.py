@@ -18,7 +18,7 @@ capacity is worker-bound (not host-CPU-bound):
   (timeouts are never retried), so the contract is zero client-visible
   failures, zero mismatches, and ``failovers_total >= 1``.
 
-Results land in ``BENCH_PR10.json`` (leaf keys ``requests_per_s`` /
+Results land in ``.bench_results/BENCH_PR10.json`` (leaf keys ``requests_per_s`` /
 ``p50_ms`` / ``p95_ms`` / ``p99_ms`` line up with
 ``benchmarks/compare_bench.py``).  Budgets are env-tunable so the CI
 scale-smoke job can run a tiny version::
@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -46,7 +47,7 @@ from repro.serve import BundleEngine, FrontRouter, PoolServer, ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+RESULT_PATH = result_path("BENCH_PR10.json")
 
 WINDOW_S = float(os.environ.get("REPRO_BENCH_WINDOW_S", "2.0"))
 MAX_WORKERS = 4

@@ -24,7 +24,7 @@ Contracts (the PR's acceptance criteria):
    the outgoing version's bytes, and repeat traffic re-fills (and hits)
    under the new namespace.
 
-Results land in ``BENCH_PR8.json``.  Budgets are env-tunable so the CI
+Results land in ``.bench_results/BENCH_PR8.json``.  Budgets are env-tunable so the CI
 bench-smoke job can run a tiny version::
 
     REPRO_BENCH_WINDOW_S=0.5 PYTHONPATH=src \
@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -49,7 +50,7 @@ from repro.serve import (BundleEngine, PoolServer, ServeClient, ServeConfig,
                          ZipfWorkload, canonical_response_bytes, run_zipf_load)
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
+RESULT_PATH = result_path("BENCH_PR8.json")
 
 WINDOW_S = float(os.environ.get("REPRO_BENCH_WINDOW_S", "2.0"))
 CLIENTS = 4

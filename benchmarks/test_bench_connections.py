@@ -17,7 +17,7 @@ Contracts:
 3. every 200 response is bitwise identical to the reference engine's
    logits (``mismatches == 0``).
 
-Results land in ``BENCH_PR9.json`` (leaf keys ``requests_per_s`` /
+Results land in ``.bench_results/BENCH_PR9.json`` (leaf keys ``requests_per_s`` /
 ``p50_ms`` / ``p95_ms`` / ``p99_ms`` line up with
 ``benchmarks/compare_bench.py``).  Budgets are env-tunable so the CI
 conn-smoke job can run a tiny version::
@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -43,7 +44,7 @@ from repro.serve import (BundleEngine, PoolServer, ServeConfig,
                          run_concurrent_load)
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
+RESULT_PATH = result_path("BENCH_PR9.json")
 
 WINDOW_S = float(os.environ.get("REPRO_BENCH_WINDOW_S", "2.0"))
 CONN_LEVELS = [32, 128, 512]

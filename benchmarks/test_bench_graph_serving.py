@@ -7,7 +7,7 @@ shortcuts) to a format-v3 bundle and drives it through the full serving stack
 — bundle-backed engine, dynamic micro-batching, HTTP front end — with eight
 concurrent closed-loop single-sample clients at scheduler batch budgets
 {1, 8, 32}.  Sustained requests/s and p50/p95/p99 latency per configuration
-are recorded into ``BENCH_PR3.json`` at the repository root, alongside a
+are recorded into ``.bench_results/BENCH_PR3.json``, alongside a
 direct-engine comparison of the pristine graph vs. the optimized
 (BN-folded + ReLU-fused) graph.
 
@@ -36,11 +36,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.models import build_model
 from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
+RESULT_PATH = result_path("BENCH_PR3.json")
 
 BATCH_BUDGETS = (1, 8, 32)
 CLIENTS = 8

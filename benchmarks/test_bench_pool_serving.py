@@ -4,7 +4,7 @@ A PECAN-D toy network is exported once and served by
 :class:`~repro.serve.pool.PoolServer` at 1, 2 and 4 worker processes (each a
 full single-process serving plane over the same memory-mapped bundle), under
 the same closed-loop multi-client load as the PR2/PR3 single-process
-benches.  Results land in ``BENCH_PR4.json`` at the repository root.
+benches.  Results land in ``.bench_results/BENCH_PR4.json``.
 
 Two load profiles run:
 
@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -50,7 +51,7 @@ from repro.pecan.convert import convert_to_pecan
 from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
+RESULT_PATH = result_path("BENCH_PR4.json")
 
 WORKER_COUNTS = tuple(int(w) for w in
                       os.environ.get("REPRO_BENCH_POOL_WORKERS", "1,2,4").split(","))

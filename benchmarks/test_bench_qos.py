@@ -17,7 +17,7 @@ bulk-class budget (``batch_class_samples``).  Four phases:
   controller must engage (transitions visible in ``/metrics``), shed only
   the lower classes, and leave **zero interactive errors**.
 
-Results land in ``BENCH_PR6.json``.  Budgets are env-tunable so the CI
+Results land in ``.bench_results/BENCH_PR6.json``.  Budgets are env-tunable so the CI
 bench-smoke job can run a tiny version::
 
     REPRO_BENCH_WINDOW_S=0.5 PYTHONPATH=src \
@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -44,7 +45,7 @@ from repro.serve import (BundleEngine, PoolServer, QoSConfig, ServeClient,
 from repro.serve.client import BulkScorer
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
+RESULT_PATH = result_path("BENCH_PR6.json")
 
 WINDOW_S = float(os.environ.get("REPRO_BENCH_WINDOW_S", "2.0"))
 INTERACTIVE_CLIENTS = 4

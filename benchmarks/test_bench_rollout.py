@@ -20,7 +20,7 @@ during and after the rollout).  Throughput during the rollout is recorded —
 the canary fraction temporarily mirrors 25% of requests through a second
 engine, so some headroom is spent buying the parity proof.
 
-Results land in ``BENCH_PR5.json``.  Budgets are env-tunable so the CI
+Results land in ``.bench_results/BENCH_PR5.json``.  Budgets are env-tunable so the CI
 bench-smoke job can run a tiny version::
 
     REPRO_BENCH_WINDOW_S=0.5 PYTHONPATH=src \
@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -46,7 +47,7 @@ from repro.pecan.convert import convert_to_pecan
 from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
+RESULT_PATH = result_path("BENCH_PR5.json")
 
 WINDOW_S = float(os.environ.get("REPRO_BENCH_WINDOW_S", "1.6"))
 CLIENTS = 6

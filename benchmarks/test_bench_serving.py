@@ -5,7 +5,7 @@ A PECAN-D toy network is exported to a deployment bundle and served by a
 micro-batching + HTTP front end).  Eight concurrent closed-loop clients fire
 single-sample ``/predict`` requests for a fixed wall-clock window at scheduler
 batch budgets {1, 8, 32}; the bench records sustained requests/s and p50/p95
-latency per configuration into ``BENCH_PR2.json`` at the repository root, and
+latency per configuration into ``.bench_results/BENCH_PR2.json``, and
 asserts
 
 * responses are bitwise-identical to a direct :class:`BundleEngine` pass,
@@ -31,13 +31,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
+RESULT_PATH = result_path("BENCH_PR2.json")
 
 BATCH_BUDGETS = (1, 8, 32)
 CLIENTS = 8

@@ -12,7 +12,7 @@ and once on the seed per-group reference loop.  The bench asserts
 * bounded peak memory for the streamed fused path,
 
 and records throughput (images/s), speedups, peak-memory numbers and the
-active kernel per layer into ``BENCH_PR1.json`` at the repository root so the
+active kernel per layer into ``.bench_results/BENCH_PR1.json`` so the
 next change has a regression baseline.  Run it alone with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_throughput.py -q
@@ -21,11 +21,11 @@ next change has a regression baseline.  Run it alone with::
 import json
 import platform
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_results import result_path
 from repro.cam.inference import CAMInferenceEngine
 from repro.nn.layers import ReLU
 from repro.nn.sequential import Sequential
@@ -34,7 +34,7 @@ from repro.pecan.layers import PECANConv2d
 from repro.perf import ChunkPolicy, measure_throughput
 from repro.perf.ckernels import kernel_available
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
+RESULT_PATH = result_path("BENCH_PR1.json")
 
 #: Medium config: two 3×3 PECAN convs (32→64→64 channels) on 16×16 inputs.
 BATCH = 32

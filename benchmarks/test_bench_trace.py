@@ -15,7 +15,7 @@ absolute term so sub-ms noise on tiny CI windows cannot flake it), and
 outputs for a fixed input are bitwise identical in both modes — the
 observability plane observes, it never perturbs.
 
-Results land in ``BENCH_PR7.json``.  Budgets are env-tunable so the CI
+Results land in ``.bench_results/BENCH_PR7.json``.  Budgets are env-tunable so the CI
 bench-smoke job can run a tiny version::
 
     REPRO_BENCH_WINDOW_S=0.5 PYTHONPATH=src \
@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_results import result_path
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -40,7 +41,7 @@ from repro.pecan.convert import convert_to_pecan
 from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
+RESULT_PATH = result_path("BENCH_PR7.json")
 
 WINDOW_S = float(os.environ.get("REPRO_BENCH_WINDOW_S", "2.0"))
 CLIENTS = 4

@@ -20,6 +20,9 @@ inference program); this package turns that file back into a serving process:
 * :mod:`repro.serve.server` — :class:`PECANServer`, the JSON serving
   process (``/predict``, ``/models``, ``/metrics``, ``/healthz``) behind the
   event-loop network front end;
+* :mod:`repro.serve.pipeline` — the one ``/predict`` request pipeline
+  (decode, root span, cache/coalesce, verify, reply) both servers run, and
+  the route table every front door answers with;
 * :mod:`repro.serve.pool` — :class:`PoolServer`, a data-parallel router over
   N worker processes (each a full ``PECANServer`` over memory-mapped bundle
   arrays) with pluggable routing policies, heartbeat-driven respawn of

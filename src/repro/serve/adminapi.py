@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.serve.lifecycle import LifecycleError
+from repro.serve.pipeline import json_response
 
 __all__ = [
     "ADMIN_VERBS",
@@ -47,7 +48,6 @@ __all__ = [
     "dispatch_admin",
     "error_payload",
     "error_response",
-    "json_response",
     "parse_admin_request",
 ]
 
@@ -104,14 +104,6 @@ def error_payload(error: AdminError) -> Dict[str, Any]:
         "reason": error.reason,
         "retry_after": error.retry_after_s,
     }
-
-
-def json_response(status: int, payload: Mapping[str, Any],
-                  headers: Optional[Mapping[str, str]] = None,
-                  ) -> Tuple[int, bytes, Dict[str, str]]:
-    """One app-level response triple: ``(status, body_bytes, headers)``."""
-    return (int(status), json.dumps(payload).encode("utf-8"),
-            dict(headers or {}))
 
 
 def error_response(error: AdminError) -> Tuple[int, bytes, Dict[str, str]]:

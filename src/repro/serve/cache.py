@@ -60,6 +60,7 @@ __all__ = [
     "ResultCache",
     "canonical_input_array",
     "canonical_input_hash",
+    "canonical_num_samples",
     "canonical_response_bytes",
     "splice_response",
     "stable_route_hash",
@@ -151,6 +152,12 @@ def canonical_response_bytes(response: Union[bytes, Dict[str, Any], None],
         return None
 
 
+def canonical_num_samples(canonical: bytes) -> int:
+    """The ``num_samples`` of canonical response bytes, read without parsing:
+    it is the last field :func:`canonical_response_bytes` writes."""
+    return int(canonical[canonical.rindex(b":") + 1:-1])
+
+
 def splice_response(canonical: bytes, fields: Dict[str, Any]) -> bytes:
     """Graft per-request ``fields`` onto canonical response bytes.
 
@@ -167,19 +174,16 @@ def splice_response(canonical: bytes, fields: Dict[str, Any]) -> bytes:
 
 @dataclass
 class CachePlane:
-    """One request's resolved cache identity (shared by both front ends).
+    """One request's resolved cache identity (see :mod:`repro.serve.pipeline`).
 
     ``epoch`` is captured before the lookup, so a lifecycle invalidation
-    racing the engine call invalidates the eventual fill.  ``call`` is set
-    when this request was elected coalescing leader and must be published
-    (success or failure) when its dispatch finishes.
+    racing the engine call invalidates the eventual fill.
     """
 
     namespace: str            # fully versioned model id ("m@v3")
     input_hash: str           # canonical_input_hash of the request inputs
     epoch: int
     echo: str                 # model name the serving path would echo back
-    call: Optional["InFlightCall"] = None
 
     @property
     def invariant_key(self) -> str:

@@ -485,13 +485,6 @@ class FlagSpec:
             return not parsed
         return parsed
 
-    def from_field_value(self, value: Any) -> Any:
-        if self.repeatable:
-            return list(value)
-        if self.invert:
-            return not value
-        return value
-
 
 def _section_default(section_cls: type, f: dataclasses.Field) -> Any:
     if f.default is not dataclasses.MISSING:

@@ -46,15 +46,15 @@ import json
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve import adminapi
 from repro.serve.cache import consistent_ring_points
 from repro.serve.config import ServeConfig
 from repro.serve.lifecycle import split_versioned
 from repro.serve.metrics import ServerMetrics
-from repro.serve.trace import (LAMPORT_HEADER, Tracer, causal_sort,
-                               parse_trace_context)
+from repro.serve.pipeline import FrontDoor, HTTPReply, json_response
+from repro.serve.trace import Tracer, parse_trace_context
 
 __all__ = ["FrontRouter", "HashRing", "MemberPool"]
 
@@ -134,7 +134,7 @@ class MemberPool:
                 "proxied": self.proxied, "last_error": self.last_error}
 
 
-class FrontRouter:
+class FrontRouter(FrontDoor):
     """Shard the serving namespace across member pools (see module docstring).
 
     Constructed from a :class:`~repro.serve.config.ServeConfig`.
@@ -166,7 +166,6 @@ class FrontRouter:
         self.failovers_total = 0
         self._lock = threading.RLock()
         self._running = False
-        self._frontend = None
         self._probe_stop = threading.Event()
         self._probe_thread: Optional[threading.Thread] = None
 
@@ -181,11 +180,7 @@ class FrontRouter:
         self._probe_thread = threading.Thread(
             target=self._probe_loop, name="repro-front-probe", daemon=True)
         self._probe_thread.start()
-        from repro.serve.netfront import EventLoopFrontEnd
-
-        self._frontend = EventLoopFrontEnd(
-            self.handle_http, self.config.net, self.port).start()
-        self.port = self._frontend.port
+        self._bind()
         return self
 
     def stop(self) -> None:
@@ -194,9 +189,7 @@ class FrontRouter:
         if self._probe_thread is not None:
             self._probe_thread.join(5.0)
             self._probe_thread = None
-        if self._frontend is not None:
-            self._frontend.stop()
-            self._frontend = None
+        self._unbind()
         self.tracer.close()
 
     def serve_forever(self) -> None:
@@ -210,16 +203,6 @@ class FrontRouter:
         finally:
             self.stop()
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "FrontRouter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------ #
     # Member health
     # ------------------------------------------------------------------ #
@@ -231,8 +214,9 @@ class FrontRouter:
     def _probe_member(self, member: MemberPool) -> None:
         member.last_probe_at = time.monotonic()
         try:
-            status, _, _ = self._exchange(member, "GET", "/healthz",
-                                          timeout_s=min(self.timeout_s, 2.0))
+            status, _, _ = self.exchange(member.host, member.port, "GET",
+                                         "/healthz",
+                                         timeout_s=min(self.timeout_s, 2.0))
             member.up = status == 200
             if member.up:
                 member.last_error = None
@@ -247,36 +231,6 @@ class FrontRouter:
     # ------------------------------------------------------------------ #
     # Proxying
     # ------------------------------------------------------------------ #
-    def _exchange(self, member: MemberPool, method: str, path: str,
-                  body: Optional[bytes] = None,
-                  headers: Optional[Dict[str, str]] = None,
-                  timeout_s: Optional[float] = None,
-                  ) -> Tuple[int, bytes, Dict[str, str]]:
-        """One HTTP exchange with a member; folds its Lamport clock in."""
-        connection = http.client.HTTPConnection(
-            member.host, member.port,
-            timeout=self.timeout_s if timeout_s is None else timeout_s)
-        try:
-            send_headers = dict(headers or {})
-            if body is not None:
-                send_headers.setdefault("Content-Type", "application/json")
-            send_headers[LAMPORT_HEADER] = str(self.tracer.clock.tick())
-            connection.request(method, path, body=body, headers=send_headers)
-            response = connection.getresponse()
-            remote = response.getheader(LAMPORT_HEADER)
-            if remote is not None:
-                try:
-                    self.tracer.observe_remote(int(remote))
-                except (TypeError, ValueError):
-                    pass
-            reply_headers = {key: value for key, value in
-                             response.getheaders()
-                             if key.lower() in ("x-trace-id", "retry-after",
-                                                "x-lamport")}
-            return response.status, response.read(), reply_headers
-        finally:
-            connection.close()
-
     @staticmethod
     def _forwarded_headers(headers) -> Dict[str, str]:
         """The request headers worth forwarding through the front."""
@@ -318,16 +272,17 @@ class FrontRouter:
                 "front.proxy", parse_trace_context(None, headers).trace_id or None,
                 attrs={"member": member.url, "hop": hop, "model": model or None})
             try:
-                status, payload, reply_headers = self._exchange(
-                    member, method, path, body=body, headers=forwarded)
+                status, payload, reply_headers = self.exchange(
+                    member.host, member.port, method, path, body=body,
+                    headers=forwarded, timeout_s=self.timeout_s)
             except socket.timeout:
                 member.failures += 1
                 self.tracer.finish_span(span, status="timeout")
                 self.metrics.record_timeout()
                 # The member may still be computing: never re-dispatch.
-                return (504, _json_bytes(
-                    {"error": f"member {member.url} timed out; not retried",
-                     "member": member.url}), {})
+                return json_response(
+                    504, {"error": f"member {member.url} timed out; not retried",
+                          "member": member.url})
             except (ConnectionError, http.client.HTTPException, OSError) as exc:
                 member.failures += 1
                 member.up = False
@@ -344,40 +299,14 @@ class FrontRouter:
                 http_status=status)
             return status, payload, reply_headers
         self.metrics.record_error()
-        return (503, _json_bytes(
-            {"error": f"no live member for model {model!r}: {last_error}",
-             "tried": [member.url for member in candidates[:attempts]]}), {})
+        return json_response(
+            503, {"error": f"no live member for model {model!r}: {last_error}",
+                  "tried": [member.url for member in candidates[:attempts]]})
 
     # ------------------------------------------------------------------ #
-    # HTTP surface (same shape as PECANServer/PoolServer.handle_http)
+    # HTTP surface (the route table is FrontDoor's)
     # ------------------------------------------------------------------ #
-    def handle_http(self, method: str, path: str, headers,
-                    body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
-        from repro.serve.server import _json_response, _trace_query
-
-        if method == "GET":
-            trace_id = _trace_query(path)
-            if path == "/healthz":
-                return _json_response(200, self.health_snapshot())
-            if path == "/metrics":
-                return _json_response(200, self.metrics_snapshot())
-            if path == "/models":
-                return _json_response(200, self.models_snapshot())
-            if path == "/admin/status":
-                return _json_response(200, self.status_snapshot())
-            if trace_id is not None:
-                return _json_response(200, self.trace_snapshot(trace_id or None))
-            return _json_response(404, {"error": f"unknown path {path}"})
-        if method != "POST":
-            return _json_response(501, {"error": f"unsupported method {method}"})
-        if path.startswith("/admin/"):
-            return self._admin_http(path, body, headers)
-        if path != "/predict":
-            return _json_response(404, {"error": f"unknown path {path}"})
-        return self._predict_http(headers, body)
-
-    def _predict_http(self, headers,
-                      body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+    def predict_http(self, headers, body: bytes) -> HTTPReply:
         started = time.monotonic()
         self.metrics.record_submitted(0)
         try:
@@ -392,8 +321,7 @@ class FrontRouter:
             self.metrics.record_completed(time.monotonic() - started, 0.0)
         return status, response, reply_headers
 
-    def _admin_http(self, path: str, body: bytes,
-                    headers) -> Tuple[int, bytes, Dict[str, str]]:
+    def admin_http(self, path: str, body: bytes, headers) -> HTTPReply:
         """Admin verbs route by the model they name — except ``scale``,
         which has no model and broadcasts to every member."""
         try:
@@ -404,43 +332,25 @@ class FrontRouter:
             results = {}
             for url, member in self.members.items():
                 try:
-                    status, payload, _ = self._exchange(
-                        member, "POST", path, body=body)
+                    status, payload, _ = self.exchange(
+                        member.host, member.port, "POST", path, body=body,
+                        timeout_s=self.timeout_s)
                     results[url] = json.loads(payload.decode("utf-8"))
                     results[url]["status"] = status
                 except (ConnectionError, socket.timeout, ValueError,
                         http.client.HTTPException, OSError) as exc:
                     results[url] = {"error": f"{type(exc).__name__}: {exc}"}
-            return adminapi.json_response(200, {"members": results})
+            return json_response(200, {"members": results})
         return self._proxy("POST", path, request.name, body, headers)
 
     # ------------------------------------------------------------------ #
     # Merged observability
     # ------------------------------------------------------------------ #
-    def _fetch_members(self, path: str) -> Dict[str, Dict[str, object]]:
-        """GET ``path`` from every member concurrently."""
-        payloads: Dict[str, Dict[str, object]] = {}
-        results_lock = threading.Lock()
-
-        def fetch(member: MemberPool) -> None:
-            try:
-                status, body, _ = self._exchange(member, "GET", path,
-                                                 timeout_s=5.0)
-                payload = (json.loads(body.decode("utf-8")) if status == 200
-                           else {"error": f"HTTP {status}"})
-            except (ConnectionError, socket.timeout, ValueError,
-                    http.client.HTTPException, OSError) as exc:
-                payload = {"error": f"{type(exc).__name__}: {exc}"}
-            with results_lock:
-                payloads[member.url] = payload
-
-        threads = [threading.Thread(target=fetch, args=(member,), daemon=True)
-                   for member in self.members.values()]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-        return payloads
+    def peers(self) -> Dict[str, Callable[[str], Tuple[int, bytes]]]:
+        """Every member, for the merged ``/metrics``/``/models``/``/trace``."""
+        return {url: (lambda path, _member=member: self.exchange(
+                    _member.host, _member.port, "GET", path, timeout_s=5.0)[:2])
+                for url, member in self.members.items()}
 
     def describe_federation(self) -> Dict[str, object]:
         with self._lock:
@@ -463,11 +373,11 @@ class FrontRouter:
             "front": self.metrics.snapshot(),
             "federation": self.describe_federation(),
             "trace": self.tracer.snapshot(),
-            "members": self._fetch_members("/metrics"),
+            "members": self.fetch_peers("/metrics"),
         }
 
     def models_snapshot(self) -> Dict[str, object]:
-        per_member = self._fetch_members("/models")
+        per_member = self.fetch_peers("/models")
         merged: Dict[str, object] = {"federation": self.describe_federation(),
                                      "members": per_member}
         models: Dict[str, object] = {}
@@ -483,23 +393,6 @@ class FrontRouter:
         merged["models"] = models
         return merged
 
-    def status_snapshot(self) -> Dict[str, object]:
+    def lifecycle_snapshot(self) -> Dict[str, object]:
         return {"federation": self.describe_federation(),
-                "members": self._fetch_members("/admin/status")}
-
-    def trace_snapshot(self, trace_id: Optional[str] = None,
-                       limit: int = 20) -> Dict[str, object]:
-        """Lamport-merged cross-pool timeline for one trace id."""
-        if not trace_id:
-            return {"recent": self.tracer.recent_traces(limit),
-                    "trace": self.tracer.snapshot()}
-        spans = list(self.tracer.find(trace_id))
-        for payload in self._fetch_members(f"/trace?id={trace_id}").values():
-            member_spans = payload.get("spans")
-            if isinstance(member_spans, list):
-                spans.extend(member_spans)
-        return {"trace_id": trace_id, "spans": causal_sort(spans)}
-
-
-def _json_bytes(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload).encode("utf-8")
+                "members": self.fetch_peers("/admin/status")}

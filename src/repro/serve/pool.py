@@ -20,12 +20,12 @@ bundle arrays**, fronted by an HTTP router that speaks the exact same
   ``cache_affinity`` (a stable hash of the request's *canonical input* pins
   repeat traffic to the worker that already executed it).
 * **Deterministic response cache + coalescing** — with ``cache_mb`` set, the
-  router answers byte-identical repeat requests from an exact
-  content-addressed cache (:mod:`repro.serve.cache`) namespaced per
-  ``model@version`` and invalidated atomically by the lifecycle plane, and
-  coalesces identical concurrent requests into one leader engine call.
-  Sampled hits are re-executed on a worker and compared bitwise by the
-  invariant monitor (``cache_parity``).
+  shared request pipeline (:mod:`repro.serve.pipeline`) answers repeat
+  requests from the router's exact cache, namespaced per ``model@version``
+  and invalidated atomically by the lifecycle plane, and coalesces identical
+  concurrent requests into one leader call.  Sampled hits are re-executed
+  on a worker and compared bitwise by the invariant monitor
+  (``cache_parity``).
 * **Self-healing** — each worker reports heartbeats (with light request
   counters) over its control pipe; the monitor thread detects a dead process
   (exit code) or a hung one (heartbeat silence), removes it from rotation,
@@ -67,15 +67,14 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.serve import adminapi
+from repro.serve import adminapi, cache
 from repro.serve.autoscale import Autoscaler, ScaleSignals
-from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, ResultCache,
-                               canonical_input_hash, canonical_response_bytes,
-                               splice_response, stable_route_hash)
+from repro.serve.cache import (ResultCache, canonical_response_bytes,
+                               stable_route_hash)
 from repro.serve.client import ServeHTTPError
 from repro.serve.config import CacheConfig, NetConfig, ServeConfig
 from repro.serve.lifecycle import (PROMOTED, ROLLED_BACK, CanaryPolicy,
@@ -83,12 +82,13 @@ from repro.serve.lifecycle import (PROMOTED, ROLLED_BACK, CanaryPolicy,
                                    format_versioned, split_versioned)
 from repro.serve.invariants import InvariantMonitor, Violation
 from repro.serve.metrics import ServerMetrics, aggregate_counter_trees
+from repro.serve.pipeline import (FrontDoor, HTTPReply, PredictRequest, Reply,
+                                  RequestPipeline, json_response)
 from repro.serve.qos import (QoSConfig, RequestQoS, ShedError,
-                             merge_qos_into_payload, parse_qos)
+                             merge_qos_into_payload)
 from repro.serve.scheduler import QueueFullError, RequestTimeout
-from repro.serve.trace import (ATTEMPT_HEADER, LAMPORT_HEADER,
-                               PARENT_SPAN_HEADER, TRACE_HEADER, TraceContext,
-                               Tracer, causal_sort, parse_trace_context)
+from repro.serve.trace import (ATTEMPT_HEADER, PARENT_SPAN_HEADER,
+                               TRACE_HEADER, TraceContext, Tracer)
 
 PathLike = Union[str, Path]
 
@@ -434,7 +434,7 @@ def make_policy(policy: Union[str, RoutingPolicy]) -> RoutingPolicy:
 # --------------------------------------------------------------------------- #
 # The pool
 # --------------------------------------------------------------------------- #
-class PoolServer:
+class PoolServer(FrontDoor):
     """Route ``/predict`` traffic over a self-healing pool of worker processes.
 
     Constructed from a :class:`~repro.serve.config.ServeConfig` (``None``
@@ -526,6 +526,12 @@ class PoolServer:
             ResultCache(int(cache_mb * 1024 * 1024)) if cache_mb > 0 else None)
         self.cache_check_every = max(0, int(config.cache.cache_check_every))
         self._cache_checks = itertools.count(1)
+        self.pipeline = RequestPipeline(
+            "router", tracer=self.tracer, metrics=self.metrics,
+            monitor=self.monitor, cache=self.cache,
+            resolve=self._cache_namespace, dispatch=self._dispatch,
+            follow_timeout_s=self.proxy_timeout_s,
+            on_hit=self._maybe_verify_hit)
         #: Proxied-response status families (router lock): a worker-side
         #: failure storm (429s, 5xxs) must be visible at the router even
         #: though each response is returned to the caller successfully.
@@ -560,7 +566,6 @@ class PoolServer:
         self._stop_requested = threading.Event()
         self._monitor_stop = threading.Event()
         self._monitor_thread: Optional[threading.Thread] = None
-        self._frontend = None
 
     # ------------------------------------------------------------------ #
     # Configuration (before start)
@@ -619,11 +624,7 @@ class PoolServer:
         self._monitor_thread = threading.Thread(
             target=self._monitor_loop, name="repro-pool-monitor", daemon=True)
         self._monitor_thread.start()
-        from repro.serve.netfront import EventLoopFrontEnd
-
-        self._frontend = EventLoopFrontEnd(
-            self.handle_http, self.config.net, self.port).start()
-        self.port = self._frontend.port
+        self._bind()
         return self
 
     def _spawn_worker(self) -> WorkerHandle:
@@ -695,9 +696,7 @@ class PoolServer:
             worker.conn.close()
         with self._lock:
             self._workers.clear()
-        if self._frontend is not None:
-            self._frontend.stop()
-            self._frontend = None
+        self._unbind()
         self.tracer.close()
         # The stop request is consumed only here — never by start() — so a
         # SIGTERM that lands before/while start() runs (the CLI installs its
@@ -735,16 +734,6 @@ class PoolServer:
             if previous is not None:
                 signal.signal(signal.SIGTERM, previous)
             self.stop(drain=True)
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "PoolServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------ #
     # Monitoring / self-healing
@@ -844,8 +833,8 @@ class PoolServer:
     def _probe_worker(self, worker: WorkerHandle) -> None:
         """Health-probe a worker that reported ready; pass → rotation."""
         try:
-            status, _ = self._forward(
-                worker, "GET", "/healthz",
+            status, _, _ = self.exchange(
+                "127.0.0.1", worker.port, "GET", "/healthz",
                 timeout_s=self.autoscale_config.probe_timeout_s)
         except (ConnectionError, socket.timeout, http.client.HTTPException,
                 OSError):
@@ -973,311 +962,130 @@ class PoolServer:
         with self._lock:
             return self._inflight
 
-    def _forward(self, worker: WorkerHandle, method: str, path: str,
-                 body: Optional[bytes] = None,
-                 timeout_s: Optional[float] = None,
-                 extra_headers: Optional[Dict[str, str]] = None) -> Tuple[int, bytes]:
-        connection = http.client.HTTPConnection(
-            "127.0.0.1", worker.port,
-            timeout=self.proxy_timeout_s if timeout_s is None else timeout_s)
-        try:
-            headers = {"Content-Type": "application/json"} if body is not None else {}
-            if extra_headers:
-                headers.update(extra_headers)
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            # Merge the worker's Lamport clock from the response so events the
-            # router records after this hop are causally after the worker's.
-            remote = response.getheader(LAMPORT_HEADER)
-            if remote is not None:
-                try:
-                    self.tracer.observe_remote(int(remote))
-                except (TypeError, ValueError):
-                    pass
-            return response.status, response.read()
-        finally:
-            connection.close()
+    def predict_http(self, headers, body: bytes) -> HTTPReply:
+        return self.handle_predict(body, headers=headers)
 
-    def handle_http(self, method: str, path: str, headers,
-                    body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
-        """Answer one parsed request: ``(status, body_bytes, headers)``.
+    def admin_http(self, path: str, body: bytes, headers) -> HTTPReply:
+        return adminapi.dispatch_admin(path, body, {
+            "deploy": lambda r: self.deploy(
+                r.name, r.path, version=r.version,
+                canary_fraction=r.canary_fraction,
+                min_samples=r.min_samples,
+                max_parity_violations=r.max_parity_violations,
+                max_latency_ratio=r.max_latency_ratio,
+                auto=r.auto),
+            "promote": lambda r: self.promote(r.name, version=r.version),
+            "rollback": lambda r: self.rollback(r.name),
+            "scale": lambda r: self.scale_to(r.workers, reason=r.reason),
+        })
 
-        The router's application hook behind the event-loop front end,
-        mirroring :meth:`PECANServer.handle_http` so the pool's wire
-        protocol is identical to the single-process server's.
-        """
-        from repro.serve.server import _json_response, _trace_query
+    def handle_predict(self, body: bytes, headers=None) -> HTTPReply:
+        """Route one raw ``/predict`` body: ``(status, body_bytes, headers)``.
 
-        if method == "GET":
-            trace_id = _trace_query(path)
-            if path == "/healthz":
-                return _json_response(200, self.health_snapshot())
-            if path == "/metrics":
-                return _json_response(200, self.metrics_snapshot())
-            if path == "/models":
-                return _json_response(200, self.models_snapshot())
-            if path == "/admin/status":
-                return _json_response(200, self.lifecycle_snapshot())
-            if trace_id is not None:
-                return _json_response(200, self.trace_snapshot(trace_id or None))
-            return _json_response(404, {"error": f"unknown path {path}"})
-        if method != "POST":
-            return _json_response(501, {"error": f"unsupported method {method}"})
-        if path.startswith("/admin/"):
-            return adminapi.dispatch_admin(path, body, {
-                "deploy": lambda r: self.deploy(
-                    r.name, r.path, version=r.version,
-                    canary_fraction=r.canary_fraction,
-                    min_samples=r.min_samples,
-                    max_parity_violations=r.max_parity_violations,
-                    max_latency_ratio=r.max_latency_ratio,
-                    auto=r.auto),
-                "promote": lambda r: self.promote(r.name, version=r.version),
-                "rollback": lambda r: self.rollback(r.name),
-                "scale": lambda r: self.scale_to(r.workers, reason=r.reason),
-            })
-        if path != "/predict":
-            return _json_response(404, {"error": f"unknown path {path}"})
-        try:
-            status, response, extra_headers = self.handle_predict(
-                body, headers=headers)
-        except Exception as exc:             # noqa: BLE001 - boundary
-            self.metrics.record_error()
-            return _json_response(
-                500, {"error": f"{type(exc).__name__}: {exc}"})
-        return status, response, dict(extra_headers or {})
-
-    def handle_predict(self, body: bytes,
-                       headers=None) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        """Route one raw ``/predict`` body.
-
-        Returns ``(status, response_bytes, extra_response_headers)``.  The
-        request runs the QoS admission pipeline — brownout → per-tenant rate
-        limit → weighted-fair dispatch slot — then the body is forwarded
-        (with the request's *remaining* deadline budget rewritten in, so the
-        worker's batcher honours the deadline the router admitted) and the
-        worker's response is returned verbatim: the protocol — including
-        logits bit patterns — is exactly the single-process
-        :class:`PECANServer`'s.  Connection-level failures (the chosen worker
-        died mid-request) are retried on other workers; inference timeouts
-        are not (HTTP 504).
+        The request runs the shared pipeline (:mod:`repro.serve.pipeline`)
+        with :meth:`_dispatch` as its dispatch step.  The worker's response
+        is returned verbatim: the protocol — including logits bit patterns
+        — is exactly the single-process :class:`PECANServer`'s.
         """
         with self._lock:
             if self._draining or not self._running:
-                return 503, _json_bytes({"error": "pool is draining"}), None
+                return json_response(503, {"error": "pool is draining"})
             self._inflight += 1
         try:
-            return self._route_predict(body, headers)
+            return self.pipeline.handle(headers, body)
         finally:
             with self._lock:
                 self._inflight -= 1
 
-    def _trace_fields(self, payload: Dict[str, object],
-                      ctx: TraceContext) -> Dict[str, object]:
-        """A copy of ``payload`` carrying the request's trace id, if any."""
-        if ctx.trace_id:
-            return {**payload, "trace_id": ctx.trace_id}
-        return payload
+    def _dispatch(self, request: PredictRequest) -> Reply:
+        """The pool's dispatch step: brownout → per-tenant rate limit →
+        weighted-fair dispatch slot → a worker (with connection-failure
+        retries) or a canary exchange.
 
-    def _trace_reply_headers(self, ctx: TraceContext) -> Optional[Dict[str, str]]:
-        if not ctx.trace_id:
-            return None
-        return {TRACE_HEADER: ctx.trace_id,
-                LAMPORT_HEADER: str(self.tracer.clock.value)}
-
-    def _route_predict(self, body: bytes,
-                       headers=None) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        ctx = parse_trace_context(None, headers)
-        try:
-            payload = json.loads(body or b"{}")
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            ctx = parse_trace_context(payload, headers)
-            qos = parse_qos(payload, headers)
-        except (ValueError, TypeError) as exc:
-            return (400, _json_bytes(self._trace_fields({"error": str(exc)}, ctx)),
-                    self._trace_reply_headers(ctx))
-        trace_id = ctx.ensure_trace_id()
-        if ctx.lamport is not None:
-            self.tracer.observe_remote(ctx.lamport)
-        model = str(payload.get("model") or "")
+        The body is forwarded with the request's *remaining* deadline budget
+        rewritten in, so the worker's batcher honours the deadline the
+        router admitted.  Inference timeouts are not retried (HTTP 504).
+        """
+        qos, ctx, model = request.qos, request.trace, request.model
         self.metrics.record_submitted(0)
-        root = self.tracer.start_span(
-            "router.predict", trace_id, parent_id=ctx.parent_span,
-            attrs={"model": model or None, "priority": qos.priority,
-                   "tenant": qos.tenant, "attempt": ctx.attempt})
-        root_id = root.span_id if root is not None else None
-        # 0. Response cache / in-flight coalescing — *before* admission: a
-        #    hit (or a coalesced follower) executes nothing, so it must not
-        #    consume a fair-queue slot or spend brownout/rate budget; it
-        #    still counts in the per-class completion metrics.  Canary
-        #    traffic bypasses entirely — the rollout gate judges fresh
-        #    candidate executions, never cached bytes.
-        routing_key: Optional[str] = None
-        if ((self.cache is not None or getattr(self.policy, "needs_key", False))
-                and "inputs" in payload):
-            try:
-                routing_key = canonical_input_hash(payload["inputs"])
-            except (TypeError, ValueError):
-                routing_key = None     # non-numeric inputs; the worker 400s it
-        if headers is not None and headers.get(NO_CACHE_HEADER):
-            payload["no_cache"] = True     # forward the bypass to the worker
-        plane: Optional[CachePlane] = None
-        if (self.cache is not None and routing_key is not None
-                and not payload.get("no_cache")
-                and self._canary_rollout_for(model) is None):
-            resolved = self._cache_namespace(model)
-            if resolved is not None:
-                namespace, echo = resolved
-                plane = CachePlane(namespace=namespace,
-                                    input_hash=routing_key,
-                                    epoch=self.cache.epoch(), echo=echo)
-                served = self._serve_from_cache(plane, payload, qos, ctx,
-                                                root, model)
-                if served is not None:
-                    return served
-        admission = self.tracer.start_span("router.admission", trace_id,
-                                           parent_id=root_id)
-
-        def shed(status: int, reply: Dict[str, object],
-                 extra: Dict[str, str], reason: str):
-            self.tracer.finish_span(admission, status="shed", verdict=reason)
-            self.tracer.finish_span(root, status="shed", reason=reason)
-            merged = dict(extra)
-            merged.update(self._trace_reply_headers(ctx) or {})
-            return status, _json_bytes(self._trace_fields(reply, ctx)), merged
-
-        # 1. Brownout: under overload, shed the lowest class first with a
-        #    Retry-After hint instead of degrading everyone's p99.
+        admission = self.tracer.start_span("router.admission", ctx.trace_id,
+                                           parent_id=request.root_id)
         try:
+            # 1. Brownout: under overload, shed the lowest class first with a
+            #    Retry-After hint instead of degrading everyone's p99.
             self.brownout.admit(qos.priority)
+            # 2. Per-tenant token bucket (opt-in): one tenant's flood is
+            #    bounded at admission, not discovered in everyone's latency.
+            granted, retry_after = self.rate_limits.admit(qos.tenant)
+            if not granted:
+                raise ShedError(f"tenant {qos.tenant!r} is over its rate limit",
+                                status=429, retry_after_s=max(retry_after, 0.001),
+                                reason="rate-limit")
+            # 3. Weighted-fair dispatch slot: strict priority order, fair
+            #    across tenants within a class; a request whose deadline
+            #    expires while waiting is shed *here* — before any engine
+            #    work — with its queue-time diagnostics on the 408.
+            try:
+                waited = self.fair_scheduler.acquire(qos)
+            except QueueFullError as exc:
+                self.metrics.record_rejected(priority=qos.priority)
+                raise ShedError(str(exc), status=429, retry_after_s=1.0,
+                                reason="router-queue-full") from None
         except ShedError as exc:
-            self.metrics.record_shed(qos.priority, exc.reason)
-            return shed(exc.status,
-                        {"error": str(exc), "reason": exc.reason,
-                         "retry_after_s": exc.retry_after_s},
-                        {"Retry-After": f"{exc.retry_after_s:.3f}"}, exc.reason)
-        # 2. Per-tenant token bucket (opt-in): one tenant's flood is bounded
-        #    at admission, not discovered in everyone's latency.
-        granted, retry_after = self.rate_limits.admit(qos.tenant)
-        if not granted:
-            self.metrics.record_shed(qos.priority, "rate-limit")
-            return shed(429,
-                        {"error": f"tenant {qos.tenant!r} is over its rate limit",
-                         "reason": "rate-limit",
-                         "retry_after_s": retry_after},
-                        {"Retry-After": f"{max(retry_after, 0.001):.3f}"},
-                        "rate-limit")
-        # 3. Weighted-fair dispatch slot: strict priority order, fair across
-        #    tenants within a class; a request whose deadline expires while
-        #    waiting is shed *here* — before any engine work — with its
-        #    queue-time diagnostics on the 408.
-        try:
-            waited = self.fair_scheduler.acquire(qos)
-        except QueueFullError as exc:
-            self.metrics.record_shed(qos.priority, "router-queue-full")
-            self.metrics.record_rejected(priority=qos.priority)
-            return shed(429, {"error": str(exc)}, {"Retry-After": "1.000"},
-                        "router-queue-full")
-        except RequestTimeout as exc:
+            self.tracer.finish_span(admission, status="shed", verdict=exc.reason)
+            raise
+        except RequestTimeout:
             self.metrics.record_timeout(priority=qos.priority)
             self.tracer.finish_span(admission, status="timeout",
                                     verdict="router-queue-timeout")
-            self.tracer.finish_span(root, status="timeout")
-            return (408,
-                    _json_bytes(self._trace_fields(
-                        {"error": str(exc), **exc.details}, ctx)),
-                    self._trace_reply_headers(ctx))
+            raise
         self.metrics.record_stages(qos.priority, queue=waited)
         self.tracer.finish_span(admission, verdict="admitted",
                                 queue_ms=waited * 1e3)
-        canonical: Optional[bytes] = None
         try:
-            # Deadline propagation: forward the *remaining* budget so the
-            # worker sheds what the router admitted but can no longer finish.
-            payload = merge_qos_into_payload(payload, qos)
-            body = _json_bytes(payload)
+            payload = merge_qos_into_payload(request.payload, qos)
+            if request.no_cache:
+                payload["no_cache"] = True    # forward the bypass to the worker
+            body = json.dumps(payload).encode("utf-8")
+            routing_key = self._routing_key(request)
             rollout = self._canary_rollout_for(model)
-            # Only well-formed requests join the canary (a body without
-            # "inputs" would make the mirror a guaranteed 4xx and trip the
-            # zero-tolerance gate on a healthy candidate).
-            if (rollout is not None and "inputs" in payload
-                    and rollout.policy.sample()):
-                status, response = self._canary_exchange(
-                    body, payload, model, rollout, qos=qos,
-                    ctx=ctx, parent_id=root_id, routing_key=routing_key)
-            else:
-                status, response = self._dispatch_with_retries(
-                    body, model, qos=qos, ctx=ctx, parent_id=root_id,
-                    routing_key=routing_key,
-                    input_key=plane.invariant_key if plane else None)
-            if plane is not None and status == 200:
-                canonical = canonical_response_bytes(response)
-                if canonical is not None:
-                    # Epoch-conditional: a lifecycle flip since the lookup
-                    # retired this namespace and the fill is refused.
-                    self.cache.insert(plane.namespace, plane.input_hash,
-                                      canonical, epoch=plane.epoch)
-        except BaseException:
-            self.tracer.finish_span(root, status="error")
-            raise
+            if rollout is not None and rollout.policy.sample():
+                return self._canary_exchange(
+                    body, payload, model, rollout, qos=qos, ctx=ctx,
+                    parent_id=request.root_id, routing_key=routing_key)
+            return self._dispatch_with_retries(
+                body, model, qos=qos, ctx=ctx, parent_id=request.root_id,
+                routing_key=routing_key)
         finally:
             self.fair_scheduler.release()
-            # Publish the leader's outcome on *every* exit path — a leader
-            # that was shed, timed out or raised must wake its followers so
-            # one of them re-elects instead of waiting forever.
-            if plane is not None and plane.call is not None:
-                self.cache.finish_leader(plane.call, canonical)
-        if status < 400:
-            self.tracer.finish_span(root, status="ok")
-        elif status == 408:
-            self.tracer.finish_span(root, status="timeout")
-        elif status in (429, 503):
-            self.tracer.finish_span(root, status="shed", reason="worker-shed")
-        else:
-            self.tracer.finish_span(root, status="error")
-        return status, response, self._trace_reply_headers(ctx)
+
+    def _routing_key(self, request: PredictRequest) -> str:
+        """The canonical input hash for ``cache_affinity`` (``""`` when the
+        policy does not need one or the inputs do not hash)."""
+        if request.plane is not None:
+            return request.plane.input_hash
+        if not getattr(self.policy, "needs_key", False):
+            return ""
+        try:
+            return cache.canonical_input_hash(request.inputs)
+        except (TypeError, ValueError):
+            return ""              # non-numeric inputs; the worker 400s them
 
     def _dispatch_headers(self, ctx: Optional[TraceContext],
                           span) -> Optional[Dict[str, str]]:
         """Trace propagation headers for one worker hop (None when untraced).
 
-        Carries the trace id, the client-level attempt tag, the dispatch
-        span as the worker's parent, and this process's Lamport clock so the
-        worker's spans order causally after the router's.
+        Carries the trace id, the client-level attempt tag and the dispatch
+        span as the worker's parent (the hop itself carries the Lamport
+        clock, see :meth:`FrontDoor.exchange`).
         """
         if ctx is None or not ctx.trace_id:
             return None
         forwarded = {TRACE_HEADER: ctx.trace_id,
-                     ATTEMPT_HEADER: str(ctx.attempt),
-                     LAMPORT_HEADER: str(self.tracer.clock.tick())}
+                     ATTEMPT_HEADER: str(ctx.attempt)}
         if span is not None:
             forwarded[PARENT_SPAN_HEADER] = span.span_id
         return forwarded
-
-    def _check_response_outputs(self, ctx: Optional[TraceContext],
-                                response: bytes, *, source: str,
-                                model: Optional[str] = None,
-                                force: bool = False,
-                                input_key: Optional[str] = None) -> None:
-        """Sampled runtime verification of a worker's 200 response at the
-        router: finite logits, stable shape, and a stable argmax — across
-        client retries (``X-Attempt > 0``), and, when ``input_key`` names
-        the request's canonical ``namespace:input-hash`` identity, across
-        *any* two executions of the same input against the same version."""
-        if ctx is None or not self.monitor.enabled:
-            return
-        if not (force or ctx.attempt > 0 or self.monitor.sample()):
-            return
-        try:
-            payload = json.loads(response.decode("utf-8"))
-            outputs = payload["outputs"]
-        except (ValueError, KeyError, UnicodeDecodeError):
-            return
-        self.monitor.check_outputs(
-            model or str(payload.get("model") or ""), np.asarray(outputs),
-            trace_id=ctx.trace_id, attempt=ctx.attempt, source=source,
-            input_key=input_key)
 
     # ------------------------------------------------------------------ #
     # Response cache + in-flight coalescing
@@ -1290,129 +1098,61 @@ class PoolServer:
         moves traffic to a fresh namespace), an explicit ``m@vN`` pins that
         deployed version, and the empty model follows the default base.
         ``echo`` is the model name a worker would echo in its response —
-        needed to splice cached bytes into a faithful reply.
+        needed to splice cached bytes into a faithful reply.  Canary traffic
+        is never cached: the rollout gate judges fresh candidate executions.
         """
+        if self._canary_rollout_for(model) is not None:
+            return None
         with self._lock:
             try:
-                if model:
-                    base, version = split_versioned(model)
-                    if version is not None:
-                        if any(name == model for name, _ in self._bundles):
-                            return model, model
-                        return None
-                else:
-                    if not self._bundles:
-                        return None
-                    base, _ = split_versioned(self._bundles[0][0])
-                active = self._active_versions.get(base)
-                if active is None:
-                    return None
-                return format_versioned(base, active), (model or base)
+                base, version = self._requested_base(model)
             except LifecycleError:
                 return None
-
-    def _serve_from_cache(self, plane: CachePlane, payload: Dict[str, object],
-                          qos: RequestQoS, ctx: TraceContext, root,
-                          model: str):
-        """Try to answer one request from the cache / coalescing table.
-
-        Returns the full ``(status, body, headers)`` trio for hits and
-        coalesced followers, or ``None`` when this request must execute: it
-        was elected leader (``plane.call`` set — the caller owns publishing
-        its outcome), or coalescing kept failing and it dispatches solo.
-        """
-        trace_id = ctx.trace_id
-        started = time.monotonic()
-        root_id = root.span_id if root is not None else None
-
-        def answer(canonical: bytes, verdict: str):
-            elapsed = time.monotonic() - started
-            # Hits bypass the fair queue but still count as per-class
-            # completions, so QoS dashboards see the true served traffic.
-            self.metrics.record_completed(elapsed, 0.0, priority=qos.priority,
-                                          tenant=qos.tenant)
-            self.metrics.record_stages(qos.priority, cache=elapsed)
-            self.tracer.finish_span(root, status="ok", cache=verdict)
-            fields: Dict[str, object] = {
-                "model": plane.echo, "queue_ms": 0.0,
-                "priority": qos.priority, "tenant": qos.tenant,
-                verdict: True,
-            }
-            if trace_id:
-                fields["trace_id"] = trace_id
-            return (200, splice_response(canonical, fields),
-                    self._trace_reply_headers(ctx))
-
-        # A failed leader wakes its followers empty-handed; each retry of
-        # the loop re-resolves, so the first retrier becomes the new leader
-        # and the rest re-follow.  After repeated failures, dispatch solo.
-        for _ in range(3):
-            verdict, token = self.cache.begin(plane.namespace,
-                                              plane.input_hash)
-            if verdict == "hit":
-                span = self.tracer.start_span(
-                    "router.cache", trace_id, parent_id=root_id,
-                    attrs={"namespace": plane.namespace})
-                self.tracer.finish_span(span, verdict="hit")
-                self._maybe_verify_hit(plane, payload, token, model, trace_id)
-                return answer(token, "cached")
-            if verdict == "lead":
-                plane.call = token
+            if version is not None:
+                deployed = any(name == model for name, _ in self._bundles)
+                return (model, model) if deployed else None
+            active = self._active_versions.get(base)
+            if active is None:
                 return None
-            span = self.tracer.start_span(
-                "router.cache", trace_id, parent_id=root_id,
-                attrs={"namespace": plane.namespace, "coalesced": True})
-            remaining = qos.remaining_ms()
-            timeout = (remaining / 1e3 if remaining is not None
-                       else self.proxy_timeout_s)
-            if timeout <= 0 or not token.wait(timeout):
-                self.tracer.finish_span(span, status="timeout",
-                                        verdict="coalesce-timeout")
-                self.metrics.record_timeout(priority=qos.priority)
-                self.tracer.finish_span(root, status="timeout")
-                return (408, _json_bytes(self._trace_fields(
-                    {"error": "deadline expired while coalesced behind an "
-                              "identical in-flight request",
-                     "stage": "coalesce-wait"}, ctx)),
-                    self._trace_reply_headers(ctx))
-            if token.ok:
-                self.cache.record_follower_served()
-                self.tracer.finish_span(span, verdict="coalesced")
-                return answer(token.value, "coalesced")
-            self.cache.record_reelection()
-            self.tracer.finish_span(span, status="error",
-                                    verdict="leader-failed")
-        return None
+            return format_versioned(base, active), (model or base)
 
-    def _maybe_verify_hit(self, plane: CachePlane,
-                          payload: Dict[str, object], canonical: bytes,
-                          model: str, trace_id: Optional[str]) -> None:
+    def _requested_base(self, model: str) -> Tuple[Optional[str], Optional[int]]:
+        """``(base, pinned version)`` a request names (call with the pool
+        lock held).  An empty model follows the default (first-registered)
+        base, exactly like the workers' registries resolve it."""
+        if model:
+            return split_versioned(model)
+        if not self._bundles:
+            return None, None
+        return split_versioned(self._bundles[0][0])[0], None
+
+    def _maybe_verify_hit(self, request: PredictRequest,
+                          canonical: bytes) -> None:
         """Every ``cache_check_every``-th hit: re-execute on a worker (off
         the request path) and compare bitwise — the satellite runtime check
         that the cache really is exact.  Verdicts raced by a lifecycle flip
         are discarded: the probe's fresh bytes would be the *new* version's."""
-        if (not self.cache_check_every or not self.monitor.enabled
-                or "inputs" not in payload):
+        if not self.cache_check_every or not self.monitor.enabled:
             return
         if next(self._cache_checks) % self.cache_check_every:
             return
-        probe: Dict[str, object] = {"inputs": payload["inputs"],
+        probe: Dict[str, object] = {"inputs": request.payload["inputs"],
                                     "no_cache": True}
-        if model:
-            probe["model"] = model
-        body = _json_bytes(probe)
-        epoch = plane.epoch
+        if request.model:
+            probe["model"] = request.model
+        body = json.dumps(probe).encode("utf-8")
+        plane, trace_id = request.plane, request.trace.trace_id
 
         def verify() -> None:
             try:
-                status, response = self._dispatch_with_retries(
-                    body, model, record=False)
+                reply = self._dispatch_with_retries(body, request.model,
+                                                    record=False)
             except Exception:      # noqa: BLE001 — probes must never fail traffic
                 return
-            if status != 200:
+            if reply.status != 200:
                 return
-            fresh = canonical_response_bytes(response)
-            if fresh is None or self.cache.epoch() != epoch:
+            fresh = canonical_response_bytes(reply.body)
+            if fresh is None or self.cache.epoch() != plane.epoch:
                 return
             self.monitor.record_cache_check(fresh == canonical,
                                             model=plane.namespace,
@@ -1438,8 +1178,7 @@ class PoolServer:
                                qos: Optional[RequestQoS] = None,
                                ctx: Optional[TraceContext] = None,
                                parent_id: Optional[str] = None,
-                               routing_key: Optional[str] = None,
-                               input_key: Optional[str] = None) -> Tuple[int, bytes]:
+                               routing_key: Optional[str] = None) -> Reply:
         """One ``/predict`` through the retry loop; ``record=False`` keeps
         mirrored canary traffic out of the router's client-facing metrics."""
         started = time.monotonic()
@@ -1469,16 +1208,17 @@ class PoolServer:
                 "router.dispatch", trace_id, parent_id=parent_id,
                 attrs={"worker": worker.id, "hop": hop}) if trace_id else None
             try:
-                status, response = self._forward(
-                    worker, "POST", "/predict", body,
-                    extra_headers=self._dispatch_headers(ctx, span))
+                status, response, _ = self.exchange(
+                    "127.0.0.1", worker.port, "POST", "/predict", body,
+                    headers=self._dispatch_headers(ctx, span),
+                    timeout_s=self.proxy_timeout_s)
             except socket.timeout:
                 worker.proxy_failures += 1
                 self.tracer.finish_span(span, status="timeout",
                                         reason="worker-timeout")
                 if record:
                     self.metrics.record_timeout()
-                return 504, _json_bytes({"error": "worker timed out; not retried"})
+                return Reply(504, {"error": "worker timed out; not retried"})
             except (ConnectionError, http.client.HTTPException, OSError) as exc:
                 worker.proxy_failures += 1
                 # A torn connection usually means the process died; let the
@@ -1513,44 +1253,28 @@ class PoolServer:
                     self.metrics.record_error()
                 elif status == 408:
                     self.metrics.record_timeout()
-            if status == 200 and record:
-                self._check_response_outputs(ctx, response, source="router",
-                                             model=model or None,
-                                             input_key=input_key)
-            return status, response
+            return Reply(status, body=response)
         if record:
             self.metrics.record_error()
         if not tried:
-            return 503, _json_bytes({"error": "no ready workers"})
-        return 502, _json_bytes({"error": f"request failed on {len(tried)} worker(s): "
-                                          f"{last_error}"})
+            return Reply(503, {"error": "no ready workers"})
+        return Reply(502, {"error": f"request failed on {len(tried)} worker(s): "
+                                    f"{last_error}"})
 
     # ------------------------------------------------------------------ #
     # Canary routing + rollout gate
     # ------------------------------------------------------------------ #
-    def _rollouts_in_canary(self) -> bool:
-        with self._lock:
-            return any(rollout.in_canary for rollout in self._rollouts.values())
-
     def _canary_rollout_for(self, model: str) -> Optional[Rollout]:
         """The in-canary rollout this request participates in, if any.
 
         Explicitly versioned requests (``m@vN``) pin a version and are never
-        rerouted; unnamed requests follow the default (first-registered)
-        base, exactly like the workers' registries resolve them.
+        rerouted.
         """
         with self._lock:
             if not self._rollouts:
                 return None
-            if model:
-                base, version = split_versioned(model)
-                if version is not None:
-                    return None
-            else:
-                if not self._bundles:
-                    return None
-                base, _ = split_versioned(self._bundles[0][0])
-            rollout = self._rollouts.get(base)
+            base, version = self._requested_base(model)
+            rollout = self._rollouts.get(base) if version is None else None
             return rollout if rollout is not None and rollout.in_canary else None
 
     def _canary_exchange(self, body: bytes, payload: Dict[str, object],
@@ -1558,7 +1282,7 @@ class PoolServer:
                          qos: Optional[RequestQoS] = None,
                          ctx: Optional[TraceContext] = None,
                          parent_id: Optional[str] = None,
-                         routing_key: Optional[str] = None) -> Tuple[int, bytes]:
+                         routing_key: Optional[str] = None) -> Reply:
         """Serve one canary-sampled request through **both** versions.
 
         The active version answers the client (a divergent candidate must
@@ -1573,39 +1297,38 @@ class PoolServer:
         gate tripped) even on requests whose bitwise comparison never runs.
         """
         started = time.monotonic()
-        status, response = self._dispatch_with_retries(
+        active = self._dispatch_with_retries(
             body, model, qos=qos, ctx=ctx, parent_id=parent_id,
             routing_key=routing_key)
         active_seconds = time.monotonic() - started
-        mirror = dict(payload)
-        mirror["model"] = rollout.candidate
-        mirror_body = _json_bytes(mirror)
+        mirror_body = json.dumps({**payload, "model": rollout.candidate}
+                                 ).encode("utf-8")
         trace_id = ctx.trace_id if ctx is not None else None
         mirror_span = self.tracer.start_span(
             "router.canary_mirror", trace_id, parent_id=parent_id,
             attrs={"candidate": rollout.candidate}) if trace_id else None
         started = time.monotonic()
-        mirror_status, mirror_response = self._dispatch_with_retries(
+        mirror = self._dispatch_with_retries(
             mirror_body, rollout.candidate, record=False, ctx=ctx,
             parent_id=mirror_span.span_id if mirror_span is not None else None,
             routing_key=routing_key)
         canary_seconds = time.monotonic() - started
         self.tracer.finish_span(
-            mirror_span, status="ok" if mirror_status == 200 else "error",
-            http_status=mirror_status)
-        if mirror_status == 200:
-            self._check_response_outputs(ctx, mirror_response, source="canary",
-                                         model=rollout.candidate)
-        if status == 200:
+            mirror_span, status="ok" if mirror.status == 200 else "error",
+            http_status=mirror.status)
+        if mirror.status == 200 and ctx is not None:
+            self.pipeline.verify(ctx, mirror.body, source="canary",
+                                 model=rollout.candidate)
+        if active.status == 200:
             # An active-side failure (backpressure, timeout) yields nothing
             # comparable; the gate only judges real output pairs.
-            if mirror_status != 200:
+            if mirror.status != 200:
                 rollout.gate.record_candidate_error()
-                rollout.log("candidate_error", status=mirror_status)
+                rollout.log("candidate_error", status=mirror.status)
             else:
                 try:
-                    match = (json.loads(response.decode("utf-8"))["outputs"]
-                             == json.loads(mirror_response.decode("utf-8"))["outputs"])
+                    match = (json.loads(active.body)["outputs"]
+                             == json.loads(mirror.body)["outputs"])
                 except (ValueError, KeyError, UnicodeDecodeError):
                     match = False
                 rollout.gate.record(match, active_seconds, canary_seconds)
@@ -1615,7 +1338,7 @@ class PoolServer:
                     rollout.log("parity_violation",
                                 samples=rollout.gate.samples)
             self._maybe_autofinish(rollout)
-        return status, response
+        return active
 
     def _on_violation(self, violation: Violation) -> None:
         """Runtime-verification hook: a violation against an in-canary
@@ -1688,11 +1411,14 @@ class PoolServer:
             payload["deadline_ms"] = deadline_ms
         if no_cache:
             payload["no_cache"] = True
-        status, body, headers = self.handle_predict(_json_bytes(payload))
+        status, body, headers = self.handle_predict(
+            json.dumps(payload).encode("utf-8"))
         response = json.loads(body.decode("utf-8"))
         if status != 200:
+            retry_after = headers.get("Retry-After")
             raise ServeHTTPError(status, response.get("error", ""),
-                                 retry_after_s=_retry_after_from(headers))
+                                 retry_after_s=(float(retry_after)
+                                                if retry_after else None))
         return response
 
     # ------------------------------------------------------------------ #
@@ -2014,7 +1740,6 @@ class PoolServer:
     def describe_pool(self) -> Dict[str, object]:
         with self._lock:
             workers = [worker.describe() for worker in self._workers]
-        with self._lock:
             proxied = dict(self.proxied_status)
             inflight = self._inflight
         return {
@@ -2031,37 +1756,11 @@ class PoolServer:
             "workers": workers,
         }
 
-    def _fetch_from_workers(self, path: str) -> Dict[str, Dict[str, object]]:
-        """GET ``path`` from every ready worker, concurrently.
-
-        Concurrency matters: a single wedged worker must cost a ``/metrics``
-        scrape one timeout, not one timeout *per worker in front of it*.
-        """
-        workers = self.ready_workers()
-        payloads: Dict[str, Dict[str, object]] = {}
-        results_lock = threading.Lock()
-
-        def fetch(worker: WorkerHandle) -> None:
-            try:
-                status, body = self._forward(worker, "GET", path, timeout_s=5.0)
-                payload = (json.loads(body.decode("utf-8")) if status == 200
-                           else {"error": f"HTTP {status}"})
-            except (ConnectionError, http.client.HTTPException, OSError,
-                    ValueError) as exc:
-                payload = {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "last_heartbeat": dict(worker.heartbeat),
-                }
-            with results_lock:
-                payloads[str(worker.id)] = payload
-
-        threads = [threading.Thread(target=fetch, args=(worker,), daemon=True)
-                   for worker in workers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-        return payloads
+    def peers(self) -> Dict[str, Callable[[str], Tuple[int, bytes]]]:
+        """Every ready worker, for the merged ``/metrics``/``/models``/``/trace``."""
+        return {str(worker.id): (lambda path, _port=worker.port: self.exchange(
+                    "127.0.0.1", _port, "GET", path, timeout_s=5.0)[:2])
+                for worker in self.ready_workers()}
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """The aggregated ``/metrics`` payload.
@@ -2072,7 +1771,7 @@ class PoolServer:
         counters (requests, samples, batches, CAM searches, energy) and takes
         the worst worker for non-additive ones (latency percentiles).
         """
-        per_worker = self._fetch_from_workers("/metrics")
+        per_worker = self.fetch_peers("/metrics")
         healthy = [payload for payload in per_worker.values()
                    if "error" not in payload]
         with self._lock:
@@ -2097,8 +1796,7 @@ class PoolServer:
             "runtime_verification": self.monitor.snapshot(),
             "cache": (self.cache.snapshot() if self.cache is not None
                       else {"enabled": False}),
-            "frontend": (self._frontend.stats() if self._frontend is not None
-                         else {}),
+            "frontend": self.frontend_snapshot(),
             "autoscale": (self.autoscaler.snapshot()
                           if self.autoscaler is not None
                           else {"enabled": False}),
@@ -2108,27 +1806,8 @@ class PoolServer:
             "aggregate": aggregate_counter_trees(healthy) if healthy else {},
         }
 
-    def trace_snapshot(self, trace_id: Optional[str] = None,
-                       limit: int = 20) -> Dict[str, object]:
-        """The pool's ``/trace`` payload.
-
-        With a ``trace_id``, merges the router's own spans with every ready
-        worker's spans for that trace (fetched over their ``/trace?id=``
-        endpoints) into one causally-sorted timeline — the cross-process
-        view an operator debugs a slow or failed request with.
-        """
-        if not trace_id:
-            return {"recent": self.tracer.recent_traces(limit),
-                    "trace": self.tracer.snapshot()}
-        spans = list(self.tracer.find(trace_id))
-        for payload in self._fetch_from_workers(f"/trace?id={trace_id}").values():
-            worker_spans = payload.get("spans")
-            if isinstance(worker_spans, list):
-                spans.extend(worker_spans)
-        return {"trace_id": trace_id, "spans": causal_sort(spans)}
-
     def models_snapshot(self) -> Dict[str, object]:
-        per_worker = self._fetch_from_workers("/models")
+        per_worker = self.fetch_peers("/models")
         merged: Dict[str, object] = {"pool": self.describe_pool(),
                                      "workers": per_worker}
         for payload in per_worker.values():
@@ -2173,16 +1852,3 @@ class PoolServer:
                     worker.conn.send(message)
                     return
         raise KeyError(f"no worker with id {worker_id}")
-
-
-def _json_bytes(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload).encode("utf-8")
-
-
-def _retry_after_from(headers: Optional[Dict[str, str]]) -> Optional[float]:
-    if not headers:
-        return None
-    try:
-        return float(headers.get("Retry-After", ""))
-    except (TypeError, ValueError):
-        return None

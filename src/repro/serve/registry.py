@@ -327,11 +327,6 @@ class ModelRegistry:
         with self._lock:
             return list(self._records)
 
-    def bases(self) -> List[str]:
-        """Registered base names, in first-registration order."""
-        with self._lock:
-            return list(self._versions)
-
     def versions_of(self, base: str) -> Dict[int, str]:
         with self._lock:
             return dict(self._versions.get(base, {}))

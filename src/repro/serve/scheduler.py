@@ -278,11 +278,6 @@ class DynamicBatcher:
         with self._cond:
             return self._depth
 
-    def queue_depth_by_class(self) -> dict:
-        with self._cond:
-            return {PRIORITY_CLASSES[rank]: len(q)
-                    for rank, q in enumerate(self._queues)}
-
     # ------------------------------------------------------------------ #
     def submit(self, inputs: np.ndarray,
                timeout_s: Optional[float] = None,

@@ -5,7 +5,10 @@ scheduler + auditor stack.  The network plane is
 :class:`~repro.serve.netfront.EventLoopFrontEnd`: every connection is
 multiplexed through one :mod:`selectors` thread (keep-alive, pipelining, a
 bounded connection budget, idle/slowloris timeouts) and each parsed request
-is answered by :meth:`PECANServer.handle_http`.
+is answered by :meth:`PECANServer.handle_http`, the route table shared with
+the pool (:class:`~repro.serve.pipeline.FrontDoor`).  ``/predict`` runs the
+shared request pipeline (:mod:`repro.serve.pipeline`); this module supplies
+its dispatch step: brownout, then the model's dynamic micro-batcher.
 
 Endpoints
 ---------
@@ -28,32 +31,29 @@ Errors map to conventional codes: 400 malformed input, 404 unknown model,
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.serve import adminapi
 from repro.serve.auditor import ParityAuditor
-from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, ResultCache,
-                               canonical_input_hash, canonical_response_bytes)
+from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
 from repro.serve.engine import BundleEngine
 from repro.serve.invariants import InvariantMonitor
 from repro.serve.lifecycle import (LifecycleError, format_versioned,
                                    split_versioned)
 from repro.serve.metrics import ServerMetrics
-from repro.serve.netfront import EventLoopFrontEnd
-from repro.serve.qos import RequestQoS, ShedError, parse_qos
+from repro.serve.pipeline import (FrontDoor, HTTPReply, PredictRequest, Reply,
+                                  RequestPipeline)
+from repro.serve.qos import RequestQoS
 from repro.serve.registry import EngineLease, ModelRegistry, PathLike
-from repro.serve.scheduler import (DynamicBatcher, QueueFullError, RequestTimeout,
-                                   SchedulerStopped)
-from repro.serve.trace import (LAMPORT_HEADER, TRACE_HEADER, TraceContext,
-                               Tracer, parse_trace_context)
+from repro.serve.scheduler import DynamicBatcher, SchedulerStopped
+from repro.serve.trace import TraceContext, Tracer
 
 
 class _AcceleratorPacer:
@@ -125,7 +125,7 @@ class ServedModel:
     lease: Optional[EngineLease] = None
 
 
-class PECANServer:
+class PECANServer(FrontDoor):
     """Serve deployment bundles over HTTP with dynamic micro-batching.
 
     Parameters
@@ -195,9 +195,13 @@ class PECANServer:
             ResultCache(int(cache_mb * 1024 * 1024)) if cache_mb > 0 else None)
         #: Overload brownout: queue depth across all batchers + recent p99.
         self.brownout = self.qos_config.make_brownout(self._overload_signal)
+        self.pipeline = RequestPipeline(
+            "server", tracer=self.tracer, metrics=self.metrics,
+            monitor=self.monitor, cache=self.cache,
+            resolve=self._cache_namespace, dispatch=self._dispatch,
+            follow_timeout_s=self.request_timeout_s)
         self._served: Dict[str, ServedModel] = {}
         self._lock = threading.RLock()
-        self._frontend: Optional[EventLoopFrontEnd] = None
 
     def _overload_signal(self):
         """(queue depth, recent p99 ms) — the brownout controller's inputs."""
@@ -421,13 +425,14 @@ class PECANServer:
         }
 
     # ------------------------------------------------------------------ #
-    # In-process serving API (the HTTP handler is a thin shim over this)
+    # In-process serving API (the HTTP path runs through it too)
     # ------------------------------------------------------------------ #
     def predict(self, inputs: np.ndarray, model: Optional[str] = None,
                 timeout_s: Optional[float] = None,
                 qos: Optional[RequestQoS] = None,
                 trace: Optional[TraceContext] = None,
-                no_cache: bool = False) -> Dict[str, object]:
+                no_cache: bool = False, *,
+                reply: bool = False) -> Union[Dict[str, object], Reply]:
         """Micro-batched prediction; returns a JSON-ready response dict.
 
         ``qos`` carries the request's priority class, tenant and absolute
@@ -444,70 +449,26 @@ class PECANServer:
         ``no_cache=True`` forces an engine execution past the response cache
         and past in-flight coalescing (the HTTP equivalent is the
         ``no_cache`` payload key or the ``X-No-Cache`` header).
-        """
-        if qos is None:
-            qos = RequestQoS()
-        ctx = trace if trace is not None else TraceContext()
-        trace_id = ctx.ensure_trace_id()
-        if ctx.lamport is not None:
-            self.tracer.observe_remote(ctx.lamport)
-        root = self.tracer.start_span(
-            "server.predict", trace_id, parent_id=ctx.parent_span,
-            attrs={"model": model, "priority": qos.priority,
-                   "tenant": qos.tenant, "attempt": ctx.attempt})
-        started = time.monotonic()
-        sampled = self.monitor.enabled and (self.monitor.sample()
-                                            or ctx.attempt > 0)
-        plane: Optional[CachePlane] = None
-        if self.cache is not None and not no_cache:
-            plane = self._cache_plane_for(model, inputs)
-        try:
-            response, verdict = self._predict_routed(
-                plane, inputs, model, timeout_s, qos, trace_id, root, started)
-        except ShedError as exc:
-            self.metrics.record_shed(qos.priority, exc.reason)
-            self.tracer.finish_span(root, status="shed", reason=exc.reason)
-            raise
-        except QueueFullError:
-            self.metrics.record_shed(qos.priority, "queue-full")
-            self.tracer.finish_span(root, status="shed", reason="queue-full")
-            raise
-        except RequestTimeout as exc:
-            self.tracer.finish_span(root, status="timeout", **exc.details)
-            raise
-        except Exception as exc:
-            self.tracer.finish_span(root, status="error",
-                                    error=type(exc).__name__)
-            raise
-        if verdict is None:
-            self.tracer.finish_span(root, queue_ms=response["queue_ms"])
-        else:
-            self.tracer.finish_span(root, queue_ms=response["queue_ms"],
-                                    cache=verdict)
-        if sampled:
-            self.monitor.check_outputs(
-                response["model"], np.asarray(response["outputs"]),
-                trace_id=trace_id, attempt=ctx.attempt,
-                input_key=plane.invariant_key if plane is not None else None)
-            self.monitor.check_trace(self.tracer.find(trace_id),
-                                     trace_id=trace_id)
-        response["trace_id"] = trace_id
-        return response
 
-    # -- response cache + in-flight coalescing ------------------------- #
-    def _cache_plane_for(self, model: Optional[str],
-                         inputs) -> Optional[CachePlane]:
-        """Resolve a request to its cache identity, or ``None`` (uncacheable).
+        ``reply=True`` returns the pipeline's :class:`~repro.serve.pipeline.
+        Reply` instead of a dict: the HTTP path encodes that, so cache hits
+        stay spliced bytes.  Every step but dispatch is
+        :class:`~repro.serve.pipeline.RequestPipeline`'s.
+        """
+        result = self.pipeline.run(PredictRequest(
+            inputs=inputs, model=model or "", timeout_s=timeout_s,
+            qos=qos if qos is not None else RequestQoS(),
+            trace=trace if trace is not None else TraceContext(),
+            no_cache=no_cache))
+        return result if reply else result.to_dict()
+
+    def _cache_namespace(self, model: str) -> Optional[Tuple[str, str]]:
+        """``(namespace, model-echo)`` of a cacheable request, else ``None``.
 
         The namespace is always fully versioned: explicit ``m@vN`` requests
         key on that version, bare names on the base's *active* version at
-        lookup time.  The epoch is captured here, before any engine work, so
-        a lifecycle flip racing the call invalidates the eventual fill.
+        lookup time.
         """
-        try:
-            input_hash = canonical_input_hash(inputs)
-        except (TypeError, ValueError):
-            return None                      # non-numeric → let the 400 path run
         name = model or self.registry.default_name()
         if not name:
             return None
@@ -519,100 +480,20 @@ class PECANServer:
             version = self.registry.active_version(base)
             if version is None:
                 return None
-        return CachePlane(namespace=format_versioned(base, version),
-                          input_hash=input_hash,
-                          epoch=self.cache.epoch(), echo=name)
+        return format_versioned(base, version), name
 
-    def _predict_routed(self, plane: Optional[CachePlane], inputs,
-                        model: Optional[str], timeout_s: Optional[float],
-                        qos: RequestQoS, trace_id: str, root, started: float,
-                        ) -> Tuple[Dict[str, object], Optional[str]]:
-        """Dispatch through the response cache when a plane resolved.
-
-        Returns ``(response, verdict)`` where the verdict is ``None`` (the
-        engine executed this request), ``"cached"`` (served from memory) or
-        ``"coalesced"`` (follower of an identical in-flight request).
-        """
-        if plane is None:
-            return (self._predict_inner(inputs, model, timeout_s, qos,
-                                        trace_id, root, started), None)
-        parent = root.span_id if root is not None else None
-        for _ in range(3):
-            status, token = self.cache.begin(plane.namespace, plane.input_hash)
-            if status == "lead":
-                canonical = None
-                try:
-                    response = self._predict_inner(inputs, model, timeout_s,
-                                                   qos, trace_id, root, started)
-                    canonical = canonical_response_bytes(response)
-                    if canonical is not None:
-                        self.cache.insert(plane.namespace, plane.input_hash,
-                                          canonical, epoch=plane.epoch)
-                    return response, None
-                finally:
-                    # Publish success *or* failure: a leader that dies without
-                    # publishing would strand its followers until timeout.
-                    self.cache.finish_leader(token, canonical)
-            span = self.tracer.start_span(
-                "server.cache", trace_id, parent_id=parent,
-                attrs={"namespace": plane.namespace,
-                       "verdict": "hit" if status == "hit" else "coalesced"})
-            if status == "hit":
-                self.tracer.finish_span(span)
-                return (self._cached_response(plane, token, qos, started,
-                                              "cached"), "cached")
-            remaining = qos.remaining_ms()
-            timeout = (remaining / 1e3 if remaining is not None
-                       else self.request_timeout_s)
-            if timeout <= 0 or not token.wait(timeout):
-                self.tracer.finish_span(span, status="timeout")
-                self.metrics.record_timeout(qos.priority)
-                raise RequestTimeout(
-                    "deadline expired while coalesced behind an identical "
-                    "in-flight request", stage="coalesce-wait")
-            if token.ok:
-                self.cache.record_follower_served()
-                self.tracer.finish_span(span)
-                return (self._cached_response(plane, token.value, qos, started,
-                                              "coalesced"), "coalesced")
-            # Leader failed: loop back — begin() elects a new leader (maybe us).
-            self.tracer.finish_span(span, status="error",
-                                    reason="leader-failed")
-            self.cache.record_reelection()
-        # Repeated leader failures: stop coalescing and execute solo.
-        return (self._predict_inner(inputs, model, timeout_s, qos,
-                                    trace_id, root, started), None)
-
-    def _cached_response(self, plane: CachePlane, canonical: bytes,
-                         qos: RequestQoS, started: float,
-                         flag: str) -> Dict[str, object]:
-        """A JSON-ready response replayed from canonical cached bytes.
-
-        ``json.loads`` parses the cached float reprs back to the exact
-        float64 values and the handler's ``json.dumps`` re-emits the same
-        reprs, so the replayed outputs are bitwise-faithful to the original
-        engine call.  Hits skip the batcher, so the submit/complete
-        accounting the batcher normally performs happens here instead.
-        """
-        response = json.loads(canonical.decode("utf-8"))
-        elapsed = time.monotonic() - started
-        self.metrics.record_submitted(int(response["num_samples"]))
-        self.metrics.record_completed(elapsed, 0.0, qos.priority, qos.tenant)
-        self.metrics.record_stages(qos.priority, cache=elapsed)
-        response.update({"model": plane.echo, "queue_ms": 0.0,
-                         "priority": qos.priority, "tenant": qos.tenant,
-                         flag: True})
-        return response
-
-    def _predict_inner(self, inputs: np.ndarray, model: Optional[str],
-                       timeout_s: Optional[float], qos: RequestQoS,
-                       trace_id: str, root, started: float) -> Dict[str, object]:
+    def _dispatch(self, request: PredictRequest) -> Reply:
+        """The single server's dispatch step: brownout, then the batcher."""
+        qos = request.qos
         self.brownout.admit(qos.priority)
-        name = model or self.registry.default_name()
+        name = request.model or self.registry.default_name()
         if name is None:
             raise KeyError("no models registered")
         served = self._get_served(name)
-        inputs = np.asarray(inputs, dtype=np.float64)
+        try:
+            inputs = np.asarray(request.inputs, dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError(f"inputs must be numeric: {exc}") from None
         expected = served.engine.input_shape
         if expected is not None and tuple(inputs.shape) == tuple(expected):
             inputs = inputs[None]                     # single sample → batch of 1
@@ -624,40 +505,40 @@ class PECANServer:
         if expected is not None and tuple(inputs.shape[1:]) != tuple(expected):
             raise ValueError(f"expected per-sample input shape {tuple(expected)}, "
                              f"got {tuple(inputs.shape[1:])}")
-        submit_kwargs = dict(timeout_s=timeout_s, priority=qos.priority,
+        submit_kwargs = dict(timeout_s=request.timeout_s, priority=qos.priority,
                              tenant=qos.tenant, deadline=qos.deadline,
-                             trace_id=trace_id,
-                             parent_span=root.span_id if root is not None else None)
+                             trace_id=request.trace.trace_id,
+                             parent_span=request.root_id)
         try:
-            request = served.batcher.submit(inputs, **submit_kwargs)
+            submitted = served.batcher.submit(inputs, **submit_kwargs)
         except SchedulerStopped:
             # We raced an LRU retirement: the model is still registered, so
             # re-resolve (reloading the engine) instead of failing the caller.
             served = self._get_served(name)
-            request = served.batcher.submit(inputs, **submit_kwargs)
+            submitted = served.batcher.submit(inputs, **submit_kwargs)
         wait = None
-        if request.deadline is not None:
-            wait = max(request.deadline - time.monotonic(), 0.0) + 1.0
-        outputs = request.result(timeout=wait)
+        if submitted.deadline is not None:
+            wait = max(submitted.deadline - time.monotonic(), 0.0) + 1.0
+        outputs = submitted.result(timeout=wait)
         # Per-stage component breakdown (derived from the same timings the
         # spans record): batcher queue wait, engine time inside the batch,
         # and everything else end-to-end ("respond").
-        total_seconds = time.monotonic() - started
+        total_seconds = time.monotonic() - request.started
         self.metrics.record_stages(
             qos.priority,
-            batch_wait=request.queue_seconds,
-            infer=request.infer_seconds,
-            respond=max(0.0, total_seconds - request.queue_seconds
-                        - request.infer_seconds))
-        return {
+            batch_wait=submitted.queue_seconds,
+            infer=submitted.infer_seconds,
+            respond=max(0.0, total_seconds - submitted.queue_seconds
+                        - submitted.infer_seconds))
+        return Reply(payload={
             "model": name,
             "outputs": outputs.tolist(),
             "classes": outputs.argmax(axis=1).tolist(),
             "num_samples": int(inputs.shape[0]),
-            "queue_ms": request.queue_seconds * 1e3,
+            "queue_ms": submitted.queue_seconds * 1e3,
             "priority": qos.priority,
             "tenant": qos.tenant,
-        }
+        })
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """The ``/metrics`` payload."""
@@ -706,14 +587,6 @@ class PECANServer:
             payload["models"][name] = entry
         return payload
 
-    def trace_snapshot(self, trace_id: Optional[str] = None,
-                       limit: int = 20) -> Dict[str, object]:
-        """The ``/trace`` payload: one trace's spans, or a recent listing."""
-        if trace_id:
-            return {"trace_id": trace_id, "spans": self.tracer.find(trace_id)}
-        return {"recent": self.tracer.recent_traces(limit),
-                "trace": self.tracer.snapshot()}
-
     def models_snapshot(self) -> Dict[str, object]:
         return self.registry.describe()
 
@@ -727,39 +600,14 @@ class PECANServer:
         }
 
     # ------------------------------------------------------------------ #
-    # HTTP dispatch (the event-loop front end calls this)
+    # HTTP (the route table is FrontDoor's)
     # ------------------------------------------------------------------ #
-    def handle_http(self, method: str, path: str, headers,
-                    body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
-        """Answer one parsed request: ``(status, body_bytes, headers)``.
+    def predict_http(self, headers, body: bytes) -> HTTPReply:
+        return self.pipeline.handle(headers, body, run=lambda request: self.predict(
+            request.inputs, model=request.model, qos=request.qos,
+            trace=request.trace, no_cache=request.no_cache, reply=True))
 
-        The application hook behind the event-loop front end.  ``headers``
-        is any case-insensitive ``.get()`` mapping (typically
-        :class:`~repro.serve.netfront.Headers`).
-        """
-        if method == "GET":
-            trace_id = _trace_query(path)
-            if path == "/healthz":
-                return _json_response(200, self.health_snapshot())
-            if path == "/metrics":
-                return _json_response(200, self.metrics_snapshot())
-            if path == "/models":
-                return _json_response(200, self.models_snapshot())
-            if path == "/admin/status":
-                return _json_response(200, self.lifecycle_snapshot())
-            if trace_id is not None:
-                return _json_response(200, self.trace_snapshot(trace_id or None))
-            return _json_response(404, {"error": f"unknown path {path}"})
-        if method != "POST":
-            return _json_response(501, {"error": f"unsupported method {method}"})
-        if path.startswith("/admin/"):
-            return self._admin_http(path, body)
-        if path != "/predict":
-            return _json_response(404, {"error": f"unknown path {path}"})
-        return self._predict_http(headers, body)
-
-    def _admin_http(self, path: str,
-                    body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+    def admin_http(self, path: str, body: bytes, headers) -> HTTPReply:
         """``/admin/*`` POSTs through the shared typed schemas.
 
         The single server ignores the canary-gate fields of
@@ -773,98 +621,17 @@ class PECANServer:
             "rollback": lambda r: self.rollback(r.name),
         })
 
-    def _predict_http(self, headers,
-                      body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
-        trace_ctx = parse_trace_context(None, headers)
-
-        def trace_fields(ctx) -> Dict[str, object]:
-            return {"trace_id": ctx.trace_id} if ctx.trace_id else {}
-
-        def trace_headers(ctx) -> Dict[str, str]:
-            # The returning Lamport value lets the upstream router merge this
-            # process's clock, keeping cross-process span order causal.
-            response_headers = {LAMPORT_HEADER: str(self.tracer.clock.value)}
-            if ctx.trace_id:
-                response_headers[TRACE_HEADER] = ctx.trace_id
-            return response_headers
-
-        try:
-            payload = json.loads(body or b"{}")
-            if "inputs" not in payload:
-                raise ValueError("request body must contain 'inputs'")
-            trace_ctx = parse_trace_context(payload, headers)
-            inputs = np.asarray(payload["inputs"], dtype=np.float64)
-            qos = parse_qos(payload, headers)
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            return _json_response(400, {"error": str(exc),
-                                        **trace_fields(trace_ctx)},
-                                  trace_headers(trace_ctx))
-        no_cache = bool(payload.get("no_cache")) or \
-            bool(headers.get(NO_CACHE_HEADER))
-        try:
-            response = self.predict(inputs, model=payload.get("model"),
-                                    qos=qos, trace=trace_ctx,
-                                    no_cache=no_cache)
-        except KeyError as exc:
-            return _json_response(404, {"error": str(exc),
-                                        **trace_fields(trace_ctx)},
-                                  trace_headers(trace_ctx))
-        except ShedError as exc:
-            return _shed_response(
-                exc, trace_id=trace_ctx.trace_id,
-                extra_headers={LAMPORT_HEADER: str(self.tracer.clock.value)})
-        except QueueFullError as exc:
-            return _json_response(429, {"error": str(exc),
-                                        **trace_fields(trace_ctx)},
-                                  {"Retry-After": "1.000",
-                                   **trace_headers(trace_ctx)})
-        except RequestTimeout as exc:
-            # (queue-expiry timeouts are already counted by the scheduler)
-            # The details say *where* the deadline died — e.g.
-            # ``{"queue_ms": 12.3, "stage": "batch-queue"}`` for a request
-            # shed in the queue before any engine work.
-            return _json_response(408, {"error": str(exc), **exc.details,
-                                        **trace_fields(trace_ctx)},
-                                  trace_headers(trace_ctx))
-        except SchedulerStopped as exc:
-            return _json_response(503, {"error": str(exc),
-                                        **trace_fields(trace_ctx)},
-                                  trace_headers(trace_ctx))
-        except ValueError as exc:
-            return _json_response(400, {"error": str(exc),
-                                        **trace_fields(trace_ctx)},
-                                  trace_headers(trace_ctx))
-        except Exception as exc:             # noqa: BLE001 - boundary
-            self.metrics.record_error()
-            return _json_response(500, {"error": f"{type(exc).__name__}: {exc}",
-                                        **trace_fields(trace_ctx)},
-                                  trace_headers(trace_ctx))
-        return _json_response(200, response, trace_headers(trace_ctx))
-
     # ------------------------------------------------------------------ #
     # HTTP lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "PECANServer":
         """Bind and serve on a background thread (idempotent)."""
-        if self._frontend is not None:
-            return self
-        self._frontend = EventLoopFrontEnd(
-            self.handle_http, self.config.net, self.port).start()
-        # Expose the ephemeral bound port (port=0 requests) so tests, pools
-        # and clients can address the server without racing its startup.
-        self.port = self._frontend.port
+        if self._frontend is None:
+            self._bind()
         return self
 
-    def frontend_snapshot(self) -> Dict[str, object]:
-        """Network-plane counters for ``/metrics``."""
-        if self._frontend is not None:
-            return self._frontend.stats()
-        return {}
-
     def stop(self) -> None:
-        if self._frontend is not None:
-            self._frontend.stop()
-            self._frontend = None
+        self._unbind()
         with self._lock:
             records = list(self._served.values())
             self._served.clear()
@@ -883,46 +650,3 @@ class PECANServer:
         finally:
             self.stop()
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "PECANServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-def _json_response(status: int, payload: Dict[str, object],
-                   headers: Optional[Dict[str, str]] = None,
-                   ) -> Tuple[int, bytes, Dict[str, str]]:
-    """One app-level response triple: ``(status, body_bytes, headers)``."""
-    return (int(status), json.dumps(payload).encode("utf-8"),
-            dict(headers or {}))
-
-
-def _shed_response(exc, trace_id: Optional[str] = None,
-                   extra_headers: Optional[Dict[str, str]] = None,
-                   ) -> Tuple[int, bytes, Dict[str, str]]:
-    """A QoS refusal (brownout / rate limit / budget) with ``Retry-After``."""
-    payload = {"error": str(exc), "reason": exc.reason,
-               "retry_after_s": exc.retry_after_s}
-    headers = {"Retry-After": f"{max(exc.retry_after_s, 0.0):.3f}"}
-    if trace_id:
-        payload["trace_id"] = trace_id
-        headers[TRACE_HEADER] = trace_id
-    if extra_headers:
-        headers.update(extra_headers)
-    return _json_response(exc.status, payload, headers)
-
-
-def _trace_query(path: str) -> Optional[str]:
-    """``"/trace?id=abc"`` → ``"abc"``; ``"/trace"`` → ``""``; else ``None``."""
-    from urllib.parse import parse_qs, urlparse
-
-    parsed = urlparse(path)
-    if parsed.path != "/trace":
-        return None
-    values = parse_qs(parsed.query).get("id", [])
-    return values[0] if values else ""
