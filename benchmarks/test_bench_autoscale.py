@@ -165,7 +165,7 @@ def measure_rps(hammer: Hammer, window_s: float) -> float:
 
 def run_ramp_leg(bundle: Path, hardware_hz: float, cases) -> dict:
     config = ServeConfig.build(
-        port=0, workers=1, max_wait_ms=1.0,
+        port=0, workers=1,
         **{"engine.hardware_hz": hardware_hz,
            "pool.heartbeat_interval_s": 0.1,
            "cache.cache_mb": 0.0,        # every request really executes
@@ -227,7 +227,7 @@ def run_federation_leg(bundle: Path, cases) -> dict:
     pools = []
     for _ in range(2):
         pool = PoolServer(config=ServeConfig.build(
-            port=0, workers=1, max_wait_ms=1.0,
+            port=0, workers=1,
             **{"pool.heartbeat_interval_s": 0.1,
                "cache.cache_mb": 0.0}))
         pool.add_bundle(bundle, name="m")

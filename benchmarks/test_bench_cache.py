@@ -109,7 +109,7 @@ def worker_engine_calls(client: ServeClient) -> int:
 def start_pool(bundle: Path, hardware_hz: float, *, cache_mb: float):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="cache_affinity",
-        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
+        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
         hardware_hz=hardware_hz, cache_mb=cache_mb, cache_check_every=0))
     pool.add_bundle(bundle, name="m")
     pool.start()

@@ -93,7 +93,7 @@ def start_pool(bundle: Path, hardware_hz: float) -> PoolServer:
         # Small batches keep the pacing quantum fine (8 × 16 ms = 128 ms):
         # worker throughput is unchanged, but completions stream instead of
         # arriving in half-second bursts that quantize short windows.
-        max_batch_size=8, max_wait_ms=2.0, request_timeout_s=10.0,
+        max_batch_size=8, request_timeout_s=10.0,
         hardware_hz=hardware_hz, cache_mb=0.0,
         max_connections=max(CONN_LEVELS) + 88))   # budget above the storm
     pool.add_bundle(bundle, name="m")

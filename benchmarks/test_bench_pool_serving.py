@@ -123,7 +123,7 @@ def run_pool_config(bundle_path: Path, workers: int, images: np.ndarray,
                     expected: np.ndarray, hardware_hz=None):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=workers, policy="least_outstanding",
-        heartbeat_interval_s=0.25, heartbeat_timeout_s=10.0, max_wait_ms=3.0,
+        heartbeat_interval_s=0.25, heartbeat_timeout_s=10.0,
         max_queue_depth=1024, hardware_hz=hardware_hz, cache_mb=0.0))
     pool.add_bundle(bundle_path, name="bench")
     with pool:

@@ -246,7 +246,7 @@ def test_bench_qos(tmp_path):
         # least_outstanding would occasionally pile every interactive client
         # onto one worker and fatten the p99 tail this bench measures.
         port=0, workers=WORKERS, policy="round_robin",
-        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
+        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
         hardware_hz=hardware_hz, cache_mb=0.0)
     # Slots are sized so steady mixed traffic is never slot-limited (the
     # per-batch bulk budget does the isolation); queue_high is low enough

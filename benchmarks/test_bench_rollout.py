@@ -147,7 +147,7 @@ def test_bench_rollout_lifecycle(tmp_path):
 
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="least_outstanding",
-        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
+        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
         hardware_hz=hardware_hz, cache_mb=0.0))
     pool.add_bundle(bundle, name="m")
     pool.start()

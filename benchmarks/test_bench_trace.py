@@ -125,7 +125,7 @@ def run_mode(bundle: Path, images: np.ndarray, probe: np.ndarray,
              hardware_hz: float, *, traced: bool):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="round_robin",
-        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0, max_wait_ms=2.0,
+        heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
         hardware_hz=hardware_hz, invariant_every=16 if traced else 0,
         cache_mb=0.0, **{"trace.enabled": traced}))
     pool.add_bundle(bundle, name="m")

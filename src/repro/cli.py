@@ -434,8 +434,7 @@ def _serve_single(config) -> int:
     server.start()
     print(f"serving on {server.url}  "
           f"(POST /predict, GET /models /metrics /healthz)")
-    print(f"batching: up to {config.engine.max_batch_size} samples / "
-          f"{config.engine.max_wait_ms} ms; "
+    print(f"batching: up to {config.engine.max_batch_size} samples; "
           f"queue depth {config.engine.max_queue_depth}; "
           f"parity audit every {config.engine.audit_every or '∞'} batches")
     try:
@@ -491,7 +490,7 @@ def _serve_federation(config) -> int:
     members = ", ".join(config.federation.members)
     print(f"federating on {front.url} over members: {members}")
     print("model@version namespaces shard by consistent hashing; "
-          "failover to surviving members on connection failure "
+          "failover to surviving members on connection failure or drain "
           "(POST /predict /admin/*, GET /models /metrics /healthz /trace)")
     try:
         front.serve_forever()

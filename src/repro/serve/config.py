@@ -135,10 +135,6 @@ class EngineConfig:
 
     max_batch_size: int = cfgfield(
         32, parse=int, help="sample budget per coalesced micro-batch")
-    max_wait_ms: float = cfgfield(
-        5.0, parse=float,
-        help="how long the batcher holds the first request open for "
-             "followers")
     max_queue_depth: int = cfgfield(
         256, flag="--max_queue", parse=int,
         help="bounded queue depth; overflow is rejected with 429")
@@ -357,7 +353,8 @@ class FederationConfig:
     failover_retries: int = cfgfield(
         1, parse=int,
         help="how many surviving members to try after a member connection "
-             "failure (in-flight timeouts are never retried)")
+             "failure or draining refusal (in-flight timeouts are never "
+             "retried)")
     front_timeout_s: float = cfgfield(
         60.0, parse=float,
         help="front-router socket timeout per proxied member request")

@@ -22,6 +22,7 @@ graph on a probe batch before it ever answers traffic.
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -91,6 +92,11 @@ class BundleEngine:
         self.op_counter = OpCounter()
         self.chunk_policy = chunk_policy if chunk_policy is not None else ChunkPolicy()
         self.workspace = Workspace()
+        #: Serializes the forward pass: the layer runtimes share one
+        #: ``workspace`` and one ``op_counter``, so concurrent callers would
+        #: overwrite each other's scratch buffers.  A serving batcher is its
+        #: engine's only caller, so the lock is uncontended there.
+        self._forward_lock = threading.Lock()
         self.optimized = bool(optimize)
         self.optimization: Dict[str, object] = {"applied": [], "exact": True}
 
@@ -214,12 +220,13 @@ class BundleEngine:
                     attrs={"num_samples": int(n),
                            "batch_chunk": batch_chunk})
         try:
-            if batch_chunk is None or batch_chunk >= n:
-                result = self._forward_batch(inputs)
-            else:
-                parts = [self._forward_batch(inputs[sl])
-                         for sl in iter_slices(n, batch_chunk)]
-                result = np.concatenate(parts, axis=0)
+            with self._forward_lock:
+                if batch_chunk is None or batch_chunk >= n:
+                    result = self._forward_batch(inputs)
+                else:
+                    parts = [self._forward_batch(inputs[sl])
+                             for sl in iter_slices(n, batch_chunk)]
+                    result = np.concatenate(parts, axis=0)
         except Exception:
             if tracer is not None:
                 tracer.finish_span(span, status="error")

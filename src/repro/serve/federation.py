@@ -25,8 +25,10 @@ Failover
 A member that refuses connections is marked down and its arc of the ring
 flows to the survivors (consistent hashing makes the remap minimal — only
 the dead member's namespaces move).  A request that hits a connection-level
-failure retries on the next surviving member (``failover_retries`` hops);
-timeouts are never retried — the work may still be running.  A background
+failure, or a member's ``503`` with ``"reason": "draining"`` (a stopping pool
+refuses before it dispatches anything), retries on the next surviving member
+(``failover_retries`` hops); timeouts and every other reply — brownout sheds
+included — are never retried: the work may still be running.  A background
 prober re-admits a member the moment its ``/healthz`` answers again.
 
 Merged observability
@@ -57,6 +59,17 @@ from repro.serve.pipeline import FrontDoor, HTTPReply, json_response
 from repro.serve.trace import Tracer, parse_trace_context
 
 __all__ = ["FrontRouter", "HashRing", "MemberPool"]
+
+
+def _is_draining_reply(status: int, payload: bytes) -> bool:
+    """True for a member's ``503`` refusal made before any dispatch."""
+    if status != 503:
+        return False
+    try:
+        reply = json.loads(payload)
+    except ValueError:
+        return False
+    return isinstance(reply, dict) and reply.get("reason") == "draining"
 
 
 class HashRing:
@@ -262,7 +275,8 @@ class FrontRouter(FrontDoor):
 
     def _proxy(self, method: str, path: str, model: str, body: Optional[bytes],
                headers) -> Tuple[int, bytes, Dict[str, str]]:
-        """Route one request by namespace with connection-failure failover."""
+        """Route one request by namespace, failing over on a connection
+        failure or a draining member's refusal."""
         candidates = self.route_for(model)
         attempts = min(len(candidates), 1 + self.failover_retries)
         last_error = "no federation members"
@@ -284,20 +298,22 @@ class FrontRouter(FrontDoor):
                     504, {"error": f"member {member.url} timed out; not retried",
                           "member": member.url})
             except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                member.failures += 1
-                member.up = False
-                member.last_error = last_error = f"{type(exc).__name__}: {exc}"
-                with self._lock:
-                    self.failovers_total += 1
-                self.tracer.finish_span(span, status="failover",
-                                        error=last_error)
-                continue
-            member.up = True
-            member.proxied += 1
-            self.tracer.finish_span(
-                span, status="ok" if status < 400 else "error",
-                http_status=status)
-            return status, payload, reply_headers
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                if not _is_draining_reply(status, payload):
+                    member.up = True
+                    member.proxied += 1
+                    self.tracer.finish_span(
+                        span, status="ok" if status < 400 else "error",
+                        http_status=status)
+                    return status, payload, reply_headers
+                error = "member is draining"
+            member.failures += 1
+            member.up = False
+            member.last_error = last_error = error
+            with self._lock:
+                self.failovers_total += 1
+            self.tracer.finish_span(span, status="failover", error=error)
         self.metrics.record_error()
         return json_response(
             503, {"error": f"no live member for model {model!r}: {last_error}",

@@ -72,7 +72,7 @@ _Window = Window
 #: pool's requests/s *is* the sum of its workers').
 _NON_ADDITIVE_KEYS = frozenset({
     "p50_ms", "p95_ms", "p99_ms", "max_ms", "max_batch", "uptime_s",
-    "mean_batch", "max_batch_size", "max_wait_ms", "queue_depth",
+    "mean_batch", "max_batch_size", "queue_depth",
     "stored_values", "hz", "every", "total_values", "max_total_values",
     # Lifecycle payloads: versions, refcounts and gate configuration are
     # per-worker state, not additive traffic counters.

@@ -989,7 +989,10 @@ class PoolServer(FrontDoor):
         """
         with self._lock:
             if self._draining or not self._running:
-                return json_response(503, {"error": "pool is draining"})
+                # Refused before any dispatch: a federation front may safely
+                # retry it on another member (``reason`` tells it so).
+                return json_response(503, {"error": "pool is draining",
+                                           "reason": "draining"})
             self._inflight += 1
         try:
             return self.pipeline.handle(headers, body)

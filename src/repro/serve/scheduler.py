@@ -11,8 +11,8 @@ serving one request per forward wastes most of the hardware.  The
   :class:`QueueFullError` immediately (backpressure, not unbounded
   buffering), which the server maps to HTTP 429;
 * a worker thread coalesces waiting requests into one batch of up to
-  ``max_batch_size`` samples, waiting at most ``max_wait_ms`` after the first
-  request so a lone request still gets low latency;
+  ``max_batch_size`` samples and dispatches it the moment nothing queued can
+  join (work-conserving: the engine never idles while a request waits);
 * coalescing is **priority-ordered** (``interactive`` > ``standard`` >
   ``batch``) and bulk work is budgeted: at most ``batch_class_samples`` of
   each dispatched batch may be ``batch``-class samples, so an interactive
@@ -179,11 +179,6 @@ class DynamicBatcher:
     max_batch_size:
         Sample budget per dispatched batch.  A single request larger than the
         budget still dispatches (alone) — the engine chunks internally.
-    max_wait_ms:
-        How long a *lone* first request is held open for near-simultaneous
-        followers; once two or more requests have coalesced the batch
-        dispatches as soon as the queue is momentarily empty (see
-        :meth:`_collect_batch`).
     max_queue_depth:
         Bound on queued (not yet dispatched) requests across all classes;
         beyond it ``submit`` raises :class:`QueueFullError`.  ``batch``-class
@@ -201,8 +196,7 @@ class DynamicBatcher:
     """
 
     def __init__(self, predict_fn: Callable[[np.ndarray], np.ndarray],
-                 max_batch_size: int = 32, max_wait_ms: float = 5.0,
-                 max_queue_depth: int = 256,
+                 max_batch_size: int = 32, max_queue_depth: int = 256,
                  request_timeout_s: Optional[float] = 30.0,
                  metrics: Optional[ServerMetrics] = None,
                  on_batch: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
@@ -212,7 +206,6 @@ class DynamicBatcher:
             raise ValueError("max_batch_size must be >= 1")
         self.predict_fn = predict_fn
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = max(float(max_wait_ms), 0.0) / 1e3
         self.max_queue_depth = int(max_queue_depth)
         self.batch_queue_cap = max(1, self.max_queue_depth // 2)
         self.batch_class_samples = (
@@ -362,62 +355,43 @@ class DynamicBatcher:
         return None
 
     def _collect_batch(self) -> List[InferenceRequest]:
-        """Block for the first request, then coalesce followers greedily.
+        """Block for the first request, then drain what is already queued.
 
-        Continuous-batching policy: everything already queued is drained
-        without waiting — highest priority class first — and the
-        ``max_wait_ms`` hold window is only spent while the batch still holds
-        a *single* request (giving a lone arrival a chance to coalesce with
-        near-simultaneous followers).  Once at least two requests are on
-        board and the queue is momentarily empty the batch dispatches
-        immediately — waiting longer would trade latency for nothing, and
-        under a closed-loop client population (everyone blocked on us) it
-        would deadlock throughput against the window.  Sustained load still
-        fills batches to the budget: requests that arrive during the previous
-        batch's inference are all picked up in one drain, but never more than
-        ``batch_class_samples`` bulk samples per dispatch.
+        Work-conserving continuous batching: nothing is held open for
+        followers.  Everything already queued joins the batch — highest
+        priority class first, at most ``batch_class_samples`` bulk samples —
+        and the batch dispatches as soon as nothing queued can join, so a
+        lone request goes straight to the engine.  Batches still fill under
+        load: requests that arrive during one batch's inference are all
+        drained into the next.  A follower that would overshoot the sample
+        budget seeds the next batch (the carry).
         """
-        if self._carry is not None:
+        with self._cond:
             first, self._carry = self._carry, None
-        else:
-            with self._cond:
+            if first is None:
                 if self._depth == 0:
                     self._cond.wait(timeout=0.05)
                 first = self._pop_locked()
-            if first is None:
-                return []
-        batch = [first]
-        samples = first.num_samples
-        bulk = first.num_samples if first.rank == _BATCH_RANK else 0
-        hold_until = time.monotonic() + self.max_wait_s
-        while samples < self.max_batch_size:
-            with self._cond:
+                if first is None:
+                    return []
+            batch = [first]
+            samples = first.num_samples
+            bulk = first.num_samples if first.rank == _BATCH_RANK else 0
+            while samples < self.max_batch_size:
                 request = self._pop_locked(bulk)
-            if request is None:
-                if len(batch) >= 2:
-                    break
-                remaining = hold_until - time.monotonic()
-                if remaining <= 0:
-                    break
-                with self._cond:
-                    if self._depth == 0:
-                        self._cond.wait(timeout=remaining)
-                    request = self._pop_locked(bulk)
                 if request is None:
-                    # Only over-budget bulk work is queued; idle out the rest
-                    # of the hold window without hot-spinning on the lock.
-                    time.sleep(min(remaining, 0.0005))
-                    continue
-            if samples + request.num_samples > self.max_batch_size:
-                # Never overshoot the sample budget: the oversized follower
-                # seeds the next batch.  (A single request above the budget
-                # still dispatches — alone, as the first of its batch.)
-                self._carry = request
-                break
-            batch.append(request)
-            samples += request.num_samples
-            if request.rank == _BATCH_RANK:
-                bulk += request.num_samples
+                    break
+                if samples + request.num_samples > self.max_batch_size:
+                    # Never overshoot the sample budget: the oversized
+                    # follower seeds the next batch.  (A single request above
+                    # the budget still dispatches — alone, as the first of
+                    # its batch.)
+                    self._carry = request
+                    break
+                batch.append(request)
+                samples += request.num_samples
+                if request.rank == _BATCH_RANK:
+                    bulk += request.num_samples
         return batch
 
     def _dispatch(self, batch: List[InferenceRequest]) -> None:

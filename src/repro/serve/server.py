@@ -165,7 +165,6 @@ class PECANServer(FrontDoor):
         self.host = config.net.host
         self.port = config.net.port
         self.max_batch_size = config.engine.max_batch_size
-        self.max_wait_ms = config.engine.max_wait_ms
         self.max_queue_depth = config.engine.max_queue_depth
         self.request_timeout_s = config.engine.request_timeout_s
         self.batch_chunk = config.engine.batch_chunk
@@ -312,7 +311,7 @@ class PECANServer(FrontDoor):
 
                 batcher = DynamicBatcher(
                     predict_fn,
-                    max_batch_size=self.max_batch_size, max_wait_ms=self.max_wait_ms,
+                    max_batch_size=self.max_batch_size,
                     max_queue_depth=self.max_queue_depth,
                     request_timeout_s=self.request_timeout_s,
                     metrics=self.metrics, on_batch=on_batch,
@@ -568,7 +567,6 @@ class PECANServer(FrontDoor):
                 "queue_depth": record.batcher.queue_depth,
                 "batching": {
                     "max_batch_size": record.batcher.max_batch_size,
-                    "max_wait_ms": record.batcher.max_wait_s * 1e3,
                     "batch_class_samples": record.batcher.batch_class_samples,
                 },
             }

@@ -230,7 +230,7 @@ class TestLifecycleCommands:
         v1 = bundle(0, tmp_path / "v1.npz")
         v2 = bundle(1, tmp_path / "v2.npz")
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, cache_mb=0.0, mmap=False))
+            port=0, cache_mb=0.0, mmap=False))
         server.add_bundle(v1, name="m", preload=True)
         server.start()
         yield server, v2
@@ -295,7 +295,7 @@ class TestScoreCommand:
         bundle = export_deployment_bundle(convert_to_pecan(model, cfg, rng=rng),
                                           tmp_path / "toy.npz",
                                           input_shape=(1, 10, 10))
-        config = ServeConfig.build(port=0, max_wait_ms=1.0, cache_mb=0.0,
+        config = ServeConfig.build(port=0, cache_mb=0.0,
                                    mmap=False)
         config.qos = QoSConfig(batch_class_samples=4)
         server = PECANServer(config=config)

@@ -27,6 +27,7 @@ from repro.serve import (BundleEngine, DynamicBatcher, ModelRegistry,
                          ParityAuditor, PECANServer, QueueFullError,
                          RequestTimeout, SchedulerStopped, ServeClient,
                          ServeConfig, ServeHTTPError, ServerMetrics)
+from repro.serve import scheduler
 from repro.serve.metrics import percentile
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -240,7 +241,7 @@ class TestDynamicBatcher:
             batches.append(x.shape[0])
             return x.sum(axis=(1, 2, 3), keepdims=False)[:, None]
 
-        batcher = DynamicBatcher(predict, max_batch_size=8, max_wait_ms=20.0)
+        batcher = DynamicBatcher(predict, max_batch_size=8)
         # Enqueue before starting the worker: deterministic coalescing.
         requests = [batcher.submit(np.full((1, 2, 3, 3), float(i))) for i in range(6)]
         batcher.start()
@@ -259,7 +260,7 @@ class TestDynamicBatcher:
             batches.append(x.shape[0])
             return np.zeros((x.shape[0], 1))
 
-        batcher = DynamicBatcher(predict, max_batch_size=4, max_wait_ms=20.0)
+        batcher = DynamicBatcher(predict, max_batch_size=4)
         requests = [batcher.submit(np.zeros((1, 2))) for _ in range(10)]
         batcher.start()
         for request in requests:
@@ -292,7 +293,7 @@ class TestDynamicBatcher:
         def predict(x):
             raise RuntimeError("engine exploded")
 
-        batcher = DynamicBatcher(predict, max_wait_ms=10.0)
+        batcher = DynamicBatcher(predict)
         requests = [batcher.submit(np.zeros((1, 2))) for _ in range(3)]
         batcher.start()
         for request in requests:
@@ -317,7 +318,7 @@ class TestDynamicBatcher:
             batches.append(x.shape[0])
             return np.zeros((x.shape[0], 1))
 
-        batcher = DynamicBatcher(predict, max_batch_size=8, max_wait_ms=20.0)
+        batcher = DynamicBatcher(predict, max_batch_size=8)
         sizes = [6, 5, 3, 9]          # 6+5 would overshoot; 9 alone exceeds it
         requests = [batcher.submit(np.zeros((size, 2))) for size in sizes]
         batcher.start()
@@ -332,7 +333,7 @@ class TestDynamicBatcher:
         def predict(x):
             return x[:, :1, 0, 0] * 2.0
 
-        batcher = DynamicBatcher(predict, max_batch_size=16, max_wait_ms=20.0)
+        batcher = DynamicBatcher(predict, max_batch_size=16)
         a = batcher.submit(np.ones((3, 1, 2, 2)))
         b = batcher.submit(np.full((2, 1, 2, 2), 5.0))
         batcher.start()
@@ -341,6 +342,67 @@ class TestDynamicBatcher:
         assert ra.shape == (3, 1) and rb.shape == (2, 1)
         np.testing.assert_allclose(ra, 2.0)
         np.testing.assert_allclose(rb, 10.0)
+
+
+class TestWorkConservingDispatch:
+    """``_collect_batch`` dispatches the moment nothing queued can join.
+
+    Each test calls ``_collect_batch`` directly on an unstarted batcher with
+    every way of idling — ``Condition.wait`` and ``time.sleep`` — patched to
+    raise on the calling thread, so holding a batch open for followers fails
+    the test outright instead of showing up as a timing difference.
+    """
+
+    @pytest.fixture
+    def no_idle(self, monkeypatch):
+        caller = threading.current_thread()
+        real_sleep = time.sleep
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the batcher idled with a batch in hand")
+
+        def sleep(seconds):
+            if threading.current_thread() is caller:
+                refuse()
+            real_sleep(seconds)
+
+        def forbid(batcher):
+            monkeypatch.setattr(batcher._cond, "wait", refuse)
+            return batcher
+
+        monkeypatch.setattr(scheduler.time, "sleep", sleep)
+        return forbid
+
+    def test_lone_request_dispatches_alone(self, no_idle):
+        batcher = no_idle(DynamicBatcher(lambda x: x, max_batch_size=32))
+        request = batcher.submit(np.zeros((1, 2)))
+        assert batcher._collect_batch() == [request]
+        assert batcher.queue_depth == 0
+
+    def test_bulk_requests_over_the_bulk_budget_dispatch_one_by_one(
+            self, no_idle):
+        # The perfbench bulk shape: 8-sample batch-class requests against a
+        # 32-sample budget spend the whole bulk share (32 // 4 = 8) alone.
+        batcher = no_idle(DynamicBatcher(lambda x: x, max_batch_size=32))
+        first = batcher.submit(np.zeros((8, 2)), priority="batch")
+        second = batcher.submit(np.zeros((8, 2)), priority="batch")
+        assert batcher.batch_class_samples == 8
+        assert batcher._collect_batch() == [first]
+        assert batcher._collect_batch() == [second]
+
+    def test_drains_everything_queued_in_priority_order(self, no_idle):
+        batcher = no_idle(DynamicBatcher(lambda x: x, max_batch_size=32))
+        bulk = batcher.submit(np.zeros((2, 2)), priority="batch")
+        standard = batcher.submit(np.zeros((1, 2)))
+        interactive = batcher.submit(np.zeros((1, 2)), priority="interactive")
+        assert batcher._collect_batch() == [interactive, standard, bulk]
+
+    def test_overshooting_follower_is_carried_without_waiting(self, no_idle):
+        batcher = no_idle(DynamicBatcher(lambda x: x, max_batch_size=8))
+        first = batcher.submit(np.zeros((6, 2)))
+        second = batcher.submit(np.zeros((5, 2)))
+        assert batcher._collect_batch() == [first]
+        assert batcher._collect_batch() == [second]
 
 
 # --------------------------------------------------------------------------- #
@@ -462,7 +524,7 @@ class TestServerEndToEnd:
     @pytest.fixture
     def server(self, bundle_path):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_batch_size=8, max_wait_ms=25.0, audit_every=1,
+            port=0, max_batch_size=8, audit_every=1,
             cache_mb=0.0, mmap=False))
         server.add_bundle(bundle_path, name="toy", preload=True)
         with server:
@@ -491,6 +553,24 @@ class TestServerEndToEnd:
         xs = rng.standard_normal((12, 1, 10, 10))
         expected = engine.predict(xs)
         results = [None] * 12
+        # Hold the first dispatch in the engine until every other request is
+        # queued: whatever arrives during one inference joins the next batch.
+        batcher = pecan_server._served["toy"].batcher
+        inner = batcher.predict_fn
+        first_call = threading.Event()
+        gate_reached = []
+
+        def gated(x):
+            if not first_call.is_set():
+                first_call.set()
+                deadline = time.monotonic() + 30.0
+                while (batcher.queue_depth < 12 - x.shape[0]
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+                gate_reached.append(batcher.queue_depth == 12 - x.shape[0])
+            return inner(x)
+
+        batcher.predict_fn = gated
 
         def fire(i):
             results[i] = client.predict(xs[i:i + 1])
@@ -502,6 +582,7 @@ class TestServerEndToEnd:
             thread.join()
         for i in range(12):
             np.testing.assert_array_equal(results[i][0], expected[i])
+        assert gate_reached == [True]
         # The acceptance check: concurrent singles coalesced into batches > 1.
         assert pecan_server.metrics.max_batch_observed() > 1
         histogram = client.metrics()["server"]["batching"]["histogram"]
@@ -588,7 +669,7 @@ class TestServerEviction:
         one = BundleEngine(paths["a"]).bundle.total_values()
         registry = ModelRegistry(max_total_values=one)       # room for one engine
         server = PECANServer(registry=registry, config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, audit_every=1, cache_mb=0.0))
+            port=0, audit_every=1, cache_mb=0.0))
         server.add_bundle(paths["a"], name="a")
         server.add_bundle(paths["b"], name="b")
         x = rng.standard_normal((1, 1, 10, 10))
@@ -617,7 +698,7 @@ class TestServerEviction:
         one = BundleEngine(paths["a"]).bundle.total_values()
         server = PECANServer(config=ServeConfig.build(
             max_total_values=one, optimize=True, mmap=False,
-            max_wait_ms=1.0, cache_mb=0.0))
+            cache_mb=0.0))
         server.add_bundle(paths["a"], name="a")
         server.add_bundle(paths["b"], name="b")
         x = rng.standard_normal((1, 1, 10, 10))
@@ -641,8 +722,7 @@ class TestServeCLI:
         # The context manager closes the stdout/stderr pipes on exit.
         with subprocess.Popen(
                 [sys.executable, "-u", "-m", "repro.cli", "serve",
-                 "--bundle", f"toy={bundle_path}", "--port", "0",
-                 "--max_wait_ms", "10"],
+                 "--bundle", f"toy={bundle_path}", "--port", "0"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}) as process:
             try:

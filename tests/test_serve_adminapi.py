@@ -156,7 +156,7 @@ def admin_bundle(tmp_path_factory) -> Path:
 @pytest.fixture(scope="module")
 def single_server(admin_bundle):
     server = PECANServer(config=ServeConfig.build(
-        port=0, max_wait_ms=1.0, mmap=False))
+        port=0, mmap=False))
     server.add_bundle(admin_bundle, name="m", preload=True)
     server.start()
     yield server
@@ -166,7 +166,7 @@ def single_server(admin_bundle):
 @pytest.fixture(scope="module")
 def pool_server(admin_bundle):
     pool = PoolServer(config=ServeConfig.build(
-        port=0, workers=1, max_wait_ms=1.0,
+        port=0, workers=1,
         **{"heartbeat_interval_s": 0.1}))
     pool.add_bundle(admin_bundle, name="m")
     pool.start()

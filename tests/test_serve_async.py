@@ -205,7 +205,7 @@ class TestEventLoopWire:
     @pytest.fixture
     def server(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, max_connections=16, idle_timeout_s=30.0,
+            port=0, max_connections=16, idle_timeout_s=30.0,
             request_read_timeout_s=5.0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
@@ -264,7 +264,7 @@ class TestEventLoopWire:
 
     def test_connection_budget_rejects_with_shed_shape(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, max_connections=2, cache_mb=0.0,
+            port=0, max_connections=2, cache_mb=0.0,
             mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
@@ -305,7 +305,7 @@ class TestEventLoopWire:
 
     def test_slowloris_answered_408_and_dropped(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, request_read_timeout_s=0.5, cache_mb=0.0,
+            port=0, request_read_timeout_s=0.5, cache_mb=0.0,
             mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
@@ -326,7 +326,7 @@ class TestEventLoopWire:
 
     def test_idle_keep_alive_connection_reaped(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, idle_timeout_s=0.3, cache_mb=0.0,
+            port=0, idle_timeout_s=0.3, cache_mb=0.0,
             mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
@@ -345,7 +345,7 @@ class TestEventLoopWire:
 
     def test_keep_alive_survives_deploy_and_promote(self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, cache_mb=0.0, mmap=False))
+            port=0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -376,7 +376,7 @@ class TestConnectionChaos:
     def test_sheds_misbehaving_connections_without_stalling_load(
             self, bundles):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=2.0, max_batch_size=8,
+            port=0, max_batch_size=8,
             request_read_timeout_s=0.5, max_connections=128, cache_mb=0.0,
             mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)

@@ -187,7 +187,7 @@ def scale_bundle(tmp_path_factory) -> Path:
 def elastic_pool(scale_bundle, hardware_hz=None,
                  **autoscale_overrides) -> PoolServer:
     config = ServeConfig.build(
-        port=0, workers=1, max_wait_ms=1.0,
+        port=0, workers=1,
         **{"engine.hardware_hz": hardware_hz,
            "pool.heartbeat_interval_s": 0.1,
            "autoscale.enabled": True,
@@ -308,7 +308,7 @@ class TestElasticPool:
                                                           capsys):
         from repro.cli import main as cli_main
 
-        config = ServeConfig.build(port=0, workers=1, max_wait_ms=1.0,
+        config = ServeConfig.build(port=0, workers=1,
                                    **{"pool.heartbeat_interval_s": 0.1})
         pool = PoolServer(config=config)
         pool.add_bundle(scale_bundle, name="toy")

@@ -416,7 +416,7 @@ class TestServerCache:
 def pool(bundles):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=2, policy="cache_affinity", heartbeat_interval_s=0.1,
-        heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=8.0,
+        heartbeat_timeout_s=5.0, cache_mb=8.0,
         cache_check_every=0, batch_class_samples=3))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()
@@ -566,7 +566,7 @@ class TestPoolCache:
 def test_zipf_load_under_crash_chaos_serves_no_stale_bytes(bundles):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=2, policy="cache_affinity", heartbeat_interval_s=0.1,
-        heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=8.0,
+        heartbeat_timeout_s=5.0, cache_mb=8.0,
         cache_check_every=0))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()

@@ -33,7 +33,6 @@ PRE_EXISTING_FLAGS = {
     "--host": "127.0.0.1",
     "--port": 8080,
     "--max_batch_size": 32,
-    "--max_wait_ms": 5.0,
     "--max_queue": 256,
     "--timeout_s": 30.0,
     "--batch_chunk": None,
@@ -87,7 +86,7 @@ class TestPreExistingFlagParity:
         parser = build_parser()
         args = parser.parse_args([
             "serve", "--bundle", "m=toy.npz", "--host", "0.0.0.0",
-            "--port", "9000", "--max_batch_size", "8", "--max_wait_ms", "1.5",
+            "--port", "9000", "--max_batch_size", "8",
             "--max_queue", "64", "--timeout_s", "5", "--workers", "3",
             "--policy", "cache_affinity", "--no_mmap", "--no_cache",
             "--no_trace", "--lazy_load", "--optimize",
@@ -95,7 +94,6 @@ class TestPreExistingFlagParity:
         config = serve_config_from_args(args)
         assert config.net.host == "0.0.0.0" and config.net.port == 9000
         assert config.engine.max_batch_size == 8
-        assert config.engine.max_wait_ms == 1.5
         assert config.engine.max_queue_depth == 64
         assert config.engine.request_timeout_s == 5.0
         assert config.pool.workers == 3
@@ -217,7 +215,7 @@ class TestConfigFile:
         assert config.net.max_connections == 99
         assert config.engine.max_batch_size == 16      # flag beats file
         assert config.autoscale.enabled and config.autoscale.max_workers == 6
-        assert config.engine.max_wait_ms == 5.0        # untouched default
+        assert config.engine.max_queue_depth == 256    # untouched default
 
     def test_load_config_file_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -22,6 +22,7 @@ from repro.serve import BundleEngine, PECANServer, ServeClient, ServeHTTPError
 from repro.serve.cache import consistent_ring_points, stable_route_hash
 from repro.serve.config import ServeConfig
 from repro.serve.federation import FrontRouter, HashRing, MemberPool
+from repro.serve.pool import PoolServer
 
 from tests.test_serve_pool import small_model
 
@@ -120,7 +121,7 @@ def federation(fed_bundle):
     members = []
     for _ in range(2):
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, mmap=False))
+            port=0, mmap=False))
         for name in MODEL_NAMES:
             server.add_bundle(fed_bundle, name=name, preload=True)
         server.start()
@@ -258,7 +259,7 @@ class TestFederationFailover:
         members = []
         for _ in range(2):
             server = PECANServer(
-                config=ServeConfig.build(port=0, max_wait_ms=1.0, mmap=False))
+                config=ServeConfig.build(port=0, mmap=False))
             for name in MODEL_NAMES:
                 server.add_bundle(fed_bundle, name=name, preload=True)
             server.start()
@@ -306,6 +307,59 @@ class TestFederationFailover:
         health = front.health_snapshot()
         assert health["status"] == "ok"      # degraded only when ALL are down
         assert health["members"][victim_url] is False
+
+    def test_draining_member_fails_over_to_the_next(self, fed_bundle):
+        # A stopping pool refuses /predict with 503 reason=draining before it
+        # dispatches anything, so the front retries the next member.  The
+        # draining pool binds only its router (no workers); the prober never
+        # runs, so the front's first pick is the ring owner.
+        draining = PoolServer(config=ServeConfig.build(port=0, workers=1))
+        draining._draining = True
+        draining._bind()
+        survivor = PECANServer(
+            config=ServeConfig.build(port=0, mmap=False)).start()
+        front = None
+        try:
+            draining_url = f"127.0.0.1:{draining.port}"
+            config = ServeConfig.build(
+                port=0,
+                **{"federation.members": (draining_url,
+                                          f"127.0.0.1:{survivor.port}"),
+                   "federation.probe_interval_s": 3600.0})
+            front = FrontRouter(config).start()
+            model = next(name for name in (f"drain_model_{i}"
+                                           for i in range(1000))
+                         if _member_for(front, name).url == draining_url)
+            survivor.add_bundle(fed_bundle, name=model, preload=True)
+            x = np.random.default_rng(4).standard_normal((2, 1, 10, 10))
+            client = ServeClient(front.url, timeout_s=30.0, backoff_retries=0)
+            np.testing.assert_array_equal(client.predict(x, model=model),
+                                          BundleEngine(fed_bundle).predict(x))
+            assert front.failovers_total == 1
+            assert front.members[draining_url].up is False
+        finally:
+            if front is not None:
+                front.stop()
+            survivor.stop()
+            draining.stop()
+
+    def test_other_503_replies_reach_the_client(self, failover_setup,
+                                                monkeypatch):
+        # Only a draining refusal is retried: any other 503 (a brownout
+        # shed, say) may follow engine work and passes through untouched.
+        front, members = failover_setup
+        model = MODEL_NAMES[0]
+        owner_url = _member_for(front, model).url
+        owner = next(m for m in members
+                     if f"127.0.0.1:{m.port}" == owner_url)
+        monkeypatch.setattr(owner, "predict_http", lambda headers, body: (
+            503, b'{"error": "shed", "reason": "brownout:critical"}', {}))
+        client = ServeClient(front.url, timeout_s=30.0, backoff_retries=0)
+        with pytest.raises(ServeHTTPError) as excinfo:
+            client.predict(np.zeros((1, 1, 10, 10)), model=model)
+        assert excinfo.value.status == 503
+        assert excinfo.value.reason == "brownout:critical"
+        assert front.failovers_total == 0
 
     def test_all_members_down_is_a_structured_503(self, failover_setup):
         front, members = failover_setup

@@ -288,7 +288,7 @@ class TestServerHotReload:
     def test_deploy_promote_rollback_in_process(self, bundles, probe):
         x, expected = probe
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, cache_mb=0.0, mmap=False))
+            port=0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         try:
             deployed = server.deploy_bundle(bundles["v3"], name="m")
@@ -319,7 +319,7 @@ class TestServerHotReload:
     def test_admin_http_endpoints(self, bundles, probe):
         x, expected = probe
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, cache_mb=0.0, mmap=False))
+            port=0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         server.start()
         try:
@@ -348,7 +348,7 @@ class TestServerHotReload:
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"this is not a bundle")
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_wait_ms=1.0, cache_mb=0.0, mmap=False))
+            port=0, cache_mb=0.0, mmap=False))
         server.add_bundle(bundles["v1"], name="m", preload=True)
         try:
             with pytest.raises(Exception):
@@ -460,7 +460,7 @@ class TestClientTransientRetry:
 def lifecycle_pool(bundles):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
-        heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=0.0))
+        heartbeat_timeout_s=5.0, cache_mb=0.0))
     pool.add_bundle(bundles["v1"], name="m")
     pool.start()
     assert pool.wait_ready(120.0), "pool workers never became ready"

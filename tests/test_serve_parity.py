@@ -77,7 +77,7 @@ class TestTrainedBundleParity:
         model, images = trained_setup
         expected = CAMInferenceEngine(model).predict(images)
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_batch_size=8, max_wait_ms=10.0, cache_mb=0.0,
+            port=0, max_batch_size=8, cache_mb=0.0,
             mmap=False))
         server.add_bundle(trained_bundle, name="trained", preload=True)
         with server:
@@ -217,7 +217,7 @@ class TestMultiTopologyParity:
         model, path, images = topology
         expected = CAMInferenceEngine(model).predict(images)
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_batch_size=8, max_wait_ms=10.0, audit_every=1,
+            port=0, max_batch_size=8, audit_every=1,
             cache_mb=0.0, mmap=False))
         server.add_bundle(path, name="topo", preload=True)
         with server:
@@ -263,7 +263,7 @@ class TestMultiTopologyParity:
         registry = ModelRegistry(
             engine_factory=lambda p: BundleEngine(p, optimize=True))
         server = PECANServer(registry=registry, config=ServeConfig.build(
-            port=0, max_batch_size=8, max_wait_ms=5.0, audit_every=1,
+            port=0, max_batch_size=8, audit_every=1,
             cache_mb=0.0))
         server.add_bundle(path, name="opt", preload=True)
         try:

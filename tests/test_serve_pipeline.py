@@ -44,7 +44,7 @@ def bundle(tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(bundle):
     server = PECANServer(config=ServeConfig.build(
-        port=0, max_wait_ms=1.0, mmap=False, cache_mb=8.0))
+        port=0, mmap=False, cache_mb=8.0))
     server.add_bundle(bundle, name="m", preload=True)
     server.start()
     yield server
@@ -55,7 +55,7 @@ def server(bundle):
 def pool(bundle):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=1, heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
-        max_wait_ms=1.0, cache_mb=8.0, cache_check_every=0))
+        cache_mb=8.0, cache_check_every=0))
     pool.add_bundle(bundle, name="m")
     pool.start()
     assert pool.wait_ready(120.0), "pool worker never became ready"

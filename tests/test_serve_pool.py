@@ -234,7 +234,7 @@ class TestServerPortChurn:
 def pool(pool_bundle):
     server = PoolServer(config=ServeConfig.build(
         port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
-        heartbeat_timeout_s=1.5, max_wait_ms=2.0, cache_mb=0.0))
+        heartbeat_timeout_s=1.5, cache_mb=0.0))
     server.add_bundle(pool_bundle, name="toy")
     server.start()
     assert server.wait_ready(120.0), "pool workers never became ready"
@@ -404,8 +404,7 @@ class TestPoolCLI:
         with subprocess.Popen(
                 [sys.executable, "-u", "-m", "repro.cli", "serve",
                  "--bundle", f"toy={pool_bundle}", "--port", "0",
-                 "--workers", "2", "--policy", "least_outstanding",
-                 "--max_wait_ms", "2"],
+                 "--workers", "2", "--policy", "least_outstanding"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}) as process:
             try:

@@ -538,7 +538,7 @@ class TestClientBackoff:
 class TestServerQoS:
     @pytest.fixture
     def server(self, qos_bundle):
-        config = ServeConfig.build(port=0, max_batch_size=8, max_wait_ms=5.0,
+        config = ServeConfig.build(port=0, max_batch_size=8,
                                    cache_mb=0.0, mmap=False)
         config.qos = QoSConfig(min_dwell_s=0.1)
         server = PECANServer(config=config)
@@ -658,7 +658,7 @@ def _wait_for_injected_latency(pool, x, at_least_s, timeout_s=10.0):
 @pytest.fixture(scope="module")
 def qos_pool(qos_bundle):
     config = ServeConfig.build(port=0, workers=1, heartbeat_interval_s=0.1,
-                               max_wait_ms=2.0, cache_mb=0.0)
+                               cache_mb=0.0)
     config.qos = QoSConfig(slots_per_worker=1, min_dwell_s=0.1,
                            tenant_burst=1.0, tenant_rates={"limited": 0.5})
     pool = PoolServer(config=config)
@@ -763,7 +763,7 @@ class TestPoolQoS:
 class TestChaosBrownout:
     def test_overload_brownout_engages_and_recovers(self, qos_bundle):
         config = ServeConfig.build(port=0, workers=2,
-                                   heartbeat_interval_s=0.1, max_wait_ms=2.0,
+                                   heartbeat_interval_s=0.1,
                                    cache_mb=0.0)
         config.qos = QoSConfig(slots_per_worker=1, queue_high=2.0, alpha=0.7,
                                min_dwell_s=0.2, recover_at=0.5,

@@ -352,7 +352,7 @@ class TestServerTracing:
     def server(self, trace_bundle, tmp_path_factory):
         trace_dir = tmp_path_factory.mktemp("server-traces")
         server = PECANServer(config=ServeConfig.build(
-            port=0, max_batch_size=8, max_wait_ms=2.0,
+            port=0, max_batch_size=8,
             trace_dir=str(trace_dir), invariant_every=1, cache_mb=0.0,
             mmap=False))
         server.add_bundle(trace_bundle, name="toy", preload=True)
@@ -448,7 +448,7 @@ def pool_trace_dir(tmp_path_factory):
 def trace_pool(trace_bundle, pool_trace_dir):
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
-        heartbeat_timeout_s=1.5, max_wait_ms=2.0,
+        heartbeat_timeout_s=1.5,
         trace_dir=str(pool_trace_dir), invariant_every=1, cache_mb=0.0))
     pool.add_bundle(trace_bundle, name="toy")
     pool.start()
@@ -592,7 +592,7 @@ class TestPoolTracing:
 def shed_pool(trace_bundle, tmp_path):
     config = ServeConfig.build(
         port=0, workers=1, policy="round_robin", heartbeat_interval_s=0.1,
-        heartbeat_timeout_s=1.5, max_wait_ms=2.0, cache_mb=0.0,
+        heartbeat_timeout_s=1.5, cache_mb=0.0,
         trace_dir=str(tmp_path / "traces"))
     config.qos = QoSConfig(slots_per_worker=1, min_dwell_s=0.1,
                            tenant_burst=1.0, tenant_rates={"limited": 0.5})
@@ -686,7 +686,7 @@ class TestRuntimeVerificationTripsRollout:
         ``rollback`` without operator action."""
         pool = PoolServer(config=ServeConfig.build(
             port=0, workers=2, policy="round_robin", heartbeat_interval_s=0.1,
-            heartbeat_timeout_s=5.0, max_wait_ms=2.0, invariant_every=1,
+            heartbeat_timeout_s=5.0, invariant_every=1,
             trace_dir=str(tmp_path / "traces"), cache_mb=0.0))
         pool.add_bundle(trace_bundle, name="toy")
         pool.start()
@@ -867,7 +867,7 @@ class TestChaosTracing:
                                         tmp_path / "chaos-traces"))
         config = ServeConfig.build(
             port=0, workers=1, policy="round_robin", heartbeat_interval_s=0.1,
-            heartbeat_timeout_s=5.0, max_wait_ms=2.0, cache_mb=0.0,
+            heartbeat_timeout_s=5.0, cache_mb=0.0,
             trace_dir=str(trace_dir), invariant_every=4)
         config.qos = QoSConfig(slots_per_worker=1, queue_high=2.0, alpha=0.7,
                                min_dwell_s=0.2, recover_at=0.5,
