@@ -106,7 +106,7 @@ from repro.serve.autoscale import Autoscaler, ScaleDecision, ScaleSignals
 from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, InFlightCall,
                                ResultCache, canonical_input_array,
                                canonical_input_hash, canonical_response_bytes,
-                               consistent_ring_points, splice_response,
+                               consistent_ring_points, splice_json,
                                stable_route_hash)
 from repro.serve.client import BulkScorer, ServeClient, ServeHTTPError
 from repro.serve.config import (AutoscaleConfig, CacheConfig, EngineConfig,
@@ -209,7 +209,7 @@ __all__ = [
     "canonical_input_array",
     "canonical_input_hash",
     "canonical_response_bytes",
-    "splice_response",
+    "splice_json",
     "stable_route_hash",
     "ZipfWorkload",
     "LoadResult",

@@ -38,7 +38,7 @@ serialization of the result fields (``outputs``/``classes``/``num_samples``).
 ``json.dumps(float)`` uses ``repr``, which round-trips float64 exactly, so
 replaying these bytes is bitwise-faithful to the original engine call.
 Per-request fields (model echo, queue time, QoS, trace id) are grafted on by
-:func:`splice_response` without re-serializing the payload numbers.
+:func:`splice_json` without re-serializing the payload numbers.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
     "canonical_input_hash",
     "canonical_num_samples",
     "canonical_response_bytes",
-    "splice_response",
+    "splice_json",
     "stable_route_hash",
 ]
 
@@ -158,18 +158,20 @@ def canonical_num_samples(canonical: bytes) -> int:
     return int(canonical[canonical.rindex(b":") + 1:-1])
 
 
-def splice_response(canonical: bytes, fields: Dict[str, Any]) -> bytes:
-    """Graft per-request ``fields`` onto canonical response bytes.
+def splice_json(body: bytes, fields: Dict[str, Any]) -> bytes:
+    """Graft ``fields`` onto the UTF-8 bytes of a JSON object.
 
-    The canonical payload is ``{"outputs": ..., "classes": ...,
-    "num_samples": ...}``; the numbers inside are never re-serialized, so
-    the spliced response is bitwise-faithful to the original engine call.
+    The bytes before the closing brace are kept, so no number is
+    re-serialized: a cached reply stays bitwise that of its engine call and
+    a forwarded request keeps the client's inputs.  A field already in the
+    body is written again after it; JSON keeps the last duplicate key.
     """
     if not fields:
-        return canonical
+        return body
+    head = body.rstrip()[:-1].rstrip()
     extra = json.dumps(fields).encode("utf-8")
     # b'{"outputs": ...}' + b'{"model": ...}'  ->  b'{"outputs": ..., "model": ...}'
-    return canonical[:-1] + b", " + extra[1:]
+    return head + (b"" if head.endswith(b"{") else b", ") + extra[1:]
 
 
 @dataclass

@@ -38,7 +38,8 @@ from repro.serve.trace import ATTEMPT_HEADER, TRACE_HEADER, new_trace_id
 
 #: Connection-level failures that mean "the socket died under us" — the
 #: signature of a pool worker (or the router) being respawned — as opposed to
-#: an HTTP-level error the server actually sent.
+#: an HTTP-level error the server actually sent.  Shared with the servers'
+#: own peer hops (:meth:`repro.serve.pipeline.FrontDoor.exchange`).
 _TRANSIENT_ERRORS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError,
                      http.client.RemoteDisconnected, http.client.BadStatusLine)
 

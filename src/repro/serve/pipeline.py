@@ -46,7 +46,8 @@ import numpy as np
 from repro.serve import cache
 from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, ResultCache,
                                canonical_num_samples, canonical_response_bytes,
-                               splice_response)
+                               splice_json)
+from repro.serve.client import _TRANSIENT_ERRORS
 from repro.serve.invariants import InvariantMonitor
 from repro.serve.metrics import ServerMetrics
 from repro.serve.netfront import EventLoopFrontEnd
@@ -80,8 +81,8 @@ class PredictRequest:
     trace: TraceContext = field(default_factory=TraceContext)
     no_cache: bool = False
     timeout_s: Optional[float] = None
-    #: The decoded JSON body (the pool forwards it to a worker).
-    payload: Dict[str, Any] = field(default_factory=dict)
+    #: The client's raw body: the pool forwards these bytes to a worker.
+    body: bytes = b""
     # Set by the pipeline: the start time, the root span, the cache identity.
     started: float = 0.0
     root: Any = None
@@ -183,7 +184,10 @@ class RequestPipeline:
         ``/predict``; every failure leaves as a JSON error reply."""
         ctx = parse_trace_context(None, headers)
         try:
-            payload = json.loads(body or b"{}")
+            # JSON on the wire is UTF-8 (RFC 8259): the pool splices its
+            # hop fields onto these very bytes.
+            body = body or b"{}"
+            payload = json.loads(body.decode("utf-8-sig"))
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
             if "inputs" not in payload:
@@ -194,7 +198,7 @@ class RequestPipeline:
                 qos=parse_qos(payload, headers), trace=ctx,
                 no_cache=bool(payload.get("no_cache")) or bool(
                     headers is not None and headers.get(NO_CACHE_HEADER)),
-                payload=payload)
+                body=body)
             reply = (run or self.run)(request)
         except Exception as exc:                 # noqa: BLE001 - wire boundary
             reply = _refusal(exc)[0]
@@ -334,7 +338,7 @@ class RequestPipeline:
         self.metrics.record_submitted(canonical_num_samples(canonical))
         self.metrics.record_completed(elapsed, 0.0, qos.priority, qos.tenant)
         self.metrics.record_stages(qos.priority, cache=elapsed)
-        return Reply(body=splice_response(canonical, {
+        return Reply(body=splice_json(canonical, {
             "model": request.plane.echo, "queue_ms": 0.0,
             "priority": qos.priority, "tenant": qos.tenant, verdict: True,
             "trace_id": request.trace.trace_id}), verdict=verdict)
@@ -426,7 +430,9 @@ class FrontDoor:
     def _unbind(self) -> None:
         if self._frontend is not None:
             self._frontend.stop()
-            self._frontend = None
+            with self._idle_lock:
+                self._frontend = None
+        self.close_idle()
 
     def frontend_snapshot(self) -> Dict[str, object]:
         """Network-plane counters for ``/metrics``."""
@@ -443,37 +449,84 @@ class FrontDoor:
         self.stop()
 
     # -- peers ------------------------------------------------------------------
+    #: Guards every server's ``{(host, port): [idle HTTPConnection]}``.
+    _idle_lock = threading.Lock()
+
+    def _idle_pool(self) -> Dict[Tuple[str, int], list]:
+        return self.__dict__.setdefault("_idle_connections", {})
+
+    def close_idle(self, port: Optional[int] = None) -> None:
+        """Close the kept-alive peer connections to ``port`` (all if None):
+        a respawned worker listens on a new port, so its predecessor's
+        sockets would otherwise outlive it."""
+        with self._idle_lock:
+            idle = self._idle_pool()
+            doomed = [connection for key in list(idle)
+                      if port is None or key[1] == port
+                      for connection in idle.pop(key)]
+        for connection in doomed:
+            connection.close()
+
     def exchange(self, host: str, port: int, method: str, path: str,
                  body: Optional[bytes] = None,
                  headers: Optional[Dict[str, str]] = None,
                  timeout_s: Optional[float] = None,
                  ) -> Tuple[int, bytes, Dict[str, str]]:
-        """One HTTP exchange with a peer server.
+        """One HTTP exchange with a peer server over a kept-alive connection.
 
-        Carries this process's Lamport clock out and folds the peer's back
-        in, so events recorded after the hop order causally after the
-        peer's.  Returns ``(status, body, headers)`` with the reply headers
-        a front relays (trace id, ``Retry-After``, Lamport).
+        Idle connections are kept per ``(host, port)``, so a hop costs no TCP
+        connect.  As in ``ServeClient``, a GET or ``/predict`` whose *reused*
+        socket died is replayed once on a fresh one (not a failover hop), and
+        admin POSTs ride one-shot connections, so a stale socket never makes
+        a deploy ambiguous.  Carries this process's Lamport clock out and
+        folds the peer's back in, so events after the hop order causally
+        after the peer's.  Returns ``(status, body, headers)`` with the reply
+        headers a front relays (trace id, ``Retry-After``, Lamport).
         """
-        connection = http.client.HTTPConnection(host, port, timeout=timeout_s)
-        try:
-            send = {"Content-Type": "application/json"} if body is not None else {}
-            send.update(headers or {})
-            send[LAMPORT_HEADER] = str(self.tracer.clock.tick())
-            connection.request(method, path, body=body, headers=send)
-            response = connection.getresponse()
-            remote = response.getheader(LAMPORT_HEADER)
-            if remote is not None:
-                try:
-                    self.tracer.observe_remote(int(remote))
-                except ValueError:
-                    pass
-            relayed = {key: value for key, value in response.getheaders()
-                       if key.lower() in ("x-trace-id", "retry-after",
-                                          "x-lamport")}
-            return response.status, response.read(), relayed
-        finally:
+        send = {"Content-Type": "application/json"} if body is not None else {}
+        send.update(headers or {})
+        send[LAMPORT_HEADER] = str(self.tracer.clock.tick())
+        keep = method == "GET" or path == "/predict"
+        key, fresh = (host, port), not keep
+        while True:
+            connection = None
+            if not fresh:
+                with self._idle_lock:
+                    idle = self._idle_pool().get(key)
+                    connection = idle.pop() if idle else None
+            reused = connection is not None
+            if connection is None:
+                connection = http.client.HTTPConnection(host, port)
+            connection.timeout = timeout_s
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout_s)
+            try:
+                connection.request(method, path, body=body, headers=send)
+                response = connection.getresponse()
+                data = response.read()
+                break
+            except BaseException as exc:
+                connection.close()
+                if not (reused and isinstance(exc, _TRANSIENT_ERRORS)):
+                    raise
+                fresh = True               # the peer reaped it: replay once
+        with self._idle_lock:
+            # Never parked past a stop: _unbind() clears _frontend, then sweeps.
+            park = (keep and not response.will_close
+                    and self._frontend is not None)
+            if park:
+                self._idle_pool().setdefault(key, []).append(connection)
+        if not park:
             connection.close()
+        remote = response.getheader(LAMPORT_HEADER)
+        if remote is not None:
+            try:
+                self.tracer.observe_remote(int(remote))
+            except ValueError:
+                pass
+        relayed = {name: value for name, value in response.getheaders()
+                   if name.lower() in ("x-trace-id", "retry-after", "x-lamport")}
+        return response.status, data, relayed
 
     def peers(self) -> Dict[str, Callable[[str], Tuple[int, bytes]]]:
         """``{name: get}`` of the processes this server fronts, where

@@ -48,10 +48,11 @@ bundle arrays**, fronted by an HTTP router that speaks the exact same
   its violations spend the PR5 rollout gate's budget (a corrupted canary
   rolls back automatically).
 
-The router adds no numeric work: request bodies are proxied to the chosen
-worker verbatim and worker responses are returned verbatim, so pooled
-responses are byte-identical to single-process ones (bitwise logits on the
-PECAN-D path, which ``benchmarks/test_bench_pool_serving.py`` asserts).
+The router adds no numeric work: it forwards the client's bytes plus spliced
+QoS/``no_cache`` fields over a kept-alive connection and returns the worker's
+response verbatim, so pooled responses are byte-identical to single-process
+ones (bitwise logits on the PECAN-D path, which
+``benchmarks/test_bench_pool_serving.py`` asserts).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import numpy as np
 from repro.serve import adminapi, cache
 from repro.serve.autoscale import Autoscaler, ScaleSignals
 from repro.serve.cache import (ResultCache, canonical_response_bytes,
-                               stable_route_hash)
+                               splice_json, stable_route_hash)
 from repro.serve.client import ServeHTTPError
 from repro.serve.config import CacheConfig, NetConfig, ServeConfig
 from repro.serve.lifecycle import (PROMOTED, ROLLED_BACK, CanaryPolicy,
@@ -84,8 +85,7 @@ from repro.serve.invariants import InvariantMonitor, Violation
 from repro.serve.metrics import ServerMetrics, aggregate_counter_trees
 from repro.serve.pipeline import (FrontDoor, HTTPReply, PredictRequest, Reply,
                                   RequestPipeline, json_response)
-from repro.serve.qos import (QoSConfig, RequestQoS, ShedError,
-                             merge_qos_into_payload)
+from repro.serve.qos import QoSConfig, RequestQoS, ShedError, qos_wire_fields
 from repro.serve.scheduler import QueueFullError, RequestTimeout
 from repro.serve.trace import (ATTEMPT_HEADER, PARENT_SPAN_HEADER,
                                TRACE_HEADER, TraceContext, Tracer)
@@ -812,6 +812,8 @@ class PoolServer(FrontDoor):
                         worker.process.kill()
                         worker.process.join(1.0)
                 worker.conn.close()
+                if worker.port is not None:
+                    self.close_idle(worker.port)
                 with self._lock:
                     if worker in self._workers:
                         self._workers.remove(worker)
@@ -1005,9 +1007,10 @@ class PoolServer(FrontDoor):
         weighted-fair dispatch slot → a worker (with connection-failure
         retries) or a canary exchange.
 
-        The body is forwarded with the request's *remaining* deadline budget
-        rewritten in, so the worker's batcher honours the deadline the
-        router admitted.  Inference timeouts are not retried (HTTP 504).
+        The client's body is forwarded with the QoS fields spliced on — the
+        *remaining* deadline budget among them, so the worker's batcher
+        honours the deadline the router admitted; the inputs are never
+        re-encoded.  Inference timeouts are not retried (HTTP 504).
         """
         qos, ctx, model = request.qos, request.trace, request.model
         self.metrics.record_submitted(0)
@@ -1046,15 +1049,15 @@ class PoolServer(FrontDoor):
         self.tracer.finish_span(admission, verdict="admitted",
                                 queue_ms=waited * 1e3)
         try:
-            payload = merge_qos_into_payload(request.payload, qos)
+            fields = qos_wire_fields(qos)
             if request.no_cache:
-                payload["no_cache"] = True    # forward the bypass to the worker
-            body = json.dumps(payload).encode("utf-8")
+                fields["no_cache"] = True     # forward the bypass to the worker
+            body = splice_json(request.body, fields)
             routing_key = self._routing_key(request)
             rollout = self._canary_rollout_for(model)
             if rollout is not None and rollout.policy.sample():
                 return self._canary_exchange(
-                    body, payload, model, rollout, qos=qos, ctx=ctx,
+                    body, model, rollout, qos=qos, ctx=ctx,
                     parent_id=request.root_id, routing_key=routing_key)
             return self._dispatch_with_retries(
                 body, model, qos=qos, ctx=ctx, parent_id=request.root_id,
@@ -1139,7 +1142,7 @@ class PoolServer(FrontDoor):
             return
         if next(self._cache_checks) % self.cache_check_every:
             return
-        probe: Dict[str, object] = {"inputs": request.payload["inputs"],
+        probe: Dict[str, object] = {"inputs": request.inputs.tolist(),
                                     "no_cache": True}
         if request.model:
             probe["model"] = request.model
@@ -1280,8 +1283,7 @@ class PoolServer(FrontDoor):
             rollout = self._rollouts.get(base) if version is None else None
             return rollout if rollout is not None and rollout.in_canary else None
 
-    def _canary_exchange(self, body: bytes, payload: Dict[str, object],
-                         model: str, rollout: Rollout,
+    def _canary_exchange(self, body: bytes, model: str, rollout: Rollout,
                          qos: Optional[RequestQoS] = None,
                          ctx: Optional[TraceContext] = None,
                          parent_id: Optional[str] = None,
@@ -1304,8 +1306,7 @@ class PoolServer(FrontDoor):
             body, model, qos=qos, ctx=ctx, parent_id=parent_id,
             routing_key=routing_key)
         active_seconds = time.monotonic() - started
-        mirror_body = json.dumps({**payload, "model": rollout.candidate}
-                                 ).encode("utf-8")
+        mirror_body = splice_json(body, {"model": rollout.candidate})
         trace_id = ctx.trace_id if ctx is not None else None
         mirror_span = self.tracer.start_span(
             "router.canary_mirror", trace_id, parent_id=parent_id,

@@ -174,24 +174,20 @@ def parse_qos(payload: Optional[Mapping[str, object]] = None,
     return RequestQoS(priority=priority, tenant=tenant, deadline=deadline)
 
 
-def merge_qos_into_payload(payload: Dict[str, object], qos: RequestQoS,
-                           now: Optional[float] = None) -> Dict[str, object]:
-    """Write ``qos`` into a JSON body for the router→worker hop.
+def qos_wire_fields(qos: RequestQoS,
+                    now: Optional[float] = None) -> Dict[str, object]:
+    """The body fields that carry ``qos`` over the router→worker hop.
 
-    The deadline is rewritten to the *remaining* budget, so the worker's
-    batcher honours (approximately) the same absolute deadline the front end
-    admitted — that is the propagation half of "shed doomed work before it
-    reaches the engine".
+    The deadline is the *remaining* budget, so the worker's batcher honours
+    (approximately) the same absolute deadline the front end admitted — that
+    is the propagation half of "shed doomed work before it reaches the
+    engine".  Spliced onto the client's body, they override its values.
     """
-    payload = dict(payload)
-    payload["priority"] = qos.priority
-    payload["tenant"] = qos.tenant
+    fields: Dict[str, object] = {"priority": qos.priority, "tenant": qos.tenant}
     remaining = qos.remaining_ms(now)
     if remaining is not None:
-        payload["deadline_ms"] = max(remaining, 0.001)
-    else:
-        payload.pop("deadline_ms", None)
-    return payload
+        fields["deadline_ms"] = max(remaining, 0.001)
+    return fields
 
 
 # --------------------------------------------------------------------------- #

@@ -29,7 +29,7 @@ from repro.serve import (BundleEngine, CacheAffinityPolicy, InvariantMonitor,
                          ModelRegistry, PECANServer, PoolServer, ResultCache,
                          ServeClient, ServeConfig, ZipfWorkload,
                          canonical_input_hash, canonical_response_bytes,
-                         format_versioned, run_zipf_load, splice_response,
+                         format_versioned, run_zipf_load, splice_json,
                          stable_route_hash)
 from repro.serve.scheduler import RequestTimeout
 
@@ -114,11 +114,44 @@ class TestCanonicalResponse:
     def test_splice_grafts_fields_without_touching_numbers(self):
         canonical = canonical_response_bytes(
             {"outputs": [[0.1 + 0.2]], "classes": [0], "num_samples": 1})
-        spliced = json.loads(splice_response(
+        spliced = json.loads(splice_json(
             canonical, {"model": "m@v1", "cached": True}))
         assert spliced["outputs"] == [[0.1 + 0.2]]
         assert spliced["model"] == "m@v1" and spliced["cached"] is True
-        assert splice_response(canonical, {}) == canonical
+        assert splice_json(canonical, {}) == canonical
+
+
+class TestRequestSplice:
+    """The router→worker hop: the client's request bytes plus the hop's
+    fields, never a re-encode of the inputs."""
+
+    FIELDS = {"priority": "batch", "tenant": "bulk", "deadline_ms": 12.5,
+              "no_cache": True}
+
+    @pytest.mark.parametrize("body", [
+        b'{"inputs": [[0.30000000000000004, 1e-300]]}',
+        b'{"inputs": [1.0, 2.0]}  \t ',
+        b'{"inputs": [1.0]}\n',
+        b'{"inputs": [1.0]}\r\n',
+        b'  {"inputs": [1.0]} ',
+        # Client-sent hop fields: the spliced values must win.
+        b'{"inputs": [1.0], "priority": "interactive", "tenant": "client", '
+        b'"deadline_ms": 5000, "no_cache": false, "model": "toy"}\n',
+        b'{}',
+        b'{ }\n',
+    ])
+    def test_splice_equals_a_dict_merge(self, body):
+        spliced = splice_json(body, self.FIELDS)
+        assert json.loads(spliced) == {**json.loads(body), **self.FIELDS}
+
+    def test_client_bytes_are_forwarded_unchanged(self):
+        body = (b'{"inputs": [[0.1, 2.5e-17, -3.0]], "model": "toy", '
+                b'"deadline_ms": 5000}\r\n')
+        spliced = splice_json(body, self.FIELDS)
+        kept = body.rstrip()[:-1]              # everything before the "}"
+        assert spliced.startswith(kept)
+        assert spliced[len(kept):] == (b", " + json.dumps(
+            self.FIELDS).encode()[1:])
 
 
 # --------------------------------------------------------------------------- #

@@ -233,6 +233,37 @@ class TestFederationServing:
         client.rollback(model)
         assert owner.registry.active_version(model) == 1
 
+    def test_admin_posts_ride_one_shot_connections(self, federation,
+                                                   fed_bundle):
+        # A stale kept-alive socket must never make a deploy ambiguous, so
+        # each admin POST opens (and closes) its own connection: exactly
+        # one accept on the member per verb.  The front never probes here,
+        # so its admin hops are the member's only new connections.
+        _, members = federation
+        front = FrontRouter(ServeConfig.build(
+            port=0, **{"federation.members": tuple(f"127.0.0.1:{m.port}"
+                                                   for m in members),
+                       "federation.probe_interval_s": 3600.0})).start()
+        try:
+            client = ServeClient(front.url, timeout_s=120.0)
+            model = MODEL_NAMES[6]
+            owner_url = _member_for(front, model).url
+            owner = next(m for m in members
+                         if f"127.0.0.1:{m.port}" == owner_url)
+            verbs = (lambda: client.deploy(model, str(fed_bundle), auto=False,
+                                           canary_fraction=0.0),
+                     lambda: client.promote(model),
+                     lambda: client.rollback(model))
+            for verb in verbs:
+                before = owner.frontend_snapshot()["accepted_total"]
+                verb()
+                assert owner.frontend_snapshot()["accepted_total"] \
+                    == before + 1
+            assert front._idle_pool() == {}
+            client.close()
+        finally:
+            front.stop()
+
     def test_admin_errors_pass_through_byte_compatibly(self, federation):
         front, _ = federation
         client = ServeClient(front.url)

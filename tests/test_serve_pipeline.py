@@ -18,8 +18,8 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import (FrontRouter, PECANServer, PoolServer, ServeConfig,
-                         canonical_response_bytes)
+from repro.serve import (BundleEngine, FrontRouter, PECANServer, PoolServer,
+                         ServeConfig, canonical_response_bytes)
 from repro.serve.cache import canonical_num_samples
 from repro.serve.trace import LAMPORT_HEADER, TRACE_HEADER, new_trace_id
 
@@ -99,6 +99,22 @@ def test_non_object_json_body_is_400(request, door, body):
     assert "JSON object" in reply["error"]
     assert reply["trace_id"] == trace_id
     assert headers[TRACE_HEADER.lower()] == trace_id
+
+
+@pytest.mark.parametrize("door", ["server", "pool", "front"])
+def test_bodies_are_utf8_json(request, door, bundle):
+    """JSON on the wire is UTF-8 (RFC 8259), with or without a BOM and
+    trailing whitespace.  The pool splices its hop fields onto the client's
+    own bytes, so every door refuses a UTF-16 body alike."""
+    port = request.getfixturevalue(door).port
+    x = np.random.default_rng(9).normal(size=(1, 1, 10, 10))
+    text = json.dumps({"inputs": x.tolist(), "model": "m", "no_cache": True})
+    status, reply, _ = post(port, b"\xef\xbb\xbf" + text.encode() + b"\r\n")
+    assert status == 200
+    np.testing.assert_array_equal(reply["outputs"],
+                                  BundleEngine(bundle).predict(x))
+    status, reply, _ = post(port, text.encode("utf-16"))
+    assert status == 400 and "error" in reply
 
 
 def run_matrix(port: int):

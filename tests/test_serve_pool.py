@@ -11,6 +11,7 @@ the CLI entry point.
 from __future__ import annotations
 
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -334,6 +335,93 @@ class TestPoolServing:
             pool.inject_fault(pool.ready_workers()[0].id, "meltdown")
         with pytest.raises(KeyError, match="no worker"):
             pool.inject_fault(10**9, "slow", seconds=0.1)
+
+
+@pytest.fixture(scope="module")
+def solo_pool(pool_bundle):
+    server = PoolServer(config=ServeConfig.build(
+        port=0, workers=1, heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
+        cache_mb=0.0))
+    server.add_bundle(pool_bundle, name="toy")
+    server.start()
+    assert server.wait_ready(120.0), "pool worker never became ready"
+    yield server
+    server.stop(drain=True)
+
+
+def _worker_accepts(pool) -> int:
+    """Connections the pool's only worker has accepted so far."""
+    (payload,) = pool.metrics_snapshot()["workers"].values()
+    return payload["frontend"]["accepted_total"]
+
+
+class TestKeepAliveHop:
+    """The router→worker hop reuses kept-alive connections; a reused socket
+    that died is replayed on a fresh one, invisibly to the client."""
+
+    def test_sequential_misses_reuse_one_connection(self, solo_pool,
+                                                    pool_bundle, module_rng):
+        engine = BundleEngine(pool_bundle)
+        x = module_rng.standard_normal((1, 1, 10, 10))
+        client = ServeClient(solo_pool.url)
+        before = _worker_accepts(solo_pool)
+        for _ in range(30):
+            np.testing.assert_array_equal(
+                client.predict(x, model="toy", no_cache=True), engine.predict(x))
+        # A connection per hop would add 30 accepts (31 with the scrape).
+        assert _worker_accepts(solo_pool) - before <= 3
+
+    def test_dead_pooled_socket_is_replayed_not_failed(self, solo_pool,
+                                                        pool_bundle,
+                                                        module_rng):
+        engine = BundleEngine(pool_bundle)
+        x = module_rng.standard_normal((2, 1, 10, 10))
+        client = ServeClient(solo_pool.url)
+        client.predict(x, model="toy", no_cache=True)      # park a connection
+        (worker,) = solo_pool.ready_workers()
+        idle = solo_pool._idle_pool()[("127.0.0.1", worker.port)]
+        assert idle, "the hop parked no connection"
+        for connection in idle:
+            connection.sock.shutdown(socket.SHUT_RDWR)
+        failed = solo_pool.describe_pool()["proxied_status"]["5xx"]
+        proxy_failures = worker.proxy_failures
+        np.testing.assert_array_equal(
+            client.predict(x, model="toy", no_cache=True), engine.predict(x))
+        assert solo_pool.describe_pool()["proxied_status"]["5xx"] == failed
+        assert worker.proxy_failures == proxy_failures
+
+
+def test_respawn_closes_the_dead_workers_connections(pool_bundle, module_rng):
+    """Idle connections to a crashed worker are closed when the monitor
+    removes it (its successor listens on a new port), and ``stop()`` closes
+    the rest: no socket outlives its peer."""
+    engine = BundleEngine(pool_bundle)
+    x = module_rng.standard_normal((1, 1, 10, 10))
+    server = PoolServer(config=ServeConfig.build(
+        port=0, workers=1, heartbeat_interval_s=0.1, heartbeat_timeout_s=5.0,
+        cache_mb=0.0))
+    server.add_bundle(pool_bundle, name="toy")
+    server.start()
+    try:
+        assert server.wait_ready(120.0)
+        client = ServeClient(server.url)
+        client.predict(x, model="toy", no_cache=True)
+        (victim,) = server.ready_workers()
+        parked = list(server._idle_pool()[("127.0.0.1", victim.port)])
+        assert parked
+        server.inject_fault(victim.id, "crash")
+        deadline = time.monotonic() + 30.0
+        while server.restarts_total == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert server.restarts_total == 1, "crashed worker never respawned"
+        assert server.wait_ready(60.0)
+        assert all(connection.sock is None for connection in parked)
+        np.testing.assert_array_equal(
+            client.predict(x, model="toy", no_cache=True), engine.predict(x))
+        client.close()
+    finally:
+        server.stop()
+    assert server._idle_pool() == {}
 
 
 class TestPoolLifecycle:

@@ -33,7 +33,8 @@ from repro.serve import (BrownoutController, FairScheduler, PECANServer,
                          ServeConfig, ServeHTTPError, ShedError, TokenBucket,
                          TokenBucketTable, parse_qos)
 from repro.serve.client import BulkScorer
-from repro.serve.qos import backoff_delay, merge_qos_into_payload
+from repro.serve.cache import splice_json
+from repro.serve.qos import backoff_delay, qos_wire_fields
 from repro.serve.scheduler import QueueFullError, RequestTimeout
 
 
@@ -112,15 +113,26 @@ class TestParseQoS:
         with pytest.raises(ValueError, match="positive"):
             parse_qos({"deadline_ms": -5})
 
-    def test_merge_rewrites_deadline_to_remaining_budget(self):
+    def test_wire_fields_rewrite_deadline_to_remaining_budget(self):
         qos = RequestQoS(priority="batch", tenant="bulk", deadline=10.0)
-        payload = merge_qos_into_payload({"inputs": [1], "deadline_ms": 999.0},
-                                         qos, now=9.9)
-        assert payload["priority"] == "batch" and payload["tenant"] == "bulk"
-        assert payload["deadline_ms"] == pytest.approx(100.0)
-        # No deadline -> the stale field is dropped, not forwarded.
-        free = merge_qos_into_payload({"deadline_ms": 5.0}, RequestQoS())
-        assert "deadline_ms" not in free
+        fields = qos_wire_fields(qos, now=9.9)
+        assert fields["priority"] == "batch" and fields["tenant"] == "bulk"
+        assert fields["deadline_ms"] == pytest.approx(100.0)
+        # No deadline -> no deadline field goes on the wire.
+        assert qos_wire_fields(RequestQoS()) == {"priority": "standard",
+                                                 "tenant": "default"}
+
+    def test_spliced_body_carries_the_routers_remaining_budget(self):
+        # The client asked for 999 ms; the router admitted it and 900 ms are
+        # gone by the hop.  The worker must see the remaining 100 ms, and
+        # the router's tenant/priority, not the client's originals.
+        body = (b'{"inputs": [1.5], "deadline_ms": 999.0, '
+                b'"priority": "interactive", "tenant": "client"}\n')
+        qos = RequestQoS(priority="batch", tenant="bulk", deadline=10.0)
+        spliced = splice_json(body, qos_wire_fields(qos, now=9.9))
+        seen = parse_qos(json.loads(spliced), now=0.0)
+        assert (seen.priority, seen.tenant) == ("batch", "bulk")
+        assert seen.deadline * 1e3 == pytest.approx(100.0)
 
 
 # --------------------------------------------------------------------------- #
