@@ -66,11 +66,11 @@ def measure_mode(rng, mode, repeats=3):
     fused = measure_throughput(lambda: engine.predict(x), f"{mode}/fused",
                                items_per_run=BATCH, repeats=repeats)
 
-    engine.use_fused = False
-    reference_out = engine.predict(x)
-    reference = measure_throughput(lambda: engine.predict(x), f"{mode}/reference",
+    reference_engine = CAMInferenceEngine(model, use_fused=False)
+    reference_out = reference_engine.predict(x)
+    reference = measure_throughput(lambda: reference_engine.predict(x),
+                                   f"{mode}/reference",
                                    items_per_run=BATCH, repeats=repeats)
-    engine.use_fused = True
 
     np.testing.assert_allclose(fused_out, reference_out, atol=1e-10)
 

@@ -12,9 +12,13 @@ This package provides:
 * :mod:`repro.cam.layer_lut` — the :class:`LayerLUT` deployment artifact
   (import-lean: no training dependencies),
 * :mod:`repro.cam.lut` — LUT construction from trained layers,
-* :mod:`repro.cam.cam_array` — a behavioural model of the CAM macro
-  (match-line evaluations, energy/latency accounting),
-* :mod:`repro.cam.counters` — per-layer operation counters (import-lean),
+* :mod:`repro.cam.cam_array` — a behavioural model of the CAM macro (the
+  bank searched by the per-group reference kernel, with its own match-line
+  and energy tallies) and the energy constants of the cost model,
+* :mod:`repro.cam.counters` — the one static cost model
+  (:func:`pecan_position_cost`, Table 1 plus the CAM search), from which the
+  runtimes and :mod:`repro.hardware.opcount` draw every statistic, and the
+  per-layer operation counters (import-lean),
 * :mod:`repro.cam.runtime` — the autograd-free per-layer Algorithm-1 kernels
   shared by the model engine and the serving stack,
 * :mod:`repro.cam.inference` — the lookup-only inference engine: a thin

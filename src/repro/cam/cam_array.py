@@ -110,20 +110,6 @@ class CAMArray:
         self.stats.cell_operations += num_queries * p * d
         self.stats.energy += num_queries * self.energy_model.search_energy(self.mode, p, d)
 
-    def record_search_batch(self, num_queries: int,
-                            usage_counts: Optional[np.ndarray] = None) -> None:
-        """Account searches executed on this bank's behalf by the fused engine.
-
-        The vectorized inference path evaluates all groups in one broadcasted
-        pass instead of querying each :class:`CAMArray` individually; it calls
-        this afterwards so the per-bank statistics (searches, match-line
-        evaluations, energy, usage histogram) stay identical to the per-group
-        reference path.
-        """
-        self._account(int(num_queries))
-        if usage_counts is not None:
-            self.usage += np.asarray(usage_counts, dtype=self.usage.dtype)
-
     def match(self, queries: np.ndarray) -> np.ndarray:
         """Hard winner-take-all match: ``(d, L)`` queries → ``(L,)`` indices."""
         if queries.shape[0] != self.subvector_dim:

@@ -1,18 +1,58 @@
-"""Per-layer operation counters for the Algorithm-1 inference path.
+"""The static cost model and per-layer operation counters of Algorithm 1.
 
 The central hardware claim of PECAN-D is that inference uses **zero
-multiplications** (Section 3.2 / Table 1).  These dataclasses tally every
-arithmetic operation the CAM path executes; they are import-lean (NumPy-free,
-training-free) so both the model-based engine (:mod:`repro.cam.inference`) and
-the bundle-backed serving engine (:mod:`repro.serve`) can account identically.
-The model-level helpers that *interpret* the counts (tracing a model, checking
-for unconverted layers) stay in :mod:`repro.cam.verify`.
+multiplications** (Section 3.2 / Table 1).  :func:`pecan_position_cost` is the
+one home of the paper's per-position formula: both the analytic counts of
+:mod:`repro.hardware.opcount` and the counts the inference runtimes charge per
+call derive from it.  The module is import-lean (training-free) so the
+model-based engine (:mod:`repro.cam.inference`) and the bundle-backed serving
+engine (:mod:`repro.serve`) account identically.  The model-level helpers that
+*interpret* the counts (tracing a model, checking for unconverted layers) stay
+in :mod:`repro.cam.verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
+
+from repro.cam.cam_array import CAMEnergyModel
+from repro.pecan.config import PECANMode
+
+
+@dataclass(frozen=True)
+class PositionCost:
+    """Cost of one output position of a PECAN layer, over all ``D`` groups."""
+
+    additions: int
+    multiplications: int
+    comparisons: int
+    lookups: int
+    searches: int
+    matchline_evaluations: int
+    cell_operations: int
+    energy: float
+
+
+def pecan_position_cost(mode: Union[PECANMode, str], p: int, num_groups: int,
+                        subvector_dim: int, cout: int) -> PositionCost:
+    """Table 1 arithmetic (no bias additions) plus one CAM search per group.
+
+    The search energy is priced by the default
+    :class:`~repro.cam.cam_array.CAMEnergyModel` (Section 4.3).
+    """
+    mode = PECANMode.parse(mode)
+    if mode is PECANMode.DISTANCE:      # l1 search, then D looked-up columns
+        arithmetic = (num_groups * (2 * p * subvector_dim + cout), 0,
+                      num_groups * p, num_groups * cout)
+    else:                               # scores, then a p-column weighted sum
+        macs = num_groups * p * (subvector_dim + cout)
+        arithmetic = (macs, macs, 0, num_groups * p * cout)
+    return PositionCost(
+        *arithmetic, searches=num_groups,
+        matchline_evaluations=num_groups * p,
+        cell_operations=num_groups * p * subvector_dim,
+        energy=num_groups * CAMEnergyModel().search_energy(mode, p, subvector_dim))
 
 
 @dataclass

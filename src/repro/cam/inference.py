@@ -43,20 +43,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cam.cam_array import CAMEnergyModel, CAMStats
 from repro.cam.counters import OpCounter
 from repro.cam.lut import LayerLUT, build_layer_lut
-from repro.cam.runtime import LUTLayerRuntime
+from repro.cam.runtime import LUTLayerRuntime, RuntimeStatsMixin
 from repro.ir.executor import GraphExecutor
 from repro.nn.module import Module
 from repro.pecan.convert import pecan_layers
 from repro.perf import ChunkPolicy, Workspace, iter_slices
 
-#: Backwards-compatible alias: the runtime used to be a private class here.
-_LUTLayerRuntime = LUTLayerRuntime
 
-
-class CAMInferenceEngine:
+class CAMInferenceEngine(RuntimeStatsMixin):
     """Run a PECAN model in deployment (lookup-only) mode.
 
     Parameters
@@ -64,19 +60,20 @@ class CAMInferenceEngine:
     model:
         A model containing PECAN layers (any mixture with conventional layers
         is allowed; only the PECAN layers are routed through the CAM path).
-    energy_model:
-        Optional per-operation energy constants for the CAM banks.
     chunk_policy:
         Memory budget for the fused kernels' broadcasted transients; the
         position axis of every layer is streamed in chunks that respect it.
         Defaults to :data:`repro.perf.chunking.DEFAULT_MAX_BYTES`.
     use_fused:
         Select the vectorized fast path (default) or the per-group reference
-        loop.  Both produce identical outputs and statistics.
+        loop, fixed for the engine's lifetime.  Both produce identical
+        outputs and statistics, which come from one static model: every
+        layer charges its :func:`~repro.cam.counters.pecan_position_cost`
+        per output position and counts prototype usage from the winners.
     """
 
-    def __init__(self, model: Module, energy_model: Optional[CAMEnergyModel] = None,
-                 chunk_policy: Optional[ChunkPolicy] = None, use_fused: bool = True):
+    def __init__(self, model: Module, chunk_policy: Optional[ChunkPolicy] = None,
+                 use_fused: bool = True):
         self.model = model
         self.op_counter = OpCounter()
         self.chunk_policy = chunk_policy if chunk_policy is not None else ChunkPolicy()
@@ -87,21 +84,11 @@ class CAMInferenceEngine:
             lut = build_layer_lut(layer, name=name)
             self._layers[name] = layer
             self.runtimes[name] = LUTLayerRuntime(lut, self.op_counter,
-                                                  energy_model=energy_model,
                                                   chunk_policy=self.chunk_policy,
                                                   workspace=self.workspace,
                                                   use_fused=use_fused)
         #: One compiled executor per per-sample input shape (traced lazily).
         self._executors: Dict[Tuple[int, ...], GraphExecutor] = {}
-
-    @property
-    def use_fused(self) -> bool:
-        return all(runtime.use_fused for runtime in self.runtimes.values())
-
-    @use_fused.setter
-    def use_fused(self, value: bool) -> None:
-        for runtime in self.runtimes.values():
-            runtime.use_fused = bool(value)
 
     def executor_for(self, input_shape: Tuple[int, ...]) -> GraphExecutor:
         """Compiled graph executor for one per-sample input shape.
@@ -184,27 +171,6 @@ class CAMInferenceEngine:
         """Top-1 accuracy of LUT inference on a labelled batch."""
         predicted = self.predict_classes(inputs, batch_chunk=batch_chunk)
         return float((predicted == np.asarray(labels)).mean())
-
-    # ------------------------------------------------------------------ #
-    # Aggregated statistics
-    # ------------------------------------------------------------------ #
-    def reset_counters(self) -> None:
-        self.op_counter = OpCounter()
-        for runtime in self.runtimes.values():
-            runtime.counter = self.op_counter
-            for bank in runtime.cam_banks:
-                bank.reset_stats()
-
-    def cam_stats(self) -> CAMStats:
-        """Total CAM activity (searches, match-line evaluations, energy)."""
-        total = CAMStats()
-        for runtime in self.runtimes.values():
-            total = total.merge(runtime.cam_stats)
-        return total
-
-    def prototype_usage(self) -> Dict[str, np.ndarray]:
-        """Per-layer ``(D, p)`` usage histograms accumulated so far (Fig. 6)."""
-        return {name: runtime.usage_counts for name, runtime in self.runtimes.items()}
 
     def lookup_tables(self) -> Dict[str, LayerLUT]:
         return {name: runtime.lut for name, runtime in self.runtimes.items()}

@@ -21,10 +21,14 @@ The runtime owns two interchangeable kernels:
   in-place softmax;
 * the **reference** kernel — the original Python loop over the ``D``
   :class:`~repro.cam.cam_array.CAMArray` banks, retained for verification,
-  benchmarking and the serving parity auditor.
+  benchmarking and the serving parity auditor; only a reference runtime
+  builds banks.  The kernel is fixed at construction.
 
-Both produce identical outputs and statistics (bitwise for the PECAN-D
-lookup path).
+Both produce identical outputs (bitwise for the PECAN-D lookup path).  The
+statistics come from one static model, not from the kernels: each call
+charges ``positions ×`` the layer's
+:func:`~repro.cam.counters.pecan_position_cost` (plus bias additions) and adds
+one ``(D, p)`` bincount of the winners to the usage histogram (Fig. 6).
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.cam.cam_array import CAMArray, CAMEnergyModel, CAMStats
-from repro.cam.counters import OpCounter
+from repro.cam.cam_array import CAMArray, CAMStats
+from repro.cam.counters import OpCounter, pecan_position_cost
 from repro.cam.layer_lut import LayerLUT
 from repro.pecan.config import PECANMode
 from repro.perf import ChunkPolicy, Workspace, iter_slices
@@ -51,7 +55,6 @@ class LUTLayerRuntime:
     """Executes Algorithm 1 for a single PECAN layer using its LUT."""
 
     def __init__(self, lut: LayerLUT, counter: OpCounter,
-                 energy_model: Optional[CAMEnergyModel] = None,
                  chunk_policy: Optional[ChunkPolicy] = None,
                  workspace: Optional[Workspace] = None,
                  use_fused: bool = True):
@@ -59,10 +62,19 @@ class LUTLayerRuntime:
         self.counter = counter
         self.chunk_policy = chunk_policy if chunk_policy is not None else ChunkPolicy()
         self.workspace = workspace if workspace is not None else Workspace()
-        self.use_fused = use_fused
-        self.cam_banks = [CAMArray(lut.prototypes[j], lut.mode, temperature=lut.temperature,
-                                   energy_model=energy_model)
-                          for j in range(lut.num_groups)]
+        self._use_fused = bool(use_fused)
+        #: Static cost of one output position; every call charges a multiple.
+        self.cost = pecan_position_cost(lut.mode, lut.num_prototypes, lut.num_groups,
+                                        lut.subvector_dim, lut.out_channels)
+        self._bias_additions = lut.out_channels if lut.bias is not None else 0
+        self.stats = CAMStats()
+        #: ``(D, p)`` prototype-usage histogram (Fig. 6).
+        self.usage = np.zeros((lut.num_groups, lut.num_prototypes), dtype=np.int64)
+        # Only the reference kernel searches bank by bank; the banks' own
+        # tallies are an independent check on the static model.
+        self.cam_banks = ([] if self._use_fused else
+                          [CAMArray(lut.prototypes[j], lut.mode, temperature=lut.temperature)
+                           for j in range(lut.num_groups)])
         # Stacked deployment arrays for the fused kernels.
         self.prototypes = np.ascontiguousarray(lut.prototypes)          # (D, d, p)
         self.table = np.ascontiguousarray(lut.table)                    # (D, cout, p)
@@ -82,6 +94,11 @@ class LUTLayerRuntime:
         self._row_offset_cache: Dict[tuple, np.ndarray] = {}
 
     @property
+    def use_fused(self) -> bool:
+        """Fused kernels (True) or the per-group reference loop (False)."""
+        return self._use_fused
+
+    @property
     def kernel_name(self) -> str:
         """Which implementation the fused path will use for this layer."""
         if not self.use_fused:
@@ -98,23 +115,32 @@ class LUTLayerRuntime:
                 and self.lut.num_prototypes <= MAX_PROTOTYPES)
 
     # ------------------------------------------------------------------ #
-    def _count(self, num_positions: int) -> None:
-        """Charge the Table-1 operation counts for ``num_positions`` subvectors."""
+    def _charge(self, num_positions: int) -> None:
+        """Charge ``num_positions`` × the static per-position cost."""
+        cost = self.cost
         ops = self.counter.layer(self.lut.name, self.lut.kind)
-        d_groups = self.lut.num_groups
-        p = self.lut.num_prototypes
-        d = self.lut.subvector_dim
-        cout = self.lut.out_channels
-        if self.lut.mode is PECANMode.DISTANCE:
-            ops.additions += num_positions * d_groups * (2 * p * d + cout)
-            ops.comparisons += num_positions * d_groups * p
-            ops.lookups += num_positions * d_groups * cout
-        else:
-            ops.additions += num_positions * d_groups * p * (d + cout)
-            ops.multiplications += num_positions * d_groups * p * (d + cout)
-            ops.lookups += num_positions * d_groups * p * cout
-        if self.lut.bias is not None:
-            ops.additions += num_positions * cout
+        ops.additions += num_positions * (cost.additions + self._bias_additions)
+        ops.multiplications += num_positions * cost.multiplications
+        ops.comparisons += num_positions * cost.comparisons
+        ops.lookups += num_positions * cost.lookups
+        stats = self.stats
+        stats.searches += num_positions * cost.searches
+        stats.matchline_evaluations += num_positions * cost.matchline_evaluations
+        stats.cell_operations += num_positions * cost.cell_operations
+        stats.energy += num_positions * cost.energy
+
+    def _record_usage(self, rows: np.ndarray) -> None:
+        """Add winners, as flat ``j·p + m`` indices of any shape, to ``usage``."""
+        counts = np.bincount(rows.reshape(-1), minlength=self.usage.size)
+        self.usage += counts.reshape(self.usage.shape)
+
+    def reset_stats(self, counter: OpCounter) -> None:
+        """Zero the CAM statistics and usage; charge ops to ``counter`` from now on."""
+        self.counter = counter
+        self.stats = CAMStats()
+        self.usage[:] = 0
+        for bank in self.cam_banks:
+            bank.reset_stats()
 
     # ------------------------------------------------------------------ #
     def _grouped_columns(self, cols: np.ndarray) -> np.ndarray:
@@ -127,18 +153,6 @@ class LUTLayerRuntime:
         if self.lut.group_permutation is not None:
             cols = cols[:, self.lut.group_permutation, :]
         return cols.reshape(n, self.lut.num_groups, self.lut.subvector_dim, length)
-
-    def _record_search_stats(self, num_queries: int, usage_counts: np.ndarray) -> None:
-        """Mirror the per-bank accounting of the reference loop."""
-        for j, bank in enumerate(self.cam_banks):
-            bank.record_search_batch(num_queries, usage_counts[j])
-
-    def _usage_from_winners(self, winners: np.ndarray) -> np.ndarray:
-        """``(N, D, L)`` winner indices → ``(D, p)`` usage histogram."""
-        d_groups, p = self.lut.num_groups, self.lut.num_prototypes
-        flat = (winners + self._group_offsets).reshape(-1)
-        counts = np.bincount(flat, minlength=d_groups * p)
-        return counts.reshape(d_groups, p)
 
     # ------------------------------------------------------------------ #
     # Fused kernels (all groups in one pass, chunked over positions)
@@ -216,11 +230,7 @@ class LUTLayerRuntime:
         self._ckernel(xp, self._row_offsets(xp.shape[-2] if xp.ndim == 4 else 1, wp),
                       self.prototypes, self.table_flat, out_pm, winners,
                       wp, stride, hout, wout)
-        usage = np.bincount(
-            (winners + self._group_offsets[0].T).reshape(-1),
-            minlength=d_groups * self.lut.num_prototypes,
-        ).reshape(d_groups, self.lut.num_prototypes)
-        self._record_search_stats(n * length, usage)
+        self._record_usage(winners + self._group_offsets[0].T)
         # .copy() (not ascontiguousarray): out_pm is a reused workspace
         # buffer, so the returned layer output must never alias it.
         out = out_pm.reshape(n, length, cout).transpose(0, 2, 1).copy() # (N, cout, L)
@@ -246,7 +256,7 @@ class LUTLayerRuntime:
             for sl in iter_slices(length, chunk):
                 gathered = self.table_flat.take(flat[:, :, sl], axis=0)
                 out[:, :, sl] = gathered.sum(axis=1).transpose(0, 2, 1)
-            self._record_search_stats(n * length, self._usage_from_winners(winners))
+            self._record_usage(flat)
         else:
             # PECAN-A: one batched GEMM for all group scores, an in-place
             # softmax on a reused cache-sized buffer, then a single
@@ -273,10 +283,7 @@ class LUTLayerRuntime:
                 winners[:, sl] = weights.argmax(axis=1)
                 np.matmul(self._table_2d, weights.reshape(d_groups * p, -1),
                           out=out_pm[:, sl])
-            usage = np.bincount(
-                (winners + self._group_offsets[0]).reshape(-1),
-                minlength=d_groups * p).reshape(d_groups, p)
-            self._record_search_stats(n * length, usage)
+            self._record_usage(winners + self._group_offsets[0])
             # .copy() (not ascontiguousarray): out_pm is a reused workspace
             # buffer, so the returned layer output must never alias it.
             out = out_pm.reshape(cout, n, length).transpose(1, 0, 2).copy()  # (N, cout, L)
@@ -293,17 +300,20 @@ class LUTLayerRuntime:
         n, d_groups, _, length = grouped.shape
         cout = self.lut.out_channels
         out = np.zeros((n, cout, length))
+        winners = np.empty((d_groups, n * length), dtype=np.int64)
         for j in range(d_groups):
             bank = self.cam_banks[j]
             queries = grouped[:, j].transpose(1, 0, 2).reshape(self.lut.subvector_dim,
                                                                n * length)
             if self.lut.mode is PECANMode.DISTANCE:
-                winners = bank.match(queries)                       # (N*L,)
-                contribution = self.lut.table[j][:, winners]        # (cout, N*L)
+                winners[j] = bank.match(queries)                    # (N*L,)
+                contribution = self.lut.table[j][:, winners[j]]     # (cout, N*L)
             else:
                 weights = bank.soft_match(queries)                  # (p, N*L)
+                winners[j] = weights.argmax(axis=0)
                 contribution = self.lut.table[j] @ weights          # (cout, N*L)
             out += contribution.reshape(cout, n, length).transpose(1, 0, 2)
+        self._record_usage(winners + self._group_offsets[0])
         if self.lut.bias is not None:
             out += self.lut.bias.reshape(1, cout, 1)
         return out
@@ -336,7 +346,7 @@ class LUTLayerRuntime:
             cols = im2col(data, k, self.lut.stride, self.lut.padding, out=cols_buf)
             grouped = self._grouped_columns(cols)
             out = self._run_groups(grouped)
-        self._count(n * hout * wout)
+        self._charge(n * hout * wout)
         return out.reshape(n, self.lut.out_channels, hout, wout)
 
     def fc_forward(self, data: np.ndarray) -> np.ndarray:
@@ -349,7 +359,7 @@ class LUTLayerRuntime:
         else:
             grouped = data.reshape(n, self.lut.num_groups, self.lut.subvector_dim, 1)
             out = self._run_groups(grouped)
-        self._count(n)
+        self._charge(n)
         return out.reshape(n, self.lut.out_channels)
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
@@ -357,14 +367,29 @@ class LUTLayerRuntime:
             return self.conv_forward(data)
         return self.fc_forward(data)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def cam_stats(self) -> CAMStats:
-        total = CAMStats()
-        for bank in self.cam_banks:
-            total = total.merge(bank.stats)
-        return total
+
+class RuntimeStatsMixin:
+    """Statistics surface of an engine that owns a set of layer runtimes."""
+
+    runtimes: Dict[str, LUTLayerRuntime]
+    op_counter: OpCounter
 
     @property
-    def usage_counts(self) -> np.ndarray:
-        return np.stack([bank.usage for bank in self.cam_banks])
+    def use_fused(self) -> bool:
+        return all(runtime.use_fused for runtime in self.runtimes.values())
+
+    def reset_counters(self) -> None:
+        self.op_counter = OpCounter()
+        for runtime in self.runtimes.values():
+            runtime.reset_stats(self.op_counter)
+
+    def cam_stats(self) -> CAMStats:
+        """Total CAM activity (searches, match-line evaluations, energy)."""
+        total = CAMStats()
+        for runtime in self.runtimes.values():
+            total = total.merge(runtime.stats)
+        return total
+
+    def prototype_usage(self) -> Dict[str, np.ndarray]:
+        """Per-layer ``(D, p)`` usage histograms accumulated so far (Fig. 6)."""
+        return {name: runtime.usage.copy() for name, runtime in self.runtimes.items()}

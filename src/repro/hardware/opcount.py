@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
+from repro.cam.counters import pecan_position_cost
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.pecan.config import PECANMode
@@ -98,13 +99,10 @@ def fc_baseline_ops(in_features: int, out_features: int) -> OpCount:
 def pecan_conv_ops(mode: PECANMode, p: int, num_groups: int, subvector_dim: int,
                    cout: int, hout: int, wout: int) -> OpCount:
     """PECAN convolution ops per Table 1 (both variants)."""
-    mode = PECANMode.parse(mode)
+    cost = pecan_position_cost(mode, p, num_groups, subvector_dim, cout)
     positions = hout * wout
-    if mode is PECANMode.ANGLE:
-        count = p * num_groups * positions * (subvector_dim + cout)
-        return OpCount(additions=count, multiplications=count)
-    additions = num_groups * positions * (2 * p * subvector_dim + cout)
-    return OpCount(additions=additions, multiplications=0)
+    return OpCount(additions=positions * cost.additions,
+                   multiplications=positions * cost.multiplications)
 
 
 def pecan_fc_ops(mode: PECANMode, p: int, num_groups: int, subvector_dim: int,

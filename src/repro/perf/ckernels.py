@@ -13,7 +13,7 @@ single sum) and ties break to the first minimum exactly like ``argmin``.
 The kernel is compiled on first use into ``src/repro/perf/_build/`` (keyed by
 a hash of the source and flags, so edits rebuild automatically) and loaded
 with ``ctypes``.  Everything degrades gracefully: no compiler, a failed
-compile, or ``REPRO_DISABLE_CKERNELS=1`` simply means
+compile, or ``REPRO_DISABLE_CKERNELS`` set to anything but ``0`` simply means
 :func:`get_pecan_d_kernel` returns ``None`` and callers use their NumPy path.
 No third-party packages are involved.
 """
@@ -154,7 +154,7 @@ def _load() -> Optional[ctypes.CDLL]:
     if _load_attempted:
         return _lib
     _load_attempted = True
-    if os.environ.get("REPRO_DISABLE_CKERNELS"):
+    if os.environ.get("REPRO_DISABLE_CKERNELS", "0") not in ("", "0"):
         return None
     lib_path = _compile(_C_SOURCE)
     if lib_path is None:

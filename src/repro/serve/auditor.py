@@ -54,8 +54,6 @@ class ParityAuditor:
                  metrics: Optional[ServerMetrics] = None,
                  atol: float = 1e-8,
                  monitor=None, model: Optional[str] = None):
-        if reference_engine.use_fused:
-            reference_engine.use_fused = False
         self.reference_engine = reference_engine
         self.every = int(every) if every else 0
         self.exact = (reference_engine.bundle.is_multiplier_free()

@@ -22,15 +22,15 @@ graph on a probe batch before it ever answers traffic.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cam.cam_array import CAMEnergyModel, CAMStats
 from repro.cam.counters import OpCounter
-from repro.cam.runtime import LUTLayerRuntime
+from repro.cam.runtime import LUTLayerRuntime, RuntimeStatsMixin
 from repro.io.deployment import DeploymentBundle, load_deployment_bundle
 from repro.ir.executor import GraphExecutor
 from repro.ir.graph import Graph
@@ -38,7 +38,7 @@ from repro.perf import ChunkPolicy, Workspace, iter_slices
 from repro.serve.trace import current_context
 
 
-class BundleEngine:
+class BundleEngine(RuntimeStatsMixin):
     """Execute a deployment bundle's recorded inference graph.
 
     Parameters
@@ -48,10 +48,13 @@ class BundleEngine:
         bundle must carry an inference graph (export with
         ``export_deployment_bundle(..., input_shape=...)``; v2 linear
         programs lift automatically).
-    energy_model / chunk_policy / use_fused:
+    chunk_policy / use_fused:
         Same knobs as :class:`~repro.cam.inference.CAMInferenceEngine`;
         ``use_fused=False`` selects the per-group reference loop (used by the
-        serving parity auditor).
+        serving parity auditor), fixed for the engine's lifetime.  Either
+        way the ``ops``/``cam`` statistics come from one static model: each
+        layer charges its per-position cost
+        (:func:`~repro.cam.counters.pecan_position_cost`) per call.
     mmap_mode:
         Forwarded to :func:`~repro.io.deployment.load_deployment_bundle` when
         ``bundle`` is a path: ``"r"`` memory-maps every bundle array from the
@@ -75,7 +78,6 @@ class BundleEngine:
     tracer = None
 
     def __init__(self, bundle: Union[DeploymentBundle, str, Path],
-                 energy_model: Optional[CAMEnergyModel] = None,
                  chunk_policy: Optional[ChunkPolicy] = None,
                  use_fused: bool = True,
                  optimize: bool = False,
@@ -119,7 +121,7 @@ class BundleEngine:
             self.optimization = info
 
         self.runtimes: Dict[str, LUTLayerRuntime] = {
-            name: LUTLayerRuntime(lut, self.op_counter, energy_model=energy_model,
+            name: LUTLayerRuntime(lut, self.op_counter,
                                   chunk_policy=self.chunk_policy,
                                   workspace=self.workspace, use_fused=use_fused)
             for name, lut in luts.items()}
@@ -166,15 +168,6 @@ class BundleEngine:
     def input_shape(self) -> Optional[Tuple[int, ...]]:
         """Per-sample input shape the program was traced with."""
         return self.bundle.input_shape
-
-    @property
-    def use_fused(self) -> bool:
-        return all(runtime.use_fused for runtime in self.runtimes.values())
-
-    @use_fused.setter
-    def use_fused(self, value: bool) -> None:
-        for runtime in self.runtimes.values():
-            runtime.use_fused = bool(value)
 
     def is_multiplier_free(self) -> bool:
         """True when every scheduled node runs without multiplications.
@@ -240,36 +233,12 @@ class BundleEngine:
         return self.predict(inputs, batch_chunk=batch_chunk).argmax(axis=1)
 
     # ------------------------------------------------------------------ #
-    # Aggregated statistics (same surface as CAMInferenceEngine)
-    # ------------------------------------------------------------------ #
-    def reset_counters(self) -> None:
-        self.op_counter = OpCounter()
-        for runtime in self.runtimes.values():
-            runtime.counter = self.op_counter
-            for bank in runtime.cam_banks:
-                bank.reset_stats()
-
-    def cam_stats(self) -> CAMStats:
-        total = CAMStats()
-        for runtime in self.runtimes.values():
-            total = total.merge(runtime.cam_stats)
-        return total
-
-    def prototype_usage(self) -> Dict[str, np.ndarray]:
-        return {name: runtime.usage_counts for name, runtime in self.runtimes.items()}
-
     def stats_snapshot(self) -> Dict[str, object]:
         """JSON-ready engine statistics for the ``/metrics`` endpoint."""
-        cam = self.cam_stats()
         return {
             "ops": self.op_counter.summary(),
             "multiplier_free": self.op_counter.is_multiplier_free(),
-            "cam": {
-                "searches": cam.searches,
-                "matchline_evaluations": cam.matchline_evaluations,
-                "cell_operations": cam.cell_operations,
-                "energy": cam.energy,
-            },
+            "cam": dataclasses.asdict(self.cam_stats()),
             "kernels": self.kernel_names(),
             "stored_values": self.bundle.total_values(),
             "mmap_mode": self.mmap_mode,

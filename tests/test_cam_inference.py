@@ -11,6 +11,7 @@ import pytest
 from repro.autograd import Tensor, no_grad
 from repro.cam import CAMInferenceEngine, assert_multiplier_free, lut_inference, trace_inference_ops
 from repro.cam.verify import MultiplierUsageError, batchnorm_layers, unconverted_compute_layers
+from repro.hardware.opcount import count_model_ops
 from repro.models import LeNet5, build_model
 from repro.pecan.config import PECANMode, PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
@@ -113,6 +114,30 @@ class TestOpCounting:
         expected = d_groups * hout * wout * (2 * p * dim + conv1.out_channels)
         expected += hout * wout * conv1.out_channels     # bias additions
         assert counter.layers[name].additions == expected
+
+    @pytest.mark.parametrize("net", ["lenet-distance", "lenet-angle", "resnet20-distance"])
+    def test_charged_counts_equal_analytic_model(self, rng, net):
+        """Every PECAN layer's engine charge equals its count_model_ops record."""
+        if net == "resnet20-distance":      # the perfbench ResNet-20 PECAN-D
+            model = build_model("resnet20_pecan_d", width_multiplier=0.125,
+                                prototype_cap=4, rng=rng)
+            shape = (3, 16, 16)
+        else:
+            model = pecan_lenet(rng, net.split("-")[1])
+            shape = (1, 14, 14)
+        batch = 2
+        engine = CAMInferenceEngine(model)
+        engine.predict(rng.standard_normal((batch, *shape)))
+        records = {record.name: record for record in count_model_ops(model, shape).records
+                   if record.kind.startswith("pecan")}
+        assert set(engine.op_counter.layers) == set(records)
+        for name, charged in engine.op_counter.layers.items():
+            record = records[name]
+            positions = batch * record.output_hw[0] * record.output_hw[1]
+            has_bias = engine.runtimes[name].lut.bias is not None
+            bias = positions * record.detail["cout"] if has_bias else 0
+            assert charged.additions - bias == batch * record.ops.additions, name
+            assert charged.multiplications == batch * record.ops.multiplications, name
 
     def test_cam_stats_aggregate(self, rng):
         model = pecan_lenet(rng, "distance")

@@ -134,6 +134,20 @@ class TestCompiledKernel:
             monkeypatch.delenv("REPRO_DISABLE_CKERNELS")
             importlib.reload(module)
 
+    @pytest.mark.parametrize("value", ["", "0"])
+    def test_empty_or_zero_does_not_disable(self, monkeypatch, value):
+        # CI sets REPRO_DISABLE_CKERNELS=0 on its compiled-kernel legs.
+        import importlib
+        import repro.perf.ckernels as ck
+        monkeypatch.delenv("REPRO_DISABLE_CKERNELS", raising=False)
+        expected = importlib.reload(ck).kernel_available()
+        monkeypatch.setenv("REPRO_DISABLE_CKERNELS", value)
+        try:
+            assert importlib.reload(ck).kernel_available() is expected
+        finally:
+            monkeypatch.undo()
+            importlib.reload(ck)
+
     def test_kernel_matches_reference_when_available(self, rng):
         from repro.perf.ckernels import get_pecan_d_kernel
         kernel = get_pecan_d_kernel()
