@@ -14,7 +14,7 @@ direct-engine comparison of the pristine graph vs. the optimized
 Asserts:
 
 * responses are bitwise-identical to a direct :class:`BundleEngine` pass,
-* the parity auditor observes zero mismatches at every budget,
+* the sampled parity audit ran at every budget and saw zero mismatches,
 * micro-batching at budget 32 sustains at least 0.6× the req/s of budget 1
   (generous floor: 1.5 s windows on shared CI boxes are noisy),
 * the optimized graph loses no accuracy (allclose to the pristine engine).
@@ -122,9 +122,12 @@ def bench_results(tmp_path_factory):
 
     results = {}
     for budget in BATCH_BUDGETS:
+        # Output sampling off, so runtime_verification's `checks` counts
+        # the parity audits alone.
         server = PECANServer(config=ServeConfig.build(
             port=0, max_batch_size=budget,
-            max_queue_depth=1024, audit_every=16, cache_mb=0.0, mmap=False))
+            max_queue_depth=1024, audit_every=16, invariant_every=0,
+            cache_mb=0.0, mmap=False))
         server.add_bundle(bundle_path, name="bench", preload=True)
         with server:
             client = ServeClient(server.url)
@@ -132,7 +135,11 @@ def bench_results(tmp_path_factory):
             # Parity spot-check through the full HTTP + batching stack.
             np.testing.assert_array_equal(client.predict(images[:4]), expected)
             latencies_ms, elapsed, errors = run_load(client, images, WINDOW_S)
-            snapshot = server.metrics_snapshot()["server"]
+            # Every audit queued so far must have run before it is counted.
+            assert server.monitor.drain(60.0), "parity audits never drained"
+            metrics = server.metrics_snapshot()
+            snapshot = metrics["server"]
+            verification = metrics["runtime_verification"]
         assert not errors, errors[:3]
         assert latencies_ms, "no requests completed"
         ordered = sorted(latencies_ms)
@@ -146,8 +153,8 @@ def bench_results(tmp_path_factory):
             "p99_ms": _quantile(ordered, 0.99),
             "batch_histogram": snapshot["batching"]["histogram"],
             "mean_batch": round(snapshot["batching"]["mean_batch"], 2),
-            "audits": snapshot["parity_audit"]["audits"],
-            "audit_mismatches": snapshot["parity_audit"]["mismatches"],
+            "audits": verification["checks"],
+            "audit_mismatches": verification["by_invariant"]["parity_audit"],
         }
     return {
         "bench": "graph-IR residual-model serving (PR3)",
@@ -177,6 +184,7 @@ class TestGraphServingBench:
         for budget in BATCH_BUDGETS:
             entry = bench_results["results"][f"max_batch_{budget}"]
             assert entry["audit_mismatches"] == 0
+            assert entry["audits"] >= 1            # the audit really ran
             sizes = [int(size) for size in entry["batch_histogram"]]
             # The parity spot-check submits one 4-sample request, which
             # legitimately dispatches alone even above a smaller budget.

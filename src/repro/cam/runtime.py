@@ -21,7 +21,7 @@ The runtime owns two interchangeable kernels:
   in-place softmax;
 * the **reference** kernel — the original Python loop over the ``D``
   :class:`~repro.cam.cam_array.CAMArray` banks, retained for verification,
-  benchmarking and the serving parity auditor; only a reference runtime
+  benchmarking and the serving parity audit; only a reference runtime
   builds banks.  The kernel is fixed at construction.
 
 Both produce identical outputs (bitwise for the PECAN-D lookup path).  The

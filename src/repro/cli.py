@@ -434,9 +434,11 @@ def _serve_single(config) -> int:
     server.start()
     print(f"serving on {server.url}  "
           f"(POST /predict, GET /models /metrics /healthz)")
+    audit_every = config.engine.audit_every
     print(f"batching: up to {config.engine.max_batch_size} samples; "
-          f"queue depth {config.engine.max_queue_depth}; "
-          f"parity audit every {config.engine.audit_every or '∞'} batches")
+          f"queue depth {config.engine.max_queue_depth}; parity audit "
+          + (f"of 1 batch in {audit_every}" if audit_every else "off")
+          + " (runtime_verification in /metrics)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

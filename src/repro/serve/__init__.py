@@ -13,10 +13,8 @@ inference program); this package turns that file back into a serving process:
   micro-batching with a bounded queue, deadlines and backpressure;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, named bundles with
   LRU eviction by CAM memory footprint;
-* :mod:`repro.serve.auditor` — :class:`ParityAuditor`, sampled online
-  re-execution of live traffic through the per-group reference path;
 * :mod:`repro.serve.metrics` — :class:`ServerMetrics`, latency percentiles,
-  batch-size histogram, throughput, audit counters;
+  batch-size histogram, throughput;
 * :mod:`repro.serve.server` — :class:`PECANServer`, the JSON serving
   process (``/predict``, ``/models``, ``/metrics``, ``/healthz``) behind the
   event-loop network front end;
@@ -48,10 +46,10 @@ inference program); this package turns that file back into a serving process:
   every boundary (:class:`Tracer`, :class:`TraceContext`), bounded in-memory
   rings, otel-style JSONL export and offline analysis helpers
   (:func:`read_trace_dir`, :func:`causal_sort`, :func:`summarize_spans`);
-* :mod:`repro.serve.invariants` — :class:`InvariantMonitor`, always-on
-  RvLLM-style runtime verification of sampled responses (finite logits,
-  stable shapes, retry-stable argmax, canary parity, cache parity, causal
-  span order) whose violations can trip the rollout gate;
+* :mod:`repro.serve.invariants` — :class:`InvariantMonitor`, the one
+  sampled re-execution checker (finite logits, stable shapes, retry-stable
+  argmax, parity audits, canary and cache parity, causal span order) whose
+  violations trip the rollout gate;
 * :mod:`repro.serve.cache` — the deterministic response cache:
   :func:`canonical_input_hash` (the shared request-identity hash),
   :class:`ResultCache` (byte-budgeted LRU of canonical response bytes,
@@ -101,7 +99,6 @@ from repro.serve.adminapi import (ADMIN_VERBS, ERROR_CODES, AdminError,
                                   DeployRequest, PromoteRequest,
                                   RollbackRequest, ScaleRequest,
                                   dispatch_admin, parse_admin_request)
-from repro.serve.auditor import ParityAuditor
 from repro.serve.autoscale import Autoscaler, ScaleDecision, ScaleSignals
 from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, InFlightCall,
                                ResultCache, canonical_input_array,
@@ -232,7 +229,6 @@ __all__ = [
     "SchedulerStopped",
     "ModelRegistry",
     "RegisteredModel",
-    "ParityAuditor",
     "ServerMetrics",
     "PECANServer",
     "ServedModel",

@@ -209,10 +209,6 @@ class PoolConfig:
         "spawn", flag=None,
         help="multiprocessing start method for worker processes "
              "(config-file only)")
-    monitor_trips_gate: bool = cfgfield(
-        True, flag=None,
-        help="runtime-verification violations trip the rollout gate "
-             "(config-file only)")
 
 
 @dataclass

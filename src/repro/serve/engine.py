@@ -51,7 +51,7 @@ class BundleEngine(RuntimeStatsMixin):
     chunk_policy / use_fused:
         Same knobs as :class:`~repro.cam.inference.CAMInferenceEngine`;
         ``use_fused=False`` selects the per-group reference loop (used by the
-        serving parity auditor), fixed for the engine's lifetime.  Either
+        serving parity audit), fixed for the engine's lifetime.  Either
         way the ``ops``/``cam`` statistics come from one static model: each
         layer charges its per-position cost
         (:func:`~repro.cam.counters.pecan_position_cost`) per call.
@@ -157,7 +157,7 @@ class BundleEngine(RuntimeStatsMixin):
 
         Mirrors this engine's configuration (same bundle, same optimization
         pipeline — passes are deterministic) with ``use_fused=False``, so a
-        parity auditor compares fused vs. reference kernels on an identical
+        parity audit compares fused vs. reference kernels on an identical
         graph rather than flagging legitimate optimization divergence as
         mismatches.
         """

@@ -1,34 +1,43 @@
-"""Online runtime verification of serving outputs and trace causality.
+"""Online runtime verification: the serving plane's one sampled checker.
 
-Extends the sampled offline parity check in :mod:`repro.serve.auditor`
-into an always-on monitor in the spirit of RvLLM's domain constraints
-(PAPERS.md): instead of comparing against a reference engine, the
-:class:`InvariantMonitor` checks cheap structural invariants on sampled
-live traffic —
+PECAN-D inference is lookups and additions only, so it is bitwise
+deterministic: any reply can be re-run and compared exactly.  In the spirit
+of RvLLM's single runtime monitor with pluggable domain checks (PAPERS.md),
+the :class:`InvariantMonitor` is the one place that samples live traffic,
+re-executes it and judges it —
 
 - ``logits_finite``       every returned logit is finite (no NaN/Inf);
 - ``shape_stable``        output shape/dtype per model never drifts;
 - ``argmax_stable``       router retries of the same trace id agree on
                           the argmax (PECAN-D is deterministic, so any
                           disagreement is a real fault);
+- ``parity_audit``        a sampled batch re-run through the per-group
+                          reference engine (Algorithm 1 as written)
+                          disagrees with the fused kernels' output;
 - ``canary_parity``       canary mirror disagreements (fed by the pool's
                           rollout comparator);
 - ``cache_parity``        a sampled response-cache hit re-executed on a
-                          worker produced different bytes (fed by the
-                          pool's cache verifier — the cache is provably
-                          exact, so any divergence is a real fault);
+                          worker produced different bytes (the cache is
+                          provably exact, so any divergence is a real fault);
 - ``causal_order``        a child span never "happens before" its parent
                           on the Lamport clock.
+
+Every check is sampled by one rule (:meth:`InvariantMonitor.sample`: one
+event in N per stream, the first included); every re-run is a job on one
+bounded queue served by one daemon thread (:meth:`InvariantMonitor.submit`);
+every re-run verdict goes through :meth:`InvariantMonitor.verdict`.
 
 Violations are counted per invariant, kept in a bounded recent list,
 emitted as zero-duration ``invariant.violation`` spans into the tracer
 (so they land in the JSONL export), and optionally forwarded through an
-``on_violation`` callback — the pool uses that hook to feed the PR5
+``on_violation`` callback — the pool uses that hook to feed the
 ``RolloutGate`` so a canary with corrupted outputs rolls back.
 """
 
 from __future__ import annotations
 
+import functools
+import queue
 import threading
 from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -43,6 +52,7 @@ INVARIANTS = (
     "logits_finite",
     "shape_stable",
     "argmax_stable",
+    "parity_audit",
     "canary_parity",
     "cache_parity",
     "causal_order",
@@ -95,12 +105,18 @@ def check_causal_order(spans: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any
 class InvariantMonitor:
     """Sampled online constraint checking over live responses.
 
-    ``every=N`` checks roughly one request in N (``every=1`` checks all,
-    ``every=0`` disables sampling entirely); retried requests are always
-    checked so the retry-stability invariant has both sides.  All checks
-    are O(batch) NumPy reductions — cheap enough to sit on the hot path
-    at the default sampling rate.
+    ``every=N`` checks roughly one response in N (``every=1`` checks all,
+    ``every=0`` disables output sampling); retried requests are always
+    checked so the retry-stability invariant has both sides.  The output
+    checks are O(batch) NumPy reductions — cheap enough to sit on the hot
+    path at the default sampling rate.  Re-executions never do: they run on
+    the monitor's one checker thread, at most :attr:`MAX_PENDING` queued.
     """
+
+    #: Bound on queued re-executions; a full queue drops (and counts) jobs.
+    MAX_PENDING = 8
+    #: Tolerance of a non-``exact`` comparison (PECAN-A's GEMMs reassociate).
+    ATOL = 1e-8
 
     def __init__(
         self,
@@ -115,7 +131,7 @@ class InvariantMonitor:
         self.tracer = tracer
         self.on_violation = on_violation
         self._lock = threading.Lock()
-        self._seen = 0
+        self._seen: Dict[str, int] = {}
         self._checks = 0
         self._violations = 0
         self._by_invariant: Dict[str, int] = {name: 0 for name in INVARIANTS}
@@ -123,19 +139,125 @@ class InvariantMonitor:
         self._shapes: Dict[str, Dict[str, Any]] = {}
         self._fingerprints: "OrderedDict[str, List[int]]" = OrderedDict()
         self._max_fingerprints = max(8, int(max_fingerprints))
+        self._jobs: "queue.Queue[Optional[Callable[[], None]]]" = \
+            queue.Queue(maxsize=self.MAX_PENDING)
+        self._pending = 0                      # queued + running jobs
+        self._idle = threading.Condition(self._lock)
+        self._thread: Optional[threading.Thread] = None
+        self._dropped = 0
+        self._errors = 0
 
     @property
     def enabled(self) -> bool:
         return self.every > 0
 
-    def sample(self) -> bool:
-        """Admission-count one request; True when it should be checked."""
+    def sample(self, stream: str = "outputs", every: Optional[int] = None) -> bool:
+        """Count one event on ``stream``; True for its 1st, (N+1)th, ... event.
 
-        if not self.enabled:
+        ``every`` is N for this stream (default: the monitor's own output
+        rate); 0 disables the stream.  Each stream counts on its own.
+        """
+
+        every = self.every if every is None else max(0, int(every))
+        if not every:
             return False
         with self._lock:
-            self._seen += 1
-            return self.every == 1 or self._seen % self.every == 1
+            seen = self._seen[stream] = self._seen.get(stream, 0) + 1
+        return (seen - 1) % every == 0
+
+    # -- re-execution queue ------------------------------------------------
+
+    def submit(
+        self,
+        invariant: str,
+        rerun: Callable[[], Any],
+        expected: Any,
+        *,
+        exact: bool = True,
+        model: Optional[str] = None,
+        trace_id: Optional[str] = None,
+    ) -> bool:
+        """Queue one re-execution check; False when it was dropped.
+
+        The checker thread calls ``rerun()`` and hands :meth:`verdict` its
+        comparison with ``expected``: bitwise when ``exact``, else within
+        :attr:`ATOL`.  A ``rerun`` that raises counts under ``errors`` and
+        gives no verdict; one that returns ``None`` withdraws its check (a
+        lifecycle flip raced it).  Submitting never blocks.
+        """
+
+        job = functools.partial(self._recheck, invariant, rerun, expected,
+                                exact, model, trace_id)
+        with self._lock:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run_jobs, name="repro-invariant-checker",
+                    daemon=True)
+                self._thread.start()
+            try:
+                self._jobs.put_nowait(job)
+            except queue.Full:
+                self._dropped += 1
+                return False
+            self._pending += 1
+        return True
+
+    def drain(self, timeout: float = 5.0) -> bool:
+        """Block until every queued *and running* re-execution finished."""
+
+        with self._idle:
+            return self._idle.wait_for(lambda: not self._pending, timeout)
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop the checker thread after its running job; the jobs still
+        queued are dropped (and counted): shutdown never waits on them."""
+
+        with self._idle:
+            thread, self._thread = self._thread, None
+            if thread is None:
+                return
+            while True:                 # the checker may take one meanwhile
+                try:
+                    self._jobs.get_nowait()
+                except queue.Empty:
+                    break
+                self._pending -= 1
+                self._dropped += 1
+            self._jobs.put_nowait(None)  # fits: emptied, and submit needs the lock
+            self._idle.notify_all()
+        thread.join(timeout)
+
+    def _run_jobs(self) -> None:
+        for job in iter(self._jobs.get, None):
+            try:
+                job()
+            finally:
+                with self._idle:
+                    self._pending -= 1
+                    self._idle.notify_all()
+
+    def _recheck(self, invariant, rerun, expected, exact, model,
+                 trace_id) -> None:
+        try:
+            actual = rerun()
+        except Exception:  # noqa: BLE001 — a failed re-run is not a mismatch
+            with self._lock:
+                self._errors += 1
+            return
+        if actual is None:
+            return
+        attrs: Dict[str, Any] = {}
+        if isinstance(expected, np.ndarray):
+            actual = np.asarray(actual)
+            same_shape = actual.shape == expected.shape
+            match = (np.array_equal(actual, expected) if exact else same_shape
+                     and bool(np.allclose(actual, expected, atol=self.ATOL)))
+            if not match and same_shape:
+                attrs = {"max_abs_error": float(np.abs(actual - expected).max()),
+                         "num_samples": int(expected.shape[0])}
+        else:
+            match = actual == expected
+        self.verdict(invariant, match, model=model, trace_id=trace_id, **attrs)
 
     # -- violation bookkeeping --------------------------------------------
 
@@ -269,52 +391,25 @@ class InvariantMonitor:
                 )
         return violations
 
-    def record_canary(
+    def verdict(
         self,
+        invariant: str,
         match: bool,
         *,
         model: Optional[str] = None,
         trace_id: Optional[str] = None,
+        **attrs: Any,
     ) -> Optional[Violation]:
-        """Feed the rollout comparator's verdict into the monitor."""
+        """Count one re-run-and-compare check (``parity_audit``,
+        ``canary_parity``, ``cache_parity``); a mismatch is a violation."""
 
         with self._lock:
             self._checks += 1
         if match:
             return None
         return self.record_violation(
-            "canary_parity",
-            "canary mirror disagreed with active version",
-            model=model,
-            trace_id=trace_id,
-            source="canary",
-        )
-
-    def record_cache_check(
-        self,
-        match: bool,
-        *,
-        model: Optional[str] = None,
-        trace_id: Optional[str] = None,
-    ) -> Optional[Violation]:
-        """Feed a sampled cache-hit re-execution's verdict into the monitor.
-
-        The response cache is content-addressed over a deterministic engine,
-        so a re-executed hit must reproduce the cached bytes exactly; any
-        mismatch is a ``cache_parity`` violation.
-        """
-
-        with self._lock:
-            self._checks += 1
-        if match:
-            return None
-        return self.record_violation(
-            "cache_parity",
-            "cached response diverged from fresh re-execution",
-            model=model,
-            trace_id=trace_id,
-            source="cache",
-        )
+            invariant, "re-execution disagreed with the served result",
+            model=model, trace_id=trace_id, **attrs)
 
     def check_trace(
         self, spans: Sequence[Mapping[str, Any]], *, trace_id: Optional[str] = None
@@ -343,9 +438,11 @@ class InvariantMonitor:
             return {
                 "enabled": self.enabled,
                 "every": self.every,
-                "sampled": self._seen,
+                "sampled": self._seen.get("outputs", 0),
                 "checks": self._checks,
                 "violations": self._violations,
                 "by_invariant": dict(self._by_invariant),
                 "recent": list(self._recent),
+                "dropped": self._dropped,
+                "errors": self._errors,
             }

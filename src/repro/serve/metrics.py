@@ -1,11 +1,11 @@
 """First-class serving observability: latency percentiles, batching, energy.
 
 :class:`ServerMetrics` is a thread-safe accumulator every serving component
-reports into — the HTTP front end (request counts, rejections), the dynamic
-batcher (batch-size histogram, queue wait, inference time), and the parity
-auditor (audits, mismatches).  ``snapshot()`` renders one JSON-ready dict for
-the ``/metrics`` endpoint; per-layer CAM search statistics and energy come
-from the engine's own counters and are merged in by the server.
+reports into — the HTTP front end (request counts, rejections) and the
+dynamic batcher (batch-size histogram, queue wait, inference time).
+``snapshot()`` renders one JSON-ready dict for the ``/metrics`` endpoint;
+per-layer CAM search statistics and energy come from the engine's own
+counters and are merged in by the server.
 
 Latency percentiles use a bounded sliding window (the last ``window``
 observations) rather than unbounded history, so a long-lived server reports
@@ -156,11 +156,6 @@ class ServerMetrics:
         self.batches_total = 0
         self.batched_samples = 0
         self.batch_size_histogram: Dict[int, int] = {}
-        # Parity auditing.
-        self.audits_total = 0
-        self.audit_mismatches = 0
-        self.audit_errors = 0
-        self.audit_dropped = 0
         # Latency windows (seconds; rendered as ms).
         self._request_latency = _Window(window)
         self._queue_wait = _Window(window)
@@ -261,23 +256,6 @@ class ServerMetrics:
                     window = stages[stage] = Window(self._window_size)
                 window.add(max(0.0, float(seconds)))
 
-    def record_audit(self, mismatch: bool) -> None:
-        with self._lock:
-            self.audits_total += 1
-            if mismatch:
-                self.audit_mismatches += 1
-
-    def record_audit_error(self) -> None:
-        """The audit itself failed (reference engine error) — distinct from a
-        mismatch, which is the fused-kernel-regression alarm."""
-        with self._lock:
-            self.audits_total += 1
-            self.audit_errors += 1
-
-    def record_audit_dropped(self) -> None:
-        with self._lock:
-            self.audit_dropped += 1
-
     # ------------------------------------------------------------------ #
     def max_batch_observed(self) -> int:
         with self._lock:
@@ -321,12 +299,6 @@ class ServerMetrics:
                                    if self.batches_total else 0.0),
                 },
                 "queue_depth": queue_depth,
-                "parity_audit": {
-                    "audits": self.audits_total,
-                    "mismatches": self.audit_mismatches,
-                    "errors": self.audit_errors,
-                    "dropped": self.audit_dropped,
-                },
                 "qos": {
                     "latency_by_class": {
                         cls: window.snapshot_ms()

@@ -5,7 +5,7 @@ serializes the HTTP threads and the batcher, and a single engine is one
 compute stream.  Following the router-over-replicated-engines architecture of
 vLLM's production stack, :class:`PoolServer` runs **N worker processes**, each
 hosting a full single-process serving plane (:class:`~repro.serve.server.PECANServer`:
-bundle engine + dynamic micro-batcher + parity auditor) over **memory-mapped
+bundle engine + dynamic micro-batcher + sampled parity audits) over **memory-mapped
 bundle arrays**, fronted by an HTTP router that speaks the exact same
 ``/predict`` protocol:
 
@@ -23,9 +23,9 @@ bundle arrays**, fronted by an HTTP router that speaks the exact same
   shared request pipeline (:mod:`repro.serve.pipeline`) answers repeat
   requests from the router's exact cache, namespaced per ``model@version``
   and invalidated atomically by the lifecycle plane, and coalesces identical
-  concurrent requests into one leader call.  Sampled hits are re-executed
-  on a worker and compared bitwise by the invariant monitor
-  (``cache_parity``).
+  concurrent requests into one leader call.  One hit in
+  ``cache_check_every`` is re-executed on a worker from the invariant
+  monitor's one bounded checker queue and compared bitwise (``cache_parity``).
 * **Self-healing** — each worker reports heartbeats (with light request
   counters) over its control pipe; the monitor thread detects a dead process
   (exit code) or a hung one (heartbeat silence), removes it from rotation,
@@ -44,9 +44,9 @@ bundle arrays**, fronted by an HTTP router that speaks the exact same
   spans carry per-process Lamport clocks merged across each hop, so
   ``/trace?id=`` reconstructs a causally-ordered cross-process timeline.  An
   :class:`~repro.serve.invariants.InvariantMonitor` at the router samples
-  responses for finite logits, stable shapes and retry-stable argmaxes, and
-  its violations spend the PR5 rollout gate's budget (a corrupted canary
-  rolls back automatically).
+  responses for finite logits, stable shapes and retry-stable argmaxes,
+  judges canary and cache parity, and its violations spend the rollout
+  gate's budget (a corrupted canary rolls back automatically).
 
 The router adds no numeric work: it forwards the client's bytes plus spliced
 QoS/``no_cache`` fields over a kept-alive connection and returns the worker's
@@ -505,11 +505,10 @@ class PoolServer(FrontDoor):
         #: Router-side tracing + runtime verification.  The router's monitor
         #: samples proxied responses; violations against a base with an
         #: in-canary rollout spend that rollout's gate budget (see
-        #: ``_on_violation``) when ``monitor_trips_gate`` is set.
+        #: ``_on_violation``).
         self.tracer = Tracer("router", ring_size=config.trace.trace_ring,
                              trace_dir=(str(trace_dir) if trace_dir else None),
                              enabled=config.trace.enabled)
-        self.monitor_trips_gate = bool(config.pool.monitor_trips_gate)
         self.monitor = InvariantMonitor(config.trace.invariant_every,
                                         tracer=self.tracer,
                                         on_violation=self._on_violation)
@@ -518,14 +517,13 @@ class PoolServer(FrontDoor):
         #: PECAN-D inference is bitwise-deterministic per
         #: ``(model@version, canonical input)``, and the lifecycle plane
         #: invalidates a version's namespace the moment it stops being
-        #: active.  Every ``cache_check_every``-th hit is additionally
+        #: active.  One hit in ``cache_check_every`` is additionally
         #: re-executed on a worker and compared bitwise by the invariant
         #: monitor (``cache_parity``); 0 disables the probes.
         cache_mb = config.cache.effective_mb
         self.cache: Optional[ResultCache] = (
             ResultCache(int(cache_mb * 1024 * 1024)) if cache_mb > 0 else None)
-        self.cache_check_every = max(0, int(config.cache.cache_check_every))
-        self._cache_checks = itertools.count(1)
+        self.cache_check_every = config.cache.cache_check_every
         self.pipeline = RequestPipeline(
             "router", tracer=self.tracer, metrics=self.metrics,
             monitor=self.monitor, cache=self.cache,
@@ -673,6 +671,7 @@ class PoolServer(FrontDoor):
             while time.monotonic() < deadline and self.inflight_total() > 0:
                 time.sleep(0.01)
         self._running = False
+        self.monitor.close(timeout=1.0)
         self._monitor_stop.set()
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout_s)
@@ -1134,38 +1133,32 @@ class PoolServer(FrontDoor):
 
     def _maybe_verify_hit(self, request: PredictRequest,
                           canonical: bytes) -> None:
-        """Every ``cache_check_every``-th hit: re-execute on a worker (off
-        the request path) and compare bitwise — the satellite runtime check
-        that the cache really is exact.  Verdicts raced by a lifecycle flip
-        are discarded: the probe's fresh bytes would be the *new* version's."""
-        if not self.cache_check_every or not self.monitor.enabled:
+        """One hit in ``cache_check_every``: queue a re-execution on a worker
+        whose bytes must equal the cached ones (the cache really is exact).
+        A verdict raced by a lifecycle flip is withdrawn: the probe's fresh
+        bytes would be the *new* version's."""
+        if not self.monitor.sample("cache_parity", self.cache_check_every):
             return
-        if next(self._cache_checks) % self.cache_check_every:
-            return
-        probe: Dict[str, object] = {"inputs": request.inputs.tolist(),
-                                    "no_cache": True}
-        if request.model:
-            probe["model"] = request.model
-        body = json.dumps(probe).encode("utf-8")
-        plane, trace_id = request.plane, request.trace.trace_id
+        plane = request.plane
 
-        def verify() -> None:
-            try:
-                reply = self._dispatch_with_retries(body, request.model,
-                                                    record=False)
-            except Exception:      # noqa: BLE001 — probes must never fail traffic
-                return
-            if reply.status != 200:
-                return
-            fresh = canonical_response_bytes(reply.body)
-            if fresh is None or self.cache.epoch() != plane.epoch:
-                return
-            self.monitor.record_cache_check(fresh == canonical,
-                                            model=plane.namespace,
-                                            trace_id=trace_id)
+        def rerun() -> Optional[bytes]:
+            # Encoded on the checker thread: a dropped job costs nothing.
+            probe: Dict[str, object] = {"inputs": request.inputs.tolist(),
+                                        "no_cache": True}
+            if request.model:
+                probe["model"] = request.model
+            reply = self._dispatch_with_retries(
+                json.dumps(probe).encode("utf-8"), request.model, record=False)
+            fresh = (canonical_response_bytes(reply.body)
+                     if reply.status == 200 else None)
+            if fresh is None:
+                raise RuntimeError(f"cache re-execution failed with HTTP "
+                                   f"{reply.status}")
+            return fresh if self.cache.epoch() == plane.epoch else None
 
-        threading.Thread(target=verify, name="repro-pool-cache-verify",
-                         daemon=True).start()
+        self.monitor.submit("cache_parity", rerun, canonical,
+                            model=plane.namespace,
+                            trace_id=request.trace.trace_id)
 
     def _cold_start_wait(self, started: float) -> None:
         """Block one request while an empty pool spins a worker back up."""
@@ -1336,8 +1329,9 @@ class PoolServer(FrontDoor):
                 except (ValueError, KeyError, UnicodeDecodeError):
                     match = False
                 rollout.gate.record(match, active_seconds, canary_seconds)
-                self.monitor.record_canary(match, model=rollout.candidate,
-                                           trace_id=trace_id)
+                self.monitor.verdict("canary_parity", match,
+                                     model=rollout.candidate,
+                                     trace_id=trace_id)
                 if not match:
                     rollout.log("parity_violation",
                                 samples=rollout.gate.samples)
@@ -1351,8 +1345,6 @@ class PoolServer(FrontDoor):
         ``canary_parity`` verdicts are skipped — the rollout comparator
         already charged the gate for those via :meth:`RolloutGate.record`.
         """
-        if not self.monitor_trips_gate:
-            return
         if violation.invariant == "canary_parity":
             return
         model = violation.model

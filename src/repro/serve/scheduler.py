@@ -192,7 +192,7 @@ class DynamicBatcher:
         arrival from waiting behind a full batch of bulk scoring work.
     on_batch:
         Optional hook ``(inputs, outputs) -> None`` called after each batch
-        (the parity auditor taps in here).
+        (the server's sampled parity audit taps in here).
     """
 
     def __init__(self, predict_fn: Callable[[np.ndarray], np.ndarray],

@@ -1,7 +1,7 @@
 """Stdlib HTTP front end for bundle-backed CAM inference.
 
 Zero new dependencies: a small JSON protocol in front of the registry +
-scheduler + auditor stack.  The network plane is
+scheduler stack.  The network plane is
 :class:`~repro.serve.netfront.EventLoopFrontEnd`: every connection is
 multiplexed through one :mod:`selectors` thread (keep-alive, pipelining, a
 bounded connection budget, idle/slowloris timeouts) and each parsed request
@@ -21,7 +21,7 @@ Endpoints
     Registry listing (resident engines, footprints, kernels, evictions).
 ``GET /metrics``
     Scheduler/latency/batching counters, per-layer CAM search + energy
-    statistics from the engines, and parity-audit results.
+    statistics from the engines, and ``runtime_verification`` (parity audits).
 ``GET /healthz``
     Liveness probe.
 
@@ -31,6 +31,7 @@ Errors map to conventional codes: 400 malformed input, 404 unknown model,
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.serve import adminapi
-from repro.serve.auditor import ParityAuditor
 from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
 from repro.serve.engine import BundleEngine
@@ -114,13 +114,14 @@ class ServedModel:
     ``lease`` pins the engine in the registry for as long as the record
     serves; retirement (eviction, promote, undeploy) drains the batcher and
     releases the lease, which is what finally lets the registry drop the
-    engine — never mid-request.
+    engine — never mid-request.  ``reference`` is the engine parity audits
+    re-run sampled batches through, dropped on retirement too.
     """
 
     name: str                    # registry record id (e.g. "resnet" / "resnet@v2")
     engine: BundleEngine
     batcher: DynamicBatcher
-    auditor: Optional[ParityAuditor] = None
+    reference: Optional[BundleEngine] = None
     pacer: Optional[_AcceleratorPacer] = None
     lease: Optional[EngineLease] = None
 
@@ -226,8 +227,7 @@ class PECANServer(FrontDoor):
     def _retire(record: ServedModel) -> None:
         """Drain and unwire one served record (call with no locks held)."""
         record.batcher.stop(drain=True)
-        if record.auditor is not None:
-            record.auditor.stop()
+        record.reference = None
         if record.lease is not None:
             record.lease.release()
 
@@ -238,17 +238,17 @@ class PECANServer(FrontDoor):
             self._retire(record)
 
     def _get_served(self, name: str) -> ServedModel:
-        """The wired-up (engine + batcher + auditor) record, building lazily.
+        """The wired-up (engine + batcher) record, building lazily.
 
         The engine checkout (which may *load* a bundle) happens before the
         server lock is taken, so a slow deploy never stalls other models'
         predictions.  The returned record holds an :class:`EngineLease`;
         registry evictions are honoured here: a ``ServedModel`` whose record
         the registry marked for eviction is retired (its batcher drained, its
-        auditor — which holds a second engine — stopped, its lease released)
-        so eviction actually releases the memory.  Retirement happens
-        *outside* the server lock: draining a busy batcher can take seconds
-        and must not stall other models' predictions or ``/metrics``.
+        reference engine dropped, its lease released) so eviction actually
+        releases the memory.  Retirement happens *outside* the server lock:
+        draining a busy batcher can take seconds and must not stall other
+        models' predictions or ``/metrics``.
         """
         lease = self.registry.acquire(name)       # may load; no server lock held
         retired = []
@@ -261,9 +261,9 @@ class PECANServer(FrontDoor):
                     retired.append(self._served.pop(record_id))  # evicted + reloaded
                     served = None
                 # Drop wired-up records for versions the registry evicted or
-                # marked for deferred drop, or their engines (and the
-                # auditors' reference engines) stay resident and the
-                # --max_total_values budget is fiction.
+                # marked for deferred drop, or their engines (and reference
+                # engines) stay resident and the --max_total_values budget
+                # is fiction.
                 loaded = set(self.registry.loaded_names())
                 for other in list(self._served):
                     if other != record_id and other not in loaded:
@@ -271,18 +271,14 @@ class PECANServer(FrontDoor):
                 if served is not None:
                     return served
                 engine = lease.engine
-                auditor = None
-                on_batch = None
+                reference = on_batch = None
                 if self.audit_every:
                     # Mirror the served engine's configuration (including any
-                    # optimization passes) so the auditor compares fused vs.
+                    # optimization passes) so the audit compares fused vs.
                     # reference kernels on the *same* program.
                     reference = engine.reference_engine()
-                    auditor = ParityAuditor(reference, every=self.audit_every,
-                                            metrics=self.metrics,
-                                            monitor=self.monitor,
-                                            model=record_id).start()
-                    on_batch = auditor.observe
+                    on_batch = functools.partial(self._audit_batch, record_id,
+                                                 reference)
                 engine.tracer = self.tracer
                 pacer = None
                 if self.hardware_hz:
@@ -318,7 +314,8 @@ class PECANServer(FrontDoor):
                     batch_class_samples=self.qos_config.batch_class_samples,
                     tracer=self.tracer).start()
                 served = ServedModel(name=record_id, engine=engine, batcher=batcher,
-                                     auditor=auditor, pacer=pacer, lease=lease)
+                                     reference=reference, pacer=pacer,
+                                     lease=lease)
                 self._served[record_id] = served
                 adopted = True
                 return served
@@ -327,6 +324,19 @@ class PECANServer(FrontDoor):
                 lease.release()           # existing record already holds one
             for record in retired:
                 self._retire(record)
+
+    def _audit_batch(self, model: str, reference: BundleEngine,
+                     inputs: np.ndarray, outputs: np.ndarray) -> None:
+        """Batch hook: queue one batch in ``audit_every`` for a re-run
+        through the reference engine (bitwise for multiplier-free bundles)."""
+        if not self.monitor.sample(f"parity_audit:{model}", self.audit_every):
+            return
+        # Copy: the scheduler may hand us views into buffers it reuses.
+        inputs = np.array(inputs, copy=True)
+        self.monitor.submit(
+            "parity_audit", lambda: reference.predict(inputs),
+            np.array(outputs, copy=True), model=model,
+            exact=reference.bundle.is_multiplier_free())
 
     # ------------------------------------------------------------------ #
     # Model lifecycle (hot reload)
@@ -575,13 +585,6 @@ class PECANServer(FrontDoor):
                     "hz": record.pacer.hz,
                     "slept_s": record.pacer.slept_s,
                 }
-            if record.auditor is not None:
-                entry["parity_audit"] = {
-                    "enabled": record.auditor.enabled,
-                    "exact": record.auditor.exact,
-                    "every": record.auditor.every,
-                    "last_mismatch": record.auditor.last_mismatch,
-                }
             payload["models"][name] = entry
         return payload
 
@@ -635,6 +638,7 @@ class PECANServer(FrontDoor):
             self._served.clear()
         for record in records:        # drain outside the lock
             self._retire(record)
+        self.monitor.close()
         self.tracer.close()
 
     def serve_forever(self) -> None:

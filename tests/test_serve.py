@@ -2,7 +2,7 @@
 
 Covers the lean import graph (serving must not load the training substrate),
 bundle format validation, the dynamic micro-batching scheduler, the LRU model
-registry, the metrics accumulator, the parity auditor, and the HTTP
+registry, the metrics accumulator, the sampled parity audit, and the HTTP
 server/client pair end to end.
 """
 
@@ -24,7 +24,7 @@ from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, DynamicBatcher, ModelRegistry,
-                         ParityAuditor, PECANServer, QueueFullError,
+                         PECANServer, QueueFullError,
                          RequestTimeout, SchedulerStopped, ServeClient,
                          ServeConfig, ServeHTTPError, ServerMetrics)
 from repro.serve import scheduler
@@ -467,7 +467,6 @@ class TestMetrics:
         metrics.record_batch(4, 0.010)
         metrics.record_completed(0.015, 0.005)
         metrics.record_rejected()
-        metrics.record_audit(mismatch=False)
         snap = metrics.snapshot(queue_depth=3)
         assert snap["requests"]["total"] == 2
         assert snap["requests"]["rejected"] == 1
@@ -475,46 +474,58 @@ class TestMetrics:
         assert snap["batching"]["mean_batch"] == 4.0
         assert snap["queue_depth"] == 3
         assert snap["latency"]["p95_ms"] == pytest.approx(15.0)
-        assert snap["parity_audit"] == {"audits": 1, "mismatches": 0,
-                                        "errors": 0, "dropped": 0}
+        # Audit counts live under /metrics -> runtime_verification only.
+        assert "parity_audit" not in snap
 
 
 # --------------------------------------------------------------------------- #
-# Parity auditor
+# Parity audit
 # --------------------------------------------------------------------------- #
 class TestParityAuditor:
+    """Sampled fused-vs-reference audits: the server's batch hook queues a
+    re-run through the reference engine on the invariant monitor."""
+
+    @staticmethod
+    def audit(bundle_path, every, batches):
+        """Feed ``(inputs, outputs)`` batches to the served model's batch
+        hook; return the drained monitor snapshot and the reference engine
+        the batches were re-run through."""
+        server = PECANServer(config=ServeConfig.build(
+            audit_every=every, cache_mb=0.0, mmap=False))
+        server.add_bundle(bundle_path, name="toy", preload=True)
+        try:
+            served = server._served["toy"]
+            for inputs, outputs in batches:
+                served.batcher.on_batch(inputs, outputs)
+            assert server.monitor.drain()
+            return server.monitor.snapshot(), served.reference
+        finally:
+            server.stop()
+
     def test_clean_traffic_has_no_mismatches(self, bundle_path, engine, rng):
-        reference = BundleEngine(bundle_path, use_fused=False)
-        auditor = ParityAuditor(reference, every=1).start()
         x = rng.standard_normal((3, 1, 10, 10))
-        auditor.observe(x, engine.predict(x))
-        auditor.drain()
-        auditor.stop()
-        assert auditor.metrics.audits_total == 1
-        assert auditor.metrics.audit_mismatches == 0
-        assert auditor.exact                      # PECAN-D bundles audit bitwise
+        snap, reference = self.audit(bundle_path, 1, [(x, engine.predict(x))])
+        assert snap["checks"] == 1
+        assert snap["by_invariant"]["parity_audit"] == 0
+        assert snap["errors"] == 0 and snap["dropped"] == 0
+        # PECAN-D bundles audit bitwise.
+        assert reference.bundle.is_multiplier_free()
 
     def test_detects_corrupted_outputs(self, bundle_path, engine, rng):
-        reference = BundleEngine(bundle_path, use_fused=False)
-        auditor = ParityAuditor(reference, every=1).start()
         x = rng.standard_normal((2, 1, 10, 10))
         outputs = engine.predict(x) + 1e-3        # simulated kernel regression
-        auditor.observe(x, outputs)
-        auditor.drain()
-        auditor.stop()
-        assert auditor.metrics.audit_mismatches == 1
-        assert auditor.last_mismatch["max_abs_error"] == pytest.approx(1e-3)
+        snap, _ = self.audit(bundle_path, 1, [(x, outputs)])
+        assert snap["by_invariant"]["parity_audit"] == 1
+        violation = snap["recent"][-1]
+        assert violation["invariant"] == "parity_audit"
+        assert violation["model"] == "toy"
+        assert violation["max_abs_error"] == pytest.approx(1e-3)
 
     def test_sampling_rate(self, bundle_path, engine, rng):
-        reference = BundleEngine(bundle_path, use_fused=False)
-        auditor = ParityAuditor(reference, every=4, max_pending=32).start()
         x = rng.standard_normal((1, 1, 10, 10))
         y = engine.predict(x)
-        for _ in range(8):
-            auditor.observe(x, y)
-        auditor.drain()
-        auditor.stop()
-        assert auditor.metrics.audits_total == 2  # batches 1 and 5
+        snap, _ = self.audit(bundle_path, 4, [(x, y)] * 8)
+        assert snap["checks"] == 2                # batches 1 and 5
 
 
 # --------------------------------------------------------------------------- #
@@ -590,22 +601,27 @@ class TestServerEndToEnd:
 
     def test_metrics_endpoint_carries_engine_and_audit_stats(self, server, rng):
         pecan_server, client = server
+        # Output sampling off, so `checks` counts the parity audits alone.
+        pecan_server.monitor.every = 0
         client.predict(rng.standard_normal((2, 1, 10, 10)))
         # The scheduler unblocks the caller *before* it hands the batch to
-        # the auditor (audits must never delay results), so poll: drain only
-        # empties work that has already been enqueued.
+        # the audit hook (audits must never delay results), so poll: drain
+        # only empties work that has already been enqueued.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            pecan_server._served["toy"].auditor.drain()
+            pecan_server.monitor.drain()
             snap = client.metrics()
-            if snap["server"]["parity_audit"]["audits"] >= 1:
+            if snap["runtime_verification"]["checks"] >= 1:
                 break
             time.sleep(0.01)
         assert snap["models"]["toy"]["engine"]["multiplier_free"]
         assert snap["models"]["toy"]["engine"]["cam"]["searches"] > 0
         assert snap["models"]["toy"]["engine"]["cam"]["energy"] > 0
-        assert snap["server"]["parity_audit"]["mismatches"] == 0
-        assert snap["server"]["parity_audit"]["audits"] >= 1
+        verification = snap["runtime_verification"]
+        assert verification["by_invariant"]["parity_audit"] == 0
+        assert verification["checks"] >= 1
+        assert "parity_audit" not in snap["server"]
+        assert "parity_audit" not in snap["models"]["toy"]
         assert snap["registry"]["models"][0]["name"] == "toy"
 
     def test_http_error_codes(self, server, rng):

@@ -280,7 +280,9 @@ class TestElasticPool:
                 hammer_client = ServeClient(pool.url, timeout_s=120.0)
                 while not stop.is_set():
                     try:
-                        hammer_client.predict(x, model="toy")
+                        # no_cache: identical inputs would otherwise be
+                        # answered by the router's cache, not the workers.
+                        hammer_client.predict(x, model="toy", no_cache=True)
                     except Exception as exc:    # noqa: BLE001 - collected
                         failures.append(exc)
 

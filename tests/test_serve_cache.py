@@ -27,7 +27,8 @@ from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, CacheAffinityPolicy, InvariantMonitor,
                          ModelRegistry, PECANServer, PoolServer, ResultCache,
-                         ServeClient, ServeConfig, ZipfWorkload,
+                         ServeClient, ServeConfig, ServeHTTPError,
+                         ZipfWorkload,
                          canonical_input_hash, canonical_response_bytes,
                          format_versioned, run_zipf_load, splice_json,
                          stable_route_hash)
@@ -296,15 +297,6 @@ class TestZipfWorkload:
 # Runtime verification: cache parity + cross-request argmax keying
 # --------------------------------------------------------------------------- #
 class TestCacheInvariants:
-    def test_cache_parity_violation_recorded(self):
-        monitor = InvariantMonitor(1)
-        assert monitor.record_cache_check(True, model="m@v1") is None
-        violation = monitor.record_cache_check(False, model="m@v1",
-                                               trace_id="t1")
-        assert violation is not None and violation.invariant == "cache_parity"
-        snap = monitor.snapshot()
-        assert snap["by_invariant"]["cache_parity"] == 1
-
     def test_input_key_checks_span_distinct_traces(self):
         """With a canonical input key, *any* two executions of the same
         input against the same version must agree on the argmax — not just
@@ -561,6 +553,67 @@ class TestPoolCache:
         finally:
             pool.cache_check_every = 0
             pool.cache.clear()
+
+    def test_sampled_hit_rechecks_share_one_bounded_queue(self, pool):
+        """A burst of sampled hits against slowed workers: the router queues
+        every re-execution on the monitor's one checker thread and one
+        bounded queue.  The overflow is dropped and counted, and a re-run
+        that fails (its worker hop times out) counts as an error, never as
+        a violation."""
+        client = ServeClient(pool.url, timeout_s=30.0)
+        x = np.random.default_rng(15).normal(size=(1, 1, 10, 10))
+        client.predict_response(x)             # prime the entry
+        proxy_timeout_s, burst = pool.proxy_timeout_s, 24
+        for worker in pool.ready_workers():
+            pool.inject_fault(worker.id, kind="slow", seconds=1.0)
+        pool.proxy_timeout_s = 0.3             # a slowed hop now times out
+        try:
+            deadline = time.monotonic() + 30.0
+            while True:                        # until the fault is live
+                try:
+                    client.predict_response(x, no_cache=True)
+                except ServeHTTPError as exc:
+                    assert exc.status == 504
+                    break
+                assert time.monotonic() < deadline, "slow fault never applied"
+            before = client.metrics()["runtime_verification"]
+            existing = set(threading.enumerate())
+            started, watching = set(), threading.Event()
+
+            def watch() -> None:
+                # Every thread the router starts while the burst runs.
+                while not watching.is_set():
+                    started.update(
+                        thread for thread in threading.enumerate()
+                        if thread not in existing
+                        and thread is not threading.current_thread())
+                    time.sleep(0.002)
+
+            watcher = threading.Thread(target=watch, daemon=True)
+            watcher.start()
+            pool.cache_check_every = 1         # sample every hit
+            try:
+                for _ in range(burst):
+                    assert client.predict_response(x).get("cached") is True
+            finally:
+                pool.cache_check_every = 0
+                watching.set()
+                watcher.join(5.0)
+            assert len(started) <= 1, [thread.name for thread in started]
+            assert pool.monitor.drain(60.0)
+            after = client.metrics()["runtime_verification"]
+        finally:
+            pool.proxy_timeout_s = proxy_timeout_s
+            for worker in pool.ready_workers():
+                pool.inject_fault(worker.id, kind="slow", seconds=0.0)
+
+        def grew(key: str) -> int:
+            return after[key] - before[key]
+
+        assert grew("dropped") >= 1            # the queue is bounded
+        assert grew("errors") >= 1             # timed-out re-runs
+        assert grew("violations") == 0
+        assert grew("dropped") + grew("errors") + grew("checks") == burst
 
     def test_crash_mid_leader_call_reelects_and_completes(self, pool):
         """Kill a worker while identical requests are coalesced behind a

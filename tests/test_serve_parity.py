@@ -224,9 +224,9 @@ class TestMultiTopologyParity:
             client = ServeClient(server.url)
             assert client.wait_ready(10.0)
             logits = client.predict(images)
-            served = server._served["topo"]
-            served.auditor.drain()
-            assert served.auditor.metrics.audit_mismatches == 0
+            server.monitor.drain()
+            verification = server.monitor.snapshot()
+            assert verification["by_invariant"]["parity_audit"] == 0
         np.testing.assert_array_equal(logits, expected)
 
     def test_batch_chunk_streaming_matches(self, topology, request):
@@ -254,7 +254,7 @@ class TestMultiTopologyParity:
                                    atol=1e-8)
 
     def test_optimized_server_audits_clean(self, topology):
-        # The auditor's reference engine must execute the *same* (optimized)
+        # The audit's reference engine must execute the *same* (optimized)
         # program as the served engine — otherwise legitimate BN-folding
         # divergence would be counted as parity mismatches.
         from repro.serve import ModelRegistry
@@ -262,19 +262,23 @@ class TestMultiTopologyParity:
         model, path, images = topology
         registry = ModelRegistry(
             engine_factory=lambda p: BundleEngine(p, optimize=True))
+        # Output sampling off, so `checks` counts the parity audits alone.
         server = PECANServer(registry=registry, config=ServeConfig.build(
             port=0, max_batch_size=8, audit_every=1,
-            cache_mb=0.0))
+            cache_mb=0.0, invariant_every=0))
         server.add_bundle(path, name="opt", preload=True)
         try:
             for start in range(0, 4, 2):
                 server.predict(images[start:start + 2], model="opt")
             served = server._served["opt"]
             assert served.engine.optimized
-            assert served.auditor.reference_engine.optimized
-            served.auditor.drain()
-            assert served.auditor.metrics.audits_total >= 1
-            assert served.auditor.metrics.audit_mismatches == 0
+            assert served.reference.optimized
+            # The batch hook runs after the caller is answered, so the
+            # second batch's audit may not be queued yet; the first's is.
+            server.monitor.drain()
+            verification = server.monitor.snapshot()
+            assert verification["checks"] >= 1
+            assert verification["by_invariant"]["parity_audit"] == 0
         finally:
             server.stop()
 

@@ -314,20 +314,30 @@ class TestInvariantMonitor:
             monitor.check_outputs("m", [[0.0, 1.0]], trace_id=f"t{index}")
         assert len(monitor._fingerprints) == 8
 
-    def test_canary_parity_and_callback(self):
+    @pytest.mark.parametrize("invariant", ["parity_audit", "canary_parity",
+                                           "cache_parity"])
+    def test_verdict(self, invariant):
+        """Every re-run-and-compare verdict goes through one call: a match
+        is a check, a mismatch is a check and a violation that reaches the
+        callback (the rollout gate's feed)."""
         seen = []
         monitor = InvariantMonitor(1, on_violation=seen.append)
-        assert monitor.record_canary(True, model="m@v2") is None
-        violation = monitor.record_canary(False, model="m@v2", trace_id="t")
-        assert violation.invariant == "canary_parity"
-        assert [v.invariant for v in seen] == ["canary_parity"]
+        assert monitor.verdict(invariant, True, model="m@v2") is None
+        violation = monitor.verdict(invariant, False, model="m@v2",
+                                    trace_id="t1")
+        assert violation is not None and violation.invariant == invariant
+        assert [v.invariant for v in seen] == [invariant]
+        snap = monitor.snapshot()
+        assert snap["checks"] == 2
+        assert snap["by_invariant"][invariant] == 1
+        assert snap["recent"][-1]["trace_id"] == "t1"
 
     def test_callback_failure_never_breaks_traffic(self):
         def explode(violation):
             raise RuntimeError("observer bug")
         monitor = InvariantMonitor(1, on_violation=explode)
-        assert monitor.record_canary(False, model="m")["invariant"] == \
-            "canary_parity"
+        assert monitor.verdict("canary_parity", False,
+                               model="m")["invariant"] == "canary_parity"
 
     def test_check_trace_and_violation_spans(self):
         tracer = Tracer("t")
