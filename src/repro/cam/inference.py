@@ -158,8 +158,16 @@ class CAMInferenceEngine(RuntimeStatsMixin):
         n = inputs.shape[0]
         if batch_chunk is None or batch_chunk >= n:
             return self._forward_batch(inputs)
-        parts = [self._forward_batch(inputs[sl]) for sl in iter_slices(n, batch_chunk)]
-        return np.concatenate(parts, axis=0)
+        # Each chunk's logits go straight into one output array, so peak
+        # memory is the output plus one chunk's activations, never the
+        # output twice (a list of parts and their concatenation).
+        out = None
+        for sl in iter_slices(n, batch_chunk):
+            part = self._forward_batch(inputs[sl])
+            if out is None:
+                out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+            out[sl] = part
+        return out
 
     def predict_classes(self, inputs: np.ndarray,
                         batch_chunk: Optional[int] = None) -> np.ndarray:

@@ -15,10 +15,12 @@ The runtime owns two interchangeable kernels:
 
 * the **fused** kernel (default) — one broadcasted search over all groups
   plus a single flat-index gather, chunked over the position axis; PECAN-D
-  prefers the compiled single-pass kernel of :mod:`repro.perf.ckernels`
-  (fused im2col + l1 search + LUT accumulate), falling back to scipy's
-  ``cdist`` or a broadcasted l1 pass; PECAN-A runs as batched GEMMs with an
-  in-place softmax;
+  prefers the compiled single-pass kernel of :mod:`repro.perf.ckernels`,
+  bound to the layer's constant arrays at construction.  Given the unpadded
+  input it unfolds, searches, accumulates, adds the bias and writes the
+  channel-major output in one call, and increments :attr:`usage` itself.
+  Without it PECAN-D falls back to scipy's ``cdist`` or a broadcasted l1
+  pass; PECAN-A runs as batched GEMMs with an in-place softmax;
 * the **reference** kernel — the original Python loop over the ``D``
   :class:`~repro.cam.cam_array.CAMArray` banks, retained for verification,
   benchmarking and the serving parity audit; only a reference runtime
@@ -27,8 +29,9 @@ The runtime owns two interchangeable kernels:
 Both produce identical outputs (bitwise for the PECAN-D lookup path).  The
 statistics come from one static model, not from the kernels: each call
 charges ``positions ×`` the layer's
-:func:`~repro.cam.counters.pecan_position_cost` (plus bias additions) and adds
-one ``(D, p)`` bincount of the winners to the usage histogram (Fig. 6).
+:func:`~repro.cam.counters.pecan_position_cost` (plus bias additions).  The
+usage histogram (Fig. 6) gets one ``(D, p)`` bincount of the winners per
+call, or, on the compiled path, the kernel's own increments.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.cam.counters import OpCounter, pecan_position_cost
 from repro.cam.layer_lut import LayerLUT
 from repro.pecan.config import PECANMode
 from repro.perf import ChunkPolicy, Workspace, iter_slices
-from repro.perf.ckernels import MAX_PROTOTYPES, get_pecan_d_kernel
+from repro.perf.ckernels import get_pecan_d_kernel
 from repro.perf.im2col import conv_output_size, im2col
 
 try:                                      # scipy ships with the image but is
@@ -89,9 +92,19 @@ class LUTLayerRuntime:
             self.table.transpose(1, 0, 2).reshape(lut.out_channels, -1))
         self._group_offsets = (np.arange(lut.num_groups, dtype=np.int64)
                                * lut.num_prototypes)[None, :, None]     # (1, D, 1)
-        self._ckernel = (get_pecan_d_kernel()
-                         if lut.mode is PECANMode.DISTANCE else None)
-        self._row_offset_cache: Dict[tuple, np.ndarray] = {}
+        bind = (get_pecan_d_kernel()
+                if self._use_fused and lut.mode is PECANMode.DISTANCE else None)
+        # The compiled kernel reads each grouped query dimension at its
+        # (permuted) im2col row, so the fast path never unfolds or pads.
+        # Like the NumPy paths, only a conv layer applies a permutation.
+        conv = lut.kind == "conv"
+        self._ckernel = None if bind is None else bind(
+            self.prototypes, self.table_flat,
+            (np.ascontiguousarray(lut.group_permutation, dtype=np.int64)
+             if conv and lut.group_permutation is not None
+             else np.arange(lut.num_groups * lut.subvector_dim, dtype=np.int64)),
+            None if lut.bias is None else np.ascontiguousarray(lut.bias, dtype=np.float64),
+            *((lut.kernel_size, lut.stride, lut.padding) if conv else (1, 1, 0)))
 
     @property
     def use_fused(self) -> bool:
@@ -104,15 +117,10 @@ class LUTLayerRuntime:
         if not self.use_fused:
             return "reference"
         if self.lut.mode is PECANMode.DISTANCE:
-            if self._ckernel_eligible:
+            if self._ckernel is not None:
                 return "ckernel"
             return "cdist" if _cdist is not None else "numpy"
         return "blas"
-
-    @property
-    def _ckernel_eligible(self) -> bool:
-        return (self.use_fused and self._ckernel is not None
-                and self.lut.num_prototypes <= MAX_PROTOTYPES)
 
     # ------------------------------------------------------------------ #
     def _charge(self, num_positions: int) -> None:
@@ -192,51 +200,9 @@ class LUTLayerRuntime:
             winners[:, :, sl] = diff.sum(axis=2).argmin(axis=2)
         return winners
 
-    def _row_offsets(self, hp: int, wp: int) -> np.ndarray:
-        """Per-sample element offset of every grouped im2col row at position (0, 0).
-
-        Row ``r`` of the *grouped* matrix maps (through the stored group
-        permutation, when present) to im2col row ``c·k² + ki·k + kj``, which
-        lives at offset ``c·Hp·Wp + ki·Wp + kj`` inside one padded sample.
-        The table folds the unfold and the permutation into the compiled
-        kernel's reads, so the fast path never materializes columns at all.
-        """
-        key = (hp, wp)
-        cached = self._row_offset_cache.get(key)
-        if cached is None:
-            k = max(1, self.lut.kernel_size)
-            k2 = k * k
-            total = self.lut.num_groups * self.lut.subvector_dim
-            rows = (self.lut.group_permutation if self.lut.group_permutation is not None
-                    else np.arange(total, dtype=np.int64))
-            chan, pos = np.divmod(rows, k2)
-            ki, kj = np.divmod(pos, k)
-            cached = np.ascontiguousarray((chan * hp * wp + ki * wp + kj),
-                                          dtype=np.int64)
-            self._row_offset_cache[key] = cached
-        return cached
-
-    def _run_ckernel(self, xp: np.ndarray, wp: int, stride: int,
-                     hout: int, wout: int) -> np.ndarray:
-        """Single-pass compiled unfold+search+accumulate → ``(N, cout, Hout·Wout)``."""
-        n = xp.shape[0]
-        length = hout * wout
-        d_groups = self.lut.num_groups
-        cout = self.lut.out_channels
-        out_pm = self.workspace.request(f"{self.lut.name}/ck_out",
-                                        (n * length, cout))
-        winners = self.workspace.request(f"{self.lut.name}/ck_winners",
-                                         (n * length, d_groups), dtype=np.int64)
-        self._ckernel(xp, self._row_offsets(xp.shape[-2] if xp.ndim == 4 else 1, wp),
-                      self.prototypes, self.table_flat, out_pm, winners,
-                      wp, stride, hout, wout)
-        self._record_usage(winners + self._group_offsets[0].T)
-        # .copy() (not ascontiguousarray): out_pm is a reused workspace
-        # buffer, so the returned layer output must never alias it.
-        out = out_pm.reshape(n, length, cout).transpose(0, 2, 1).copy() # (N, cout, L)
-        if self.lut.bias is not None:
-            out += self.lut.bias.reshape(1, cout, 1)
-        return out
+    def _run_ckernel(self, data: np.ndarray) -> np.ndarray:
+        """Compiled unfold+search+accumulate+bias → ``(N, cout, ...)``; updates usage."""
+        return self._ckernel(data, self.usage)
 
     def _run_groups_fused(self, grouped: np.ndarray) -> np.ndarray:
         """Search + lookup for grouped columns ``(N, D, d, L)`` → ``(N, cout, L)``."""
@@ -247,15 +213,20 @@ class LUTLayerRuntime:
 
         if self.lut.mode is PECANMode.DISTANCE:
             winners = self._distance_winners(grouped)
-            # One flat-index gather + sum over the group axis, chunked so
-            # the (N, D, Lc, cout) gather respects the memory budget.
+            # One flat-index gather, then the groups added one by one from
+            # zero, in the reference loop's order (``sum(axis=1)`` pairs
+            # terms up when N·Lc·cout collapses to one run); chunked so the
+            # (N, D, Lc, cout) gather respects the memory budget.
             out = np.empty((n, cout, length))
             per_column = n * d_groups * cout * itemsize
             chunk = self.chunk_policy.columns_per_chunk(per_column, length)
             flat = winners + self._group_offsets                        # (N, D, L)
             for sl in iter_slices(length, chunk):
                 gathered = self.table_flat.take(flat[:, :, sl], axis=0)
-                out[:, :, sl] = gathered.sum(axis=1).transpose(0, 2, 1)
+                total = np.zeros((n, sl.stop - sl.start, cout))
+                for j in range(d_groups):
+                    total += gathered[:, j]
+                out[:, :, sl] = total.transpose(0, 2, 1)
             self._record_usage(flat)
         else:
             # PECAN-A: one batched GEMM for all group scores, an in-place
@@ -331,14 +302,8 @@ class LUTLayerRuntime:
         hout = conv_output_size(h, self.lut.kernel_size, self.lut.stride, self.lut.padding)
         wout = conv_output_size(w, self.lut.kernel_size, self.lut.stride, self.lut.padding)
         k = self.lut.kernel_size
-        pad = self.lut.padding
-        if self._ckernel_eligible:
-            if pad:
-                xp = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-                xp = np.ascontiguousarray(xp, dtype=np.float64)
-            else:
-                xp = np.ascontiguousarray(data, dtype=np.float64)
-            out = self._run_ckernel(xp, w + 2 * pad, self.lut.stride, hout, wout)
+        if self._ckernel is not None:
+            out = self._run_ckernel(data)
         else:
             cols_buf = self.workspace.request(f"{self.lut.name}/im2col",
                                               (n, cin * k * k, hout * wout),
@@ -353,9 +318,8 @@ class LUTLayerRuntime:
         """``(N, features)`` input → ``(N, out_features)`` layer output."""
         data = np.asarray(data)
         n = data.shape[0]
-        if self._ckernel_eligible:
-            flat = np.ascontiguousarray(data.reshape(n, -1), dtype=np.float64)
-            out = self._run_ckernel(flat, 1, 1, 1, 1)
+        if self._ckernel is not None:
+            out = self._run_ckernel(data.reshape(n, -1))
         else:
             grouped = data.reshape(n, self.lut.num_groups, self.lut.subvector_dim, 1)
             out = self._run_groups(grouped)

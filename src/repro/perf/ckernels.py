@@ -1,14 +1,31 @@
 """Optional compiled fused kernels (C via ``gcc`` + ``ctypes``).
 
-The PECAN-D lookup inference hot loop — im2col unfold, l1 prototype search,
-and LUT-column accumulation — is memory-bound in NumPy because every
-broadcasted formulation materializes large transients.  A ~50-line C kernel
-performs the whole thing in a single pass per output position with no
-intermediates at all, reading receptive fields straight out of the (padded)
-input through a precomputed row-offset table, and is bitwise-identical to the
-NumPy reference: each distance is summed in the same left-to-right dimension
-order (the inner loop vectorizes across *prototypes*, never reordering a
-single sum) and ties break to the first minimum exactly like ``argmin``.
+PECAN-D filtering is a CAM search followed by a LUT add, with no
+multiplications, so the l1 prototype search *is* the inference hot loop.  One
+C kernel runs a whole layer in a single pass with no NumPy intermediates:
+
+* **Position blocks.**  Output positions are indexed over the flattened
+  ``(n, oh, ow)`` axis and taken :data:`POSITION_BLOCK` at a time, so a fully
+  connected layer (one position per sample) fills a block across the batch.
+  For each block and group the kernel gathers the ``d × block`` queries
+  straight out of the input once, then scores every prototype for the whole
+  block: the innermost loop runs across *positions* and vectorizes even when
+  a layer has only a handful of prototypes.
+* **Bitwise equal to NumPy.**  Each distance still sums ``fabs(q - proto)``
+  over the dimensions in order, starting from ``0.0``, and the winner is the
+  first minimum (a strict ``<`` written as a lane-wise select), exactly like
+  ``argmin``; LUT rows are added in group order, then the bias.
+* **Padding.**  The kernel reads zeros outside the input, so callers pass the
+  unpadded ``(N, C, H, W)`` array (or ``(N, features)`` for a fully connected
+  layer).
+* **Outputs.**  It writes the layer output channel-major, ``(N, cout, Hout,
+  Wout)`` with the bias added, and increments the ``(D, p)`` prototype-usage
+  histogram itself.
+
+:func:`get_pecan_d_kernel` returns a binder: ``bind(protos, table_flat, rows,
+bias, kernel_size, stride, padding)`` checks the layouts of a layer's
+constant arrays once and returns a :class:`PecanDKernel` whose calls check
+only the input and the usage array.
 
 The kernel is compiled on first use into ``src/repro/perf/_build/`` (keyed by
 a hash of the source and flags, so edits rebuild automatically) and loaded
@@ -21,6 +38,7 @@ No third-party packages are involved.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -31,68 +49,145 @@ from typing import Optional
 
 import numpy as np
 
-#: Prototype-count ceiling baked into the kernel's stack buffer.
-MAX_PROTOTYPES = 1024
+#: Output positions searched together; the kernel's innermost loops run
+#: across this many lanes.
+POSITION_BLOCK = 8
 
 _C_SOURCE = r"""
 #include <stdint.h>
-#include <math.h>
+#include <stdlib.h>
 
 /* Fused im2col + PECAN-D search + lookup-accumulate over all groups.
  *
- * xp:         (N, C, Hp, Wp) zero-padded input, C-contiguous.  A fully
- *             connected layer is the degenerate case Hp = Wp = 1.
- * row_offset: (G*d,) offset of grouped im2col row r within one sample at
- *             output position (0, 0): c*Hp*Wp + ki*Wp + kj, with any group
- *             permutation already applied.
- * protos:     (G, d, p) codebooks in their native layout (prototype index m
- *             contiguous, so the m-loop vectorizes without reordering any
- *             individual distance sum).
- * table_flat: (G*p, cout) row j*p + m = LUT column of prototype m, group j.
- * out:        (N*Hout*Wout, cout) position-major output (bias NOT added).
- * winners:    (N*Hout*Wout, G) winning prototype per position and group.
+ * x:      (N, C, H, W) unpadded input, C-contiguous.  A fully connected
+ *         layer is the case H = W = k = 1, pad = 0.  Reads outside the
+ *         input see zeros (the padding rule of im2col).
+ * rows:   (G*d,) im2col row c*k*k + ki*k + kj of each grouped query
+ *         dimension, with any group permutation already applied.
+ * protos: (G, d, p) codebooks.
+ * table:  (G*p, cout) row j*p + m = LUT column of prototype m, group j.
+ * bias:   (cout,) or NULL.
+ * out:    (N, cout, Hout*Wout) channel-major output, bias added.
+ * usage:  (G, p) int64 histogram, incremented once per (position, group).
+ *
+ * Positions run over the flattened (n, oh, ow) axis in blocks of BLOCK
+ * lanes; the search runs across the lanes of a block.  Each distance is
+ * summed over the dimensions in order from 0.0 and the first minimum wins
+ * (strict <, as a lane-wise select), so results equal the NumPy path bit
+ * for bit.  Returns 0, or -1 if scratch memory could not be allocated.
  */
-#define MAX_P %(max_p)d
-void pecan_d_lookup(const double* xp, const int64_t* row_offset,
-                    const double* protos, const double* table_flat,
-                    double* out, int64_t* winners,
-                    int64_t N, int64_t sample_stride, int64_t Wp, int64_t stride,
-                    int64_t Hout, int64_t Wout,
-                    int64_t G, int64_t d, int64_t p, int64_t cout)
+#define BLOCK %(block)d
+
+/* One block of lanes as a GCC/Clang generic vector; the compiler splits it
+ * into whatever SIMD registers the target has.  8-byte alignment lets the
+ * query rows live in plain malloc'd memory. */
+typedef double vd __attribute__((vector_size(BLOCK * 8), aligned(8)));
+typedef int64_t vi __attribute__((vector_size(BLOCK * 8), aligned(8)));
+
+int pecan_d_lookup(const double* x, const int64_t* rows,
+                   const double* protos, const double* table,
+                   const double* bias, double* out, int64_t* usage,
+                   int64_t N, int64_t C, int64_t H, int64_t W,
+                   int64_t k, int64_t stride, int64_t pad,
+                   int64_t Hout, int64_t Wout,
+                   int64_t G, int64_t d, int64_t p, int64_t cout)
 {
-    double dists[MAX_P];
-    for (int64_t n = 0; n < N; ++n) {
-        const double* xn = xp + n * sample_stride;
-        for (int64_t oh = 0; oh < Hout; ++oh) {
-            for (int64_t ow = 0; ow < Wout; ++ow) {
-                const double* xq = xn + (oh * Wp + ow) * stride;
-                const int64_t q = (n * Hout + oh) * Wout + ow;
-                double* orow = out + q * cout;
-                for (int64_t c = 0; c < cout; ++c) orow[c] = 0.0;
-                int64_t* wrow = winners + q * G;
-                const int64_t* roff = row_offset;
-                for (int64_t j = 0; j < G; ++j) {
-                    const double* pj = protos + j * d * p;
-                    for (int64_t m = 0; m < p; ++m) dists[m] = 0.0;
-                    for (int64_t i = 0; i < d; ++i) {
-                        const double qi = xq[roff[i]];
-                        const double* prow = pj + i * p;
-                        for (int64_t m = 0; m < p; ++m) dists[m] += fabs(qi - prow[m]);
-                    }
-                    roff += d;
-                    double best = dists[0]; int64_t bm = 0;
-                    for (int64_t m = 1; m < p; ++m) {
-                        if (dists[m] < best) { best = dists[m]; bm = m; }
-                    }
-                    wrow[j] = bm;
-                    const double* trow = table_flat + (j * p + bm) * cout;
-                    for (int64_t c = 0; c < cout; ++c) orow[c] += trow[c];
+    const int64_t L = Hout * Wout, total = N * L, HW = H * W, GD = G * d;
+    int64_t* roff = malloc((size_t)(3 * GD) * sizeof(int64_t));
+    vd* q = malloc((size_t)d * sizeof(vd));
+    double* acc = malloc((size_t)(cout * BLOCK) * sizeof(double));
+    if (!roff || !q || !acc) {
+        free(roff); free(q); free(acc);
+        return -1;
+    }
+    /* Per query dimension: offset inside one sample at window origin
+     * (0, 0), and the window row/column for the padding test. */
+    int64_t* rki = roff + GD;
+    int64_t* rkj = roff + 2 * GD;
+    for (int64_t r = 0; r < GD; ++r) {
+        const int64_t c = rows[r] / (k * k), w = rows[r] %% (k * k);
+        rki[r] = w / k;
+        rkj[r] = w %% k;
+        roff[r] = c * HW + rki[r] * W + rkj[r];
+    }
+    int64_t base[BLOCK], ih0[BLOCK], iw0[BLOCK], obase[BLOCK];
+    const vi absmask = (vi){0} + INT64_MAX, zero_i = (vi){0};
+    const vd zero = (vd){0};
+    int64_t n = 0, oh = 0, ow = 0;
+    for (int64_t q0 = 0; q0 < total; q0 += BLOCK) {
+        const int64_t nb = total - q0 < BLOCK ? total - q0 : BLOCK;
+        int interior = 1;
+        for (int64_t b = 0; b < BLOCK; ++b) {
+            if (b < nb) {
+                ih0[b] = oh * stride - pad;
+                iw0[b] = ow * stride - pad;
+                base[b] = n * C * HW + ih0[b] * W + iw0[b];
+                obase[b] = n * cout * L + oh * Wout + ow;
+                interior &= ih0[b] >= 0 && iw0[b] >= 0
+                            && ih0[b] + k <= H && iw0[b] + k <= W;
+                if (++ow == Wout) {
+                    ow = 0;
+                    if (++oh == Hout) { oh = 0; ++n; }
                 }
+            } else {
+                /* Tail lanes repeat lane 0: valid reads, results dropped. */
+                ih0[b] = ih0[0]; iw0[b] = iw0[0]; base[b] = base[0];
+            }
+        }
+        for (int64_t i = 0; i < cout * BLOCK; ++i) acc[i] = 0.0;
+        for (int64_t j = 0; j < G; ++j) {
+            for (int64_t i = 0; i < d; ++i) {
+                const int64_t r = j * d + i, off = roff[r];
+                vd* qi = q + i;
+                if (interior) {
+                    for (int64_t b = 0; b < BLOCK; ++b) (*qi)[b] = x[base[b] + off];
+                } else {
+                    const int64_t ki = rki[r], kj = rkj[r];
+                    for (int64_t b = 0; b < BLOCK; ++b) {
+                        const int64_t ih = ih0[b] + ki, iw = iw0[b] + kj;
+                        (*qi)[b] = (ih >= 0 && ih < H && iw >= 0 && iw < W)
+                                ? x[base[b] + off] : 0.0;
+                    }
+                }
+            }
+            const double* pj = protos + j * d * p;
+            vd best = zero;
+            vi bm = zero_i;
+            for (int64_t m = 0; m < p; ++m) {
+                vd dist = zero;
+                for (int64_t i = 0; i < d; ++i)     /* fabs: clear the sign bit */
+                    dist += (vd)((vi)(q[i] - pj[i * p + m]) & absmask);
+                if (m == 0) {
+                    best = dist;
+                } else {
+                    const vi lt = (vi)(dist < best);
+                    best = (vd)(((vi)dist & lt) | ((vi)best & ~lt));
+                    bm = (m & lt) | (bm & ~lt);
+                }
+            }
+            const double* tj = table + j * p * cout;
+            int64_t* uj = usage + j * p;
+            for (int64_t b = 0; b < nb; ++b) {
+                ++uj[bm[b]];
+                const double* trow = tj + bm[b] * cout;
+                double* a = acc + b * cout;
+                for (int64_t c = 0; c < cout; ++c) a[c] += trow[c];
+            }
+        }
+        for (int64_t b = 0; b < nb; ++b) {
+            double* o = out + obase[b];
+            const double* a = acc + b * cout;
+            if (bias) {
+                for (int64_t c = 0; c < cout; ++c) o[c * L] = a[c] + bias[c];
+            } else {
+                for (int64_t c = 0; c < cout; ++c) o[c * L] = a[c];
             }
         }
     }
+    free(roff); free(q); free(acc);
+    return 0;
 }
-""" % {"max_p": MAX_PROTOTYPES}
+""" % {"block": POSITION_BLOCK}
 
 _BASE_FLAGS = ["-O3", "-shared", "-fPIC"]
 _ARCH_FLAGS = ["-march=native"]
@@ -163,8 +258,8 @@ def _load() -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(str(lib_path))
     except OSError:
         return None
-    lib.pecan_d_lookup.restype = None
-    lib.pecan_d_lookup.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 10
+    lib.pecan_d_lookup.restype = ctypes.c_int
+    lib.pecan_d_lookup.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 13
     _lib = lib
     return _lib
 
@@ -174,42 +269,85 @@ def kernel_available() -> bool:
     return _load() is not None
 
 
-def get_pecan_d_kernel():
-    """Return the fused PECAN-D lookup kernel, or ``None`` if unavailable.
+def _constant(name: str, arr: np.ndarray, dtype, shape) -> np.ndarray:
+    if arr.dtype != dtype or not arr.flags.c_contiguous or arr.shape != shape:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype).name} "
+                         f"array of shape {shape}, got {arr.dtype} {arr.shape}")
+    return arr
 
-    The returned callable has signature ``kernel(xp, row_offset, protos,
-    table_flat, out, winners, wp, stride, hout, wout)`` with the array
-    layouts documented in the C source.  ``xp`` is the already-padded input
-    of shape ``(N, C, Hp, Wp)`` (or ``(N, features, 1, 1)``-equivalent for a
-    fully connected layer); ``out`` receives the bias-free position-major
-    layer output and ``winners`` the per-group winning prototype indices.
+
+class PecanDKernel:
+    """The compiled PECAN-D kernel bound to one layer's constant arrays.
+
+    Construction checks the layouts of ``protos`` ``(G, d, p)``,
+    ``table_flat`` ``(G·p, cout)``, ``rows`` ``(G·d,)`` and ``bias``
+    ``(cout,)`` once and keeps references to them; each call checks only
+    the input and the usage histogram.  See the C source for the layouts.
     """
-    lib = _load()
-    if lib is None:
-        return None
 
-    def kernel(xp: np.ndarray, row_offset: np.ndarray, protos: np.ndarray,
-               table_flat: np.ndarray, out: np.ndarray, winners: np.ndarray,
-               wp: int, stride: int, hout: int, wout: int) -> None:
-        n = xp.shape[0]
-        sample_stride = int(np.prod(xp.shape[1:], dtype=np.int64))
+    def __init__(self, lib: ctypes.CDLL, protos: np.ndarray, table_flat: np.ndarray,
+                 rows: np.ndarray, bias: Optional[np.ndarray] = None,
+                 kernel_size: int = 1, stride: int = 1, padding: int = 0):
         g, d, p = protos.shape
         cout = table_flat.shape[-1]
-        if p > MAX_PROTOTYPES:
-            raise ValueError(f"kernel supports at most {MAX_PROTOTYPES} prototypes, got {p}")
-        if row_offset.shape != (g * d,):
-            raise ValueError(f"row_offset must have shape ({g * d},)")
-        for name, arr, dtype in (("xp", xp, np.float64),
-                                 ("row_offset", row_offset, np.int64),
-                                 ("protos", protos, np.float64),
-                                 ("table_flat", table_flat, np.float64),
-                                 ("out", out, np.float64),
-                                 ("winners", winners, np.int64)):
-            if arr.dtype != dtype or not arr.flags.c_contiguous:
-                raise ValueError(f"{name} must be C-contiguous {np.dtype(dtype).name}")
-        lib.pecan_d_lookup(
-            xp.ctypes.data, row_offset.ctypes.data, protos.ctypes.data,
-            table_flat.ctypes.data, out.ctypes.data, winners.ctypes.data,
-            n, sample_stride, wp, stride, hout, wout, g, d, p, cout)
+        k = max(1, int(kernel_size))
+        self._protos = _constant("protos", protos, np.float64, (g, d, p))
+        self._table = _constant("table_flat", table_flat, np.float64, (g * p, cout))
+        self._rows = _constant("rows", rows, np.int64, (g * d,))
+        self._bias = None if bias is None else _constant("bias", bias, np.float64, (cout,))
+        if (g * d) % (k * k) or (g * d and not 0 <= rows.min() <= rows.max() < g * d):
+            raise ValueError(f"rows must index the {g * d} rows of a k={k} unfold")
+        if int(stride) < 1 or int(padding) < 0:
+            raise ValueError(f"need stride >= 1 and padding >= 0, got {stride}, {padding}")
+        self.in_channels = g * d // (k * k)
+        self.kernel_size, self.stride, self.padding = k, int(stride), int(padding)
+        self.usage_shape = (g, p)
+        self._fn = lib.pecan_d_lookup
+        self._pointers = (self._rows.ctypes.data, self._protos.ctypes.data,
+                          self._table.ctypes.data,
+                          None if self._bias is None else self._bias.ctypes.data)
+        self._dims = (g, d, p, cout)
 
-    return kernel
+    def __call__(self, x: np.ndarray, usage: np.ndarray) -> np.ndarray:
+        """``(N, C, H, W)`` or ``(N, features)`` input → a fresh output array.
+
+        The output is ``(N, cout, Hout, Wout)`` (``(N, cout)`` for a 2-D
+        input), with the bias added; ``usage`` is incremented in place.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim == 2:
+            n, c = x.shape
+            h = w = 1
+        elif x.ndim == 4:
+            n, c, h, w = x.shape
+        else:
+            raise ValueError(f"kernel input must be 2-D or 4-D, got {x.ndim}-D")
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        hout = (h + 2 * pad - k) // stride + 1
+        wout = (w + 2 * pad - k) // stride + 1
+        if c != self.in_channels or hout < 1 or wout < 1:
+            raise ValueError(f"input {x.shape} does not fit the layer "
+                             f"({self.in_channels} channels, k={k}, padding={pad})")
+        if (usage.dtype != np.int64 or not usage.flags.c_contiguous
+                or not usage.flags.writeable or usage.shape != self.usage_shape):
+            raise ValueError(f"usage must be a writeable C-contiguous int64 "
+                             f"array of shape {self.usage_shape}")
+        g, d, p, cout = self._dims
+        out = np.empty((n, cout, hout, wout) if x.ndim == 4 else (n, cout))
+        status = self._fn(x.ctypes.data, *self._pointers, out.ctypes.data,
+                          usage.ctypes.data, n, c, h, w, k, stride, pad,
+                          hout, wout, g, d, p, cout)
+        if status:
+            raise MemoryError("PECAN-D kernel could not allocate its scratch")
+        return out
+
+
+def get_pecan_d_kernel():
+    """Return the PECAN-D kernel binder, or ``None`` if the kernel is unavailable.
+
+    The binder has signature ``bind(protos, table_flat, rows, bias=None,
+    kernel_size=1, stride=1, padding=0)`` and returns a
+    :class:`PecanDKernel`, called as ``kernel(x, usage) -> out``.
+    """
+    lib = _load()
+    return None if lib is None else functools.partial(PecanDKernel, lib)

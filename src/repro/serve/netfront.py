@@ -540,6 +540,9 @@ class EventLoopFrontEnd:
         budget exists to protect the loop, not to guarantee delivery of the
         refusal.
         """
+        # Count first: a client that has seen the close must read the count.
+        with self._lock:
+            self._stats["rejected_over_budget"] += 1
         try:
             sock.setblocking(False)
             sock.send(self._budget_reply)
@@ -549,8 +552,6 @@ class EventLoopFrontEnd:
             sock.close()
         except OSError:
             pass
-        with self._lock:
-            self._stats["rejected_over_budget"] += 1
 
     # -- per-connection I/O ---------------------------------------------- #
     def _interest(self, connection: _Connection) -> int:
@@ -725,15 +726,16 @@ class EventLoopFrontEnd:
                     > self.request_timeout_s):
                 # Slowloris: a half-request trickling bytes keeps
                 # last_activity fresh but never completes; age the *request*.
+                # Counted before the 408 goes out, as every close below is.
+                with self._lock:
+                    self._stats["slowloris_closed"] += 1
                 self._fail_connection(
                     connection, 408,
                     "request not received within "
                     f"{self.request_timeout_s:.1f}s")
-                with self._lock:
-                    self._stats["slowloris_closed"] += 1
             elif (not connection.slots and not connection.out
                     and not connection.parser.partial
                     and now - connection.last_activity > self.idle_timeout_s):
-                self._close(connection)
                 with self._lock:
                     self._stats["idle_closed"] += 1
+                self._close(connection)

@@ -150,22 +150,109 @@ class TestCompiledKernel:
 
     def test_kernel_matches_reference_when_available(self, rng):
         from repro.perf.ckernels import get_pecan_d_kernel
-        kernel = get_pecan_d_kernel()
-        if kernel is None:
+        bind = get_pecan_d_kernel()
+        if bind is None:
             pytest.skip("no C compiler available")
         g, d, p, cout, n = 3, 4, 5, 6, 7
         x = np.ascontiguousarray(rng.standard_normal((n, g * d)))
         protos = np.ascontiguousarray(rng.standard_normal((g, d, p)))
         table_flat = np.ascontiguousarray(rng.standard_normal((g * p, cout)))
         row_offset = np.arange(g * d, dtype=np.int64)
-        out = np.empty((n, cout))
-        winners = np.empty((n, g), dtype=np.int64)
-        kernel(x, row_offset, protos, table_flat, out, winners, 1, 1, 1, 1)
+        kernel = bind(protos, table_flat, row_offset)
+        usage = np.zeros((g, p), dtype=np.int64)
+        out = kernel(x, usage)
         grouped = x.reshape(n, g, d)
         expected = np.zeros((n, cout))
+        winners = np.empty((n, g), dtype=np.int64)
         for j in range(g):
             dist = np.abs(grouped[:, j, :, None] - protos[j][None]).sum(axis=1)
             win = dist.argmin(axis=1)
-            np.testing.assert_array_equal(winners[:, j], win)
+            winners[:, j] = win
             expected += table_flat[j * p + win]
+        # One sample at a time, the usage delta is the one-hot of each winner.
+        steps = np.zeros_like(usage)
+        for i in range(n):
+            step = np.zeros_like(usage)
+            np.testing.assert_array_equal(kernel(x[i:i + 1], step), out[i:i + 1])
+            np.testing.assert_array_equal(step.sum(axis=1), np.ones(g))
+            np.testing.assert_array_equal(step.argmax(axis=1), winners[i])
+            steps += step
+        np.testing.assert_array_equal(usage, steps)
         np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("stride,padding", [(2, 1), (1, 1), (2, 0)])
+    def test_conv_kernel_matches_im2col_reference(self, rng, stride, padding):
+        from repro.perf.ckernels import get_pecan_d_kernel
+        bind = get_pecan_d_kernel()
+        if bind is None:
+            pytest.skip("no C compiler available")
+        n, cin, h, w, k, d, p, cout = 3, 2, 7, 6, 3, 3, 5, 4
+        g = cin * k * k // d
+        x = rng.standard_normal((n, cin, h, w))
+        protos = rng.standard_normal((g, d, p))
+        table_flat = rng.standard_normal((g * p, cout))
+        bias = rng.standard_normal(cout)
+        rows = rng.permutation(g * d).astype(np.int64)
+        kernel = bind(protos, table_flat, rows, bias, k, stride, padding)
+        usage = np.zeros((g, p), dtype=np.int64)
+        out = kernel(x, usage)
+        cols = im2col(x, k, stride, padding)[:, rows].reshape(n, g, d, -1)
+        hout, wout = out.shape[2:]
+        assert cols.shape[-1] == hout * wout
+        dist = np.abs(cols[:, :, :, None, :] - protos[None, :, :, :, None]).sum(axis=2)
+        win = dist.argmin(axis=2)                                   # (N, G, L)
+        flat = win + (np.arange(g) * p)[None, :, None]
+        expected = table_flat[flat].sum(axis=1).transpose(0, 2, 1) + bias[None, :, None]
+        np.testing.assert_array_equal(out, expected.reshape(n, cout, hout, wout))
+        np.testing.assert_array_equal(
+            usage, np.bincount(flat.reshape(-1), minlength=g * p).reshape(g, p))
+
+    def test_kernel_rejects_bad_layouts(self, rng):
+        from repro.perf.ckernels import get_pecan_d_kernel
+        bind = get_pecan_d_kernel()
+        if bind is None:
+            pytest.skip("no C compiler available")
+        protos = rng.standard_normal((2, 3, 4))
+        table_flat = rng.standard_normal((8, 5))
+        rows = np.arange(6, dtype=np.int64)
+        with pytest.raises(ValueError):
+            bind(protos[:, :, ::-1], table_flat, rows)            # not contiguous
+        with pytest.raises(ValueError):
+            bind(protos, table_flat.astype(np.float32), rows)
+        with pytest.raises(ValueError):
+            bind(protos, table_flat, rows + 1)                    # row 6 of 6
+        kernel = bind(protos, table_flat, rows)
+        with pytest.raises(ValueError):
+            kernel(rng.standard_normal((2, 7)), np.zeros((2, 4), np.int64))
+        with pytest.raises(ValueError):
+            kernel(rng.standard_normal((2, 6)), np.zeros((2, 4), np.int32))
+
+    def test_kernel_builds_when_enabled_and_compiler_present(self, monkeypatch):
+        # Guards CI's compiled leg: a kernel that stops compiling must fail
+        # here, not pass silently on the NumPy fallback.
+        import importlib
+        import shutil
+        import repro.perf.ckernels as ck
+        if not any(shutil.which(cc) for cc in ck._compiler_candidates()):
+            pytest.skip("no C compiler available")
+        monkeypatch.setenv("REPRO_DISABLE_CKERNELS", "0")
+        try:
+            assert importlib.reload(ck).kernel_available() is True
+        finally:
+            monkeypatch.undo()
+            importlib.reload(ck)
+
+    def test_c_source_compiles_without_warnings(self, tmp_path):
+        import shutil
+        import subprocess
+        from repro.perf.ckernels import _C_SOURCE, _compiler_candidates
+        compiler = next((cc for cc in _compiler_candidates() if shutil.which(cc)), None)
+        if compiler is None:
+            pytest.skip("no C compiler available")
+        source = tmp_path / "pecan_kernels.c"
+        source.write_text(_C_SOURCE)
+        result = subprocess.run(
+            [compiler, "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
+             "-o", str(tmp_path / "pecan_kernels.so"), str(source)],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
