@@ -200,10 +200,6 @@ class LUTLayerRuntime:
             winners[:, :, sl] = diff.sum(axis=2).argmin(axis=2)
         return winners
 
-    def _run_ckernel(self, data: np.ndarray) -> np.ndarray:
-        """Compiled unfold+search+accumulate+bias → ``(N, cout, ...)``; updates usage."""
-        return self._ckernel(data, self.usage)
-
     def _run_groups_fused(self, grouped: np.ndarray) -> np.ndarray:
         """Search + lookup for grouped columns ``(N, D, d, L)`` → ``(N, cout, L)``."""
         n, d_groups, dim, length = grouped.shape
@@ -213,19 +209,23 @@ class LUTLayerRuntime:
 
         if self.lut.mode is PECANMode.DISTANCE:
             winners = self._distance_winners(grouped)
-            # One flat-index gather, then the groups added one by one from
-            # zero, in the reference loop's order (``sum(axis=1)`` pairs
-            # terms up when N·Lc·cout collapses to one run); chunked so the
-            # (N, D, Lc, cout) gather respects the memory budget.
+            # One flat-index gather + sum over the group axis, chunked so
+            # the (N, D, Lc, cout) gather respects the memory budget.  The
+            # sum adds the groups in the reference loop's order, except when
+            # Lc·cout == 1 makes the group axis the contiguous inner run:
+            # NumPy then sums pairwise, so those chunks add group by group.
             out = np.empty((n, cout, length))
             per_column = n * d_groups * cout * itemsize
             chunk = self.chunk_policy.columns_per_chunk(per_column, length)
             flat = winners + self._group_offsets                        # (N, D, L)
             for sl in iter_slices(length, chunk):
                 gathered = self.table_flat.take(flat[:, :, sl], axis=0)
-                total = np.zeros((n, sl.stop - sl.start, cout))
-                for j in range(d_groups):
-                    total += gathered[:, j]
+                if (sl.stop - sl.start) * cout == 1:
+                    total = np.zeros((n, 1, 1))
+                    for j in range(d_groups):
+                        total += gathered[:, j]
+                else:
+                    total = gathered.sum(axis=1)
                 out[:, :, sl] = total.transpose(0, 2, 1)
             self._record_usage(flat)
         else:
@@ -303,7 +303,7 @@ class LUTLayerRuntime:
         wout = conv_output_size(w, self.lut.kernel_size, self.lut.stride, self.lut.padding)
         k = self.lut.kernel_size
         if self._ckernel is not None:
-            out = self._run_ckernel(data)
+            out = self._ckernel(data, self.usage)
         else:
             cols_buf = self.workspace.request(f"{self.lut.name}/im2col",
                                               (n, cin * k * k, hout * wout),
@@ -319,7 +319,7 @@ class LUTLayerRuntime:
         data = np.asarray(data)
         n = data.shape[0]
         if self._ckernel is not None:
-            out = self._run_ckernel(data.reshape(n, -1))
+            out = self._ckernel(data.reshape(n, -1), self.usage)
         else:
             grouped = data.reshape(n, self.lut.num_groups, self.lut.subvector_dim, 1)
             out = self._run_groups(grouped)

@@ -45,10 +45,6 @@ class GraphExecutor:
         self._schedule: List[Node] = graph.topological_schedule()
         self._specs: Dict[int, OpSpec] = {node.id: get_op(node.op)
                                           for node in self._schedule}
-        #: Per-node state from each op's ``prepare`` hook, computed once.
-        self.prepared: Dict[int, object] = {
-            node.id: self._specs[node.id].prepare(node) for node in self._schedule
-            if self._specs[node.id].prepare is not None}
         missing = [name for name in graph.pecan_layers() if name not in self.runtimes]
         if missing:
             raise GraphError(f"graph references PECAN layers with no runtime: "

@@ -14,9 +14,7 @@ Two layers of API:
   :class:`OpSpec` whose kernel executes one :class:`~repro.ir.graph.Node`
   given its input arrays and an execution context (the
   :class:`~repro.ir.executor.GraphExecutor`, which owns the PECAN layer
-  runtimes).  An op may also register a ``prepare`` hook: the executor runs
-  it once per node at construction and the kernel reads the result from
-  ``ctx.prepared[node.id]`` (``batchnorm`` keeps ``sqrt(var + eps)`` there).
+  runtimes).
 
 The ``multiplier_free`` flag on each spec records whether the lowering
 performs multiplications — :meth:`BundleEngine.is_multiplier_free` derives
@@ -110,13 +108,12 @@ def flatten(x: np.ndarray) -> np.ndarray:
 
 def batch_norm(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
                gamma: np.ndarray, beta: np.ndarray, eps: float,
-               std: Optional[np.ndarray] = None, relu: bool = False) -> np.ndarray:
+               relu: bool = False) -> np.ndarray:
     """Eval-mode batch normalization; mirrors ``functional.batch_norm``.
 
-    ``std`` may carry ``sqrt(var + eps)`` computed ahead (the same values);
-    ``relu`` applies a trailing ReLU.  With float64 operands the operations
-    run in their usual order on one fresh buffer, so the result is bitwise
-    equal to the allocating expression used for other dtypes.
+    ``relu`` applies a trailing ReLU.  The operations run in the usual order
+    on one fresh buffer, so the result is bitwise equal to the allocating
+    expression ``(x - mean) / sqrt(var + eps) * gamma + beta``.
     """
     if x.ndim == 4:
         shape = (1, -1, 1, 1)
@@ -124,18 +121,13 @@ def batch_norm(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
         shape = (1, -1)
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
-    mean, gamma, beta = mean.reshape(shape), gamma.reshape(shape), beta.reshape(shape)
-    std = np.sqrt(var.reshape(shape) + eps) if std is None else std.reshape(shape)
-    if all(a.dtype == np.float64 for a in (x, mean, std, gamma, beta)):
-        out = np.subtract(x, mean)
-        out /= std
-        out *= gamma
-        out += beta
-        if relu:
-            np.maximum(out, 0.0, out=out)
-        return out
-    out = (x - mean) / std * gamma + beta
-    return np.maximum(out, 0.0) if relu else out
+    out = np.subtract(x, mean.reshape(shape))
+    out /= np.sqrt(var.reshape(shape) + eps)
+    out *= gamma.reshape(shape)
+    out += beta.reshape(shape)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
 
 
 def concat(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
@@ -175,17 +167,13 @@ class OpSpec:
     multiplier_free: bool = False
     #: Output equals input shape element-for-element (safe for ReLU fusion).
     elementwise: bool = False
-    #: ``prepare(node) -> state``, run once per node by the executor.
-    prepare: Optional[Callable[[Node], object]] = None
 
 
 _REGISTRY: Dict[str, OpSpec] = {}
 
 
 def register_op(name: str, multiplier_free: bool = False,
-                elementwise: bool = False,
-                prepare: Optional[Callable[[Node], object]] = None,
-                ) -> Callable[[Kernel], Kernel]:
+                elementwise: bool = False) -> Callable[[Kernel], Kernel]:
     """Decorator binding a kernel to a graph op name (one lowering per op)."""
 
     def decorate(kernel: Kernel) -> Kernel:
@@ -193,7 +181,7 @@ def register_op(name: str, multiplier_free: bool = False,
             raise ValueError(f"op {name!r} is already registered")
         _REGISTRY[name] = OpSpec(name=name, kernel=kernel,
                                  multiplier_free=multiplier_free,
-                                 elementwise=elementwise, prepare=prepare)
+                                 elementwise=elementwise)
         return kernel
 
     return decorate
@@ -256,17 +244,11 @@ def _linear_kernel(inputs, node, ctx):
     return _maybe_relu(out, node)
 
 
-def _prepare_batchnorm(node: Node) -> np.ndarray:
-    """``sqrt(var + eps)``, once per node: the values :func:`batch_norm` computes."""
-    return np.sqrt(node.arrays["var"] + float(node.attrs["eps"]))
-
-
-@register_op("batchnorm", elementwise=True, prepare=_prepare_batchnorm)
+@register_op("batchnorm", elementwise=True)
 def _batchnorm_kernel(inputs, node, ctx):
     arrays = node.arrays
     return batch_norm(inputs[0], arrays["mean"], arrays["var"], arrays["gamma"],
                       arrays["beta"], eps=float(node.attrs["eps"]),
-                      std=ctx.prepared[node.id],
                       relu=bool(node.attrs.get("fused_relu")))
 
 

@@ -229,7 +229,7 @@ def test_batchnorm_matches_reference_bitwise(case):
     got = GraphExecutor(graph).run(x)
     assert got.tobytes() == expected.tobytes()
     assert x.tobytes() == before.tobytes()          # the input is never written
-    # Other dtypes keep the allocating expression and its promotion rules.
+    # float32 input promotes to float64 exactly as the allocating expression does.
     x32 = x.astype(np.float32)
     expected32 = reference_batch_norm(x32, arrays, case["eps"], case["relu"])
     got32 = GraphExecutor(graph).run(x32)
