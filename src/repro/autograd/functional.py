@@ -250,7 +250,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                eps: float = 1e-5) -> Tensor:
     """Batch normalization over ``(N, C, H, W)`` or ``(N, C)`` tensors.
 
-    ``running_mean``/``running_var`` are updated in place during training.
+    In training mode the input is normalized by its batch mean and biased
+    batch variance, and gradients flow through both statistics (Ioffe &
+    Szegedy, 2015).  ``running_mean``/``running_var`` are then updated in
+    place with ``momentum`` from the same mean and biased variance.  In eval
+    mode the running statistics are constants; ``repro.ir.ops.batch_norm``
+    mirrors that branch.
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -262,19 +267,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
 
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean_t = x.mean(axis=axes, keepdims=True)
+        centered = x - mean_t
+        var_t = (centered * centered).mean(axis=axes, keepdims=True)
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean += momentum * mean_t.data.reshape(-1)
         running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_var += momentum * var_t.data.reshape(-1)
+        std_t = (var_t + eps).sqrt()
     else:
-        mean = running_mean
-        var = running_var
+        centered = x - Tensor(running_mean.reshape(shape))
+        std_t = Tensor(np.sqrt(running_var.reshape(shape) + eps))
 
-    mean_t = Tensor(mean.reshape(shape))
-    std_t = Tensor(np.sqrt(var.reshape(shape) + eps))
-    normalized = (x - mean_t) / std_t
+    normalized = centered / std_t
     return normalized * gamma.reshape(shape) + beta.reshape(shape)
 
 

@@ -207,6 +207,50 @@ class TestBatchNorm:
             F.batch_norm(Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                          np.zeros(3), np.ones(3), training=True)
 
+    @pytest.mark.parametrize("shape", [(6, 3, 2, 2), (8, 5)])
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["x", "gamma", "beta"])
+    def test_training_gradcheck(self, rng, shape, index):
+        # The output is weighted by a fixed random tensor before check_gradient
+        # sums it: the plain sum of a batch-normalized tensor does not depend
+        # on x, so it would hide the terms that flow through the batch stats.
+        channels = shape[1]
+        x = Tensor(rng.standard_normal(shape) * 2.0 + 1.0, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, channels), requires_grad=True)
+        beta = Tensor(rng.standard_normal(channels), requires_grad=True)
+        weight = Tensor(rng.standard_normal(shape))
+
+        def fn(x_, gamma_, beta_):
+            out = F.batch_norm(x_, gamma_, beta_, np.zeros(channels), np.ones(channels),
+                               training=True)
+            return out * weight
+
+        ok, err = check_gradient(fn, [x, gamma, beta], index=index)
+        assert ok, err
+
+    @pytest.mark.parametrize("shape", [(6, 3, 2, 2), (8, 5)])
+    def test_training_forward_and_running_stats(self, rng, shape):
+        axes = (0, 2, 3) if len(shape) == 4 else (0,)
+        bshape = (1, -1, 1, 1) if len(shape) == 4 else (1, -1)
+        channels, momentum, eps = shape[1], 0.3, 1e-5
+        x = rng.standard_normal(shape) * 3.0 - 1.0
+        gamma = rng.uniform(0.5, 1.5, channels)
+        beta = rng.standard_normal(channels)
+        running_mean = rng.standard_normal(channels)
+        running_var = rng.uniform(0.5, 2.0, channels)
+        expected_mean = running_mean * (1.0 - momentum) + momentum * x.mean(axis=axes)
+        expected_var = running_var * (1.0 - momentum) + momentum * x.var(axis=axes)
+
+        out = F.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), running_mean, running_var,
+                           training=True, momentum=momentum, eps=eps).data
+
+        mean = x.mean(axis=axes).reshape(bshape)
+        var = x.var(axis=axes).reshape(bshape)
+        expected = (x - mean) / np.sqrt(var + eps) * gamma.reshape(bshape) \
+            + beta.reshape(bshape)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(running_mean, expected_mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(running_var, expected_var, rtol=1e-12, atol=1e-15)
+
 
 class TestShapeUtilities:
     def test_concatenate_forward_and_grad(self, rng):
