@@ -376,7 +376,9 @@ def _command_score(args: argparse.Namespace) -> int:
             inputs = np.load(path)
         if args.num_samples is not None:
             inputs = inputs[: args.num_samples]
-    client = ServeClient(args.url, timeout_s=args.timeout_s)
+    # backoff_retries=0: the scorer's own backoff is the only retry loop, so
+    # --max_chunk_retries bounds the requests and the totals count them all.
+    client = ServeClient(args.url, timeout_s=args.timeout_s, backoff_retries=0)
     scorer = BulkScorer(client, model=args.model, tenant=args.tenant,
                         chunk_size=args.chunk,
                         max_chunk_retries=args.max_chunk_retries)

@@ -8,16 +8,18 @@ to a serving process with no extra dependencies::
     logits = client.predict(images)          # (N, num_classes)
     print(client.metrics()["batching"]["histogram"])
 
-Connections are **kept alive and reused**: each thread holds one persistent
-``HTTPConnection`` for its idempotent traffic (every GET, and ``/predict`` —
-a pure function of its input), which is what makes the event-loop front
-end's keep-alive path the common case instead of a connect/teardown per
-request.  A request that fails on a *reused* connection is replayed once on
-a fresh socket without consuming the retry budget — a server-side idle reap
-or a deploy-cycle restart between two requests is indistinguishable from a
-stale keep-alive socket and must not surface to callers.  Non-idempotent
-admin verbs always ride a fresh connection that is closed after the
-exchange, so they can never hit the stale-socket ambiguity at all.
+Connections are **kept alive and reused** from one idle pool per client
+(``_ConnectionPool``, the same layer that carries the servers' own peer
+hops): every GET and ``/predict`` — a pure function of its input — takes an
+idle connection, or opens one, and parks it again after the exchange, which
+is what makes the event-loop front end's keep-alive path the common case
+instead of a connect/teardown per request.  A request that fails on a
+*reused* connection is replayed once on a fresh socket without consuming
+the retry budget — a server-side idle reap or a deploy-cycle restart
+between two requests is indistinguishable from a stale keep-alive socket
+and must not surface to callers.  Admin verbs always ride a fresh
+connection that is closed after the exchange, so they can never hit the
+stale-socket ambiguity at all.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import json
 import random
 import threading
 import time
-import urllib.error
 import urllib.parse
 import weakref
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ from repro.serve.trace import ATTEMPT_HEADER, TRACE_HEADER, new_trace_id
 
 #: Connection-level failures that mean "the socket died under us" — the
 #: signature of a pool worker (or the router) being respawned — as opposed to
-#: an HTTP-level error the server actually sent.  Shared with the servers'
-#: own peer hops (:meth:`repro.serve.pipeline.FrontDoor.exchange`).
+#: an HTTP-level error the server actually sent.
 _TRANSIENT_ERRORS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError,
                      http.client.RemoteDisconnected, http.client.BadStatusLine)
 
@@ -48,26 +48,85 @@ _TRANSIENT_ERRORS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedErr
 _BACKOFF_STATUSES = (429, 503)
 
 
-def _close_registry(conns: Dict[int, http.client.HTTPConnection],
-                    lock: threading.Lock) -> None:
-    """Close and forget every registered connection (module-level so the
-    client's ``weakref.finalize`` callback holds no reference to it)."""
-    with lock:
-        connections = list(conns.values())
-        conns.clear()
-    for connection in connections:
-        try:
+def _idempotent(method: str, path: str) -> bool:
+    """GETs and ``/predict`` (bundle inference is a pure function of its
+    input) are safe to repeat; the admin POSTs are not."""
+    return method == "GET" or path == "/predict"
+
+
+class _ConnectionPool:
+    """Kept-alive ``HTTPConnection``s, the idle ones listed per
+    ``(host, port)``: the one connection layer under :class:`ServeClient`
+    and every server-to-server hop
+    (:meth:`repro.serve.pipeline.FrontDoor.exchange`).
+
+    Idempotent requests take an idle connection (or open one) and park it
+    again after the exchange unless the peer asked to close.  One whose
+    *reused* socket died is replayed once on a fresh one: the peer reaped it
+    between requests (idle timeout, deploy cycle, respawn).  Admin POSTs
+    ride one-shot connections, so a stale socket never makes a deploy
+    ambiguous.  While ``parking`` is False every connection is closed after
+    its exchange.
+    """
+
+    def __init__(self, parking: bool = True):
+        self.idle: Dict[Tuple[str, int], List[http.client.HTTPConnection]] = {}
+        self.lock = threading.Lock()
+        self.parking = parking
+
+    def exchange(self, host: str, port: int, method: str, path: str,
+                 body: Optional[bytes] = None,
+                 headers: Optional[Dict[str, str]] = None,
+                 timeout_s: Optional[float] = None,
+                 ) -> Tuple[int, bytes, http.client.HTTPMessage]:
+        """One request/response; returns ``(status, body, reply headers)``.
+        The body is always read in full — the keep-alive contract for
+        reusing the socket afterwards."""
+        key = (host, port)
+        keep = _idempotent(method, path)
+        reuse = keep
+        while True:
+            connection = None
+            if reuse:
+                with self.lock:
+                    idle = self.idle.get(key)
+                    connection = idle.pop() if idle else None
+            reused = connection is not None
+            if connection is None:
+                connection = http.client.HTTPConnection(host, port)
+            connection.timeout = timeout_s
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout_s)
+            try:
+                connection.request(method, path, body=body,
+                                   headers=headers or {})
+                response = connection.getresponse()
+                data = response.read()
+                break
+            except BaseException as exc:
+                connection.close()
+                # (Timeouts are not transient: they surface at once.)
+                if not (reused and isinstance(exc, _TRANSIENT_ERRORS)):
+                    raise
+                reuse = False              # the peer reaped it: replay once
+        park = keep and not response.will_close
+        if park:
+            with self.lock:
+                park = self.parking
+                if park:
+                    self.idle.setdefault(key, []).append(connection)
+        if not park:
             connection.close()
-        except OSError:
-            pass
+        return response.status, data, response.msg
 
-
-def _is_transient(exc: BaseException) -> bool:
-    if isinstance(exc, _TRANSIENT_ERRORS):
-        return True
-    if isinstance(exc, urllib.error.URLError):
-        return isinstance(getattr(exc, "reason", None), _TRANSIENT_ERRORS)
-    return False
+    def close(self, port: Optional[int] = None) -> None:
+        """Close the idle connections to ``port`` (all if None)."""
+        with self.lock:
+            doomed = [connection for key in list(self.idle)
+                      if port is None or key[1] == port
+                      for connection in self.idle.pop(key)]
+        for connection in doomed:
+            connection.close()
 
 
 class ServeHTTPError(RuntimeError):
@@ -140,61 +199,17 @@ class ServeClient:
         self.backoff_cap_s = float(backoff_cap_s)
         #: Trace id of the most recent ``/predict`` call (sent or generated).
         self.last_trace_id: Optional[str] = None
-        #: Per-thread persistent keep-alive connections (idempotent traffic
-        #: only).  Also tracked in one registry so :meth:`close` can release
-        #: every thread's socket deterministically.
-        self._local = threading.local()
-        self._conns: Dict[int, http.client.HTTPConnection] = {}
-        self._conns_lock = threading.Lock()
+        #: Idle keep-alive connections, shared by every thread using this
+        #: client.
+        self._connections = _ConnectionPool()
         # Safety net for clients that are dropped without close(): the
-        # finalizer holds the registry (keeping the sockets alive until it
-        # runs) and releases them before they could be GC'd unclosed.
-        self._finalizer = weakref.finalize(
-            self, _close_registry, self._conns, self._conns_lock)
-
-    # ------------------------------------------------------------------ #
-    # Connection management
-    # ------------------------------------------------------------------ #
-    def _new_connection(self) -> http.client.HTTPConnection:
-        connection = http.client.HTTPConnection(self._host, self._port,
-                                                timeout=self.timeout_s)
-        connection._repro_used = False         # fresh-socket marker
-        return connection
-
-    def _pooled_connection(self) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._new_connection()
-            self._local.connection = connection
-        with self._conns_lock:
-            # (Re-)register every time: after close() a thread's cached
-            # connection transparently reconnects, and it must land back in
-            # the registry or the next close() would miss its socket.  A
-            # different connection under this ident belongs to a dead
-            # thread whose id was recycled — release it, nothing can reach
-            # it anymore.
-            ident = threading.get_ident()
-            previous = self._conns.get(ident)
-            if previous is not None and previous is not connection:
-                try:
-                    previous.close()
-                except OSError:
-                    pass
-            self._conns[ident] = connection
-        return connection
-
-    def _drop_pooled_connection(self) -> None:
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            connection.close()
-            self._local.connection = None
-            with self._conns_lock:
-                self._conns.pop(threading.get_ident(), None)
+        # finalizer holds the pool (keeping the sockets alive until it runs)
+        # and closes them before they could be GC'd unclosed.
+        self._finalizer = weakref.finalize(self, self._connections.close)
 
     def close(self) -> None:
-        """Release every thread's cached keep-alive connection."""
-        _close_registry(self._conns, self._conns_lock)
-        self._local.connection = None
+        """Close every idle keep-alive connection; the client stays usable."""
+        self._connections.close()
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -202,38 +217,18 @@ class ServeClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    def _exchange(self, connection: http.client.HTTPConnection, method: str,
-                  path: str, data: Optional[bytes],
-                  request_headers: Dict[str, str]):
-        """One request/response on ``connection``; returns
-        ``(status, body, retry_after_s)``.  The body is always read in full —
-        the keep-alive contract for reusing the socket afterwards."""
-        connection.request(method, path, body=data, headers=request_headers)
-        response = connection.getresponse()
-        body = response.read()
-        retry_after = None
-        try:
-            retry_after = float(response.headers.get("Retry-After"))
-        except (TypeError, ValueError):
-            pass
-        connection._repro_used = True
-        return response.status, body, retry_after
-
     def _request(self, path: str, payload: Optional[Dict] = None,
-                 idempotent: Optional[bool] = None,
-                 headers: Optional[Dict[str, str]] = None,
                  trace_id: Optional[str] = None) -> Dict:
         data = json.dumps(payload).encode("utf-8") if payload is not None else None
         method = "POST" if data is not None else "GET"
-        if idempotent is None:
-            idempotent = data is None          # GETs are always safe to retry
-        transient_attempts = 1 + (self.transient_retries if idempotent else 0)
-        backoff_attempts = 1 + (self.backoff_retries if idempotent else 0)
+        # Admin verbs are never retried: the first attempt may have applied.
+        retry = _idempotent(method, path)
+        transient_attempts = 1 + (self.transient_retries if retry else 0)
+        backoff_attempts = 1 + (self.backoff_retries if retry else 0)
         transient = 0
         backoff = 0
         while True:
-            request_headers = dict(headers or {})
+            request_headers: Dict[str, str] = {}
             if trace_id:
                 # Every retry reuses the SAME trace id with an incremented
                 # attempt tag: server-side the attempts stitch into one
@@ -242,42 +237,26 @@ class ServeClient:
                 request_headers[TRACE_HEADER] = trace_id
                 request_headers[ATTEMPT_HEADER] = str(transient + backoff)
             if data:
-                request_headers.setdefault("Content-Type", "application/json")
-            if idempotent:
-                connection = self._pooled_connection()
-            else:
-                # Admin verbs ride a one-shot connection: a stale keep-alive
-                # failure is ambiguous ("did the deploy apply?"), so they
-                # must never encounter one.
-                connection = self._new_connection()
-            reused = bool(getattr(connection, "_repro_used", False))
+                request_headers["Content-Type"] = "application/json"
             try:
-                status, body, retry_after = self._exchange(
-                    connection, method, path, data, request_headers)
-            except Exception as exc:          # noqa: BLE001 - filtered below
-                if idempotent:
-                    self._drop_pooled_connection()
-                else:
-                    connection.close()
-                if reused and idempotent and _is_transient(exc):
-                    # The server reaped this keep-alive socket between
-                    # requests (idle timeout, deploy cycle) — that is what a
-                    # dead socket under a pooled connection means.  Replaying
-                    # on a fresh connection is free and does not consume the
-                    # transient budget.  (Timeouts are not transient: they
-                    # still surface immediately.)
-                    continue
-                if not (_is_transient(exc) and transient + 1 < transient_attempts):
+                status, body, reply_headers = self._connections.exchange(
+                    self._host, self._port, method, path, data,
+                    request_headers, self.timeout_s)
+            except _TRANSIENT_ERRORS:
+                # A fresh socket died (a reused one was already replayed):
+                # the server is being respawned under us.
+                if transient + 1 >= transient_attempts:
                     raise
                 transient += 1
                 time.sleep(0.05)              # let the respawn win the race
                 continue
-            finally:
-                if not idempotent:
-                    connection.close()
             if 200 <= status < 300:
                 return json.loads(body.decode("utf-8"))
-            code = reason = None
+            retry_after = code = reason = None
+            try:
+                retry_after = float(reply_headers.get("Retry-After"))
+            except (TypeError, ValueError):
+                pass
             try:
                 error = json.loads(body.decode("utf-8"))
                 message = error.get("error", "")
@@ -329,8 +308,7 @@ class ServeClient:
             payload["no_cache"] = True
         trace_id = trace_id or new_trace_id()
         self.last_trace_id = trace_id
-        response = self._request("/predict", payload, idempotent=True,
-                                 trace_id=trace_id)
+        response = self._request("/predict", payload, trace_id=trace_id)
         response.setdefault("trace_id", trace_id)
         return response
 
@@ -380,8 +358,7 @@ class ServeClient:
         # Round-trip through the shared wire schema: the client sends exactly
         # the bytes the servers validate, so the two cannot drift.
         request = DeployRequest.from_payload(payload)
-        return self._request("/admin/deploy", request.to_payload(),
-                             idempotent=False)
+        return self._request("/admin/deploy", request.to_payload())
 
     def promote(self, name: str, version: Optional[int] = None) -> Dict:
         from repro.serve.adminapi import PromoteRequest
@@ -389,15 +366,13 @@ class ServeClient:
         request = PromoteRequest(name=name, version=version)
         # Promoting to an explicit-or-inferred version is idempotent on the
         # serving side, but inference happens there; stay conservative.
-        return self._request("/admin/promote", request.to_payload(),
-                             idempotent=False)
+        return self._request("/admin/promote", request.to_payload())
 
     def rollback(self, name: str) -> Dict:
         from repro.serve.adminapi import RollbackRequest
 
         return self._request("/admin/rollback",
-                             RollbackRequest(name=name).to_payload(),
-                             idempotent=False)
+                             RollbackRequest(name=name).to_payload())
 
     def scale(self, workers: int, reason: str = "operator") -> Dict:
         """POST ``/admin/scale`` (pool only): pin the worker target.
@@ -407,8 +382,7 @@ class ServeClient:
         from repro.serve.adminapi import ScaleRequest
 
         request = ScaleRequest(workers=int(workers), reason=reason)
-        return self._request("/admin/scale", request.to_payload(),
-                             idempotent=False)
+        return self._request("/admin/scale", request.to_payload())
 
     def admin_status(self) -> Dict:
         return self._request("/admin/status")
@@ -420,8 +394,7 @@ class ServeClient:
             try:
                 if self.healthz().get("status") == "ok":
                     return True
-            except (ServeHTTPError, urllib.error.URLError,
-                    http.client.HTTPException, OSError):
+            except (ServeHTTPError, http.client.HTTPException, OSError):
                 time.sleep(0.05)
         return False
 

@@ -156,6 +156,7 @@ class FrontRouter(FrontDoor):
     """
 
     def __init__(self, config: ServeConfig):
+        super().__init__()
         if not config.federation.members:
             raise ValueError("federation needs at least one member "
                              "(config.federation.members)")
@@ -233,8 +234,7 @@ class FrontRouter(FrontDoor):
             member.up = status == 200
             if member.up:
                 member.last_error = None
-        except (ConnectionError, socket.timeout,
-                http.client.HTTPException, OSError) as exc:
+        except (http.client.HTTPException, OSError) as exc:
             member.up = False
             member.last_error = f"{type(exc).__name__}: {exc}"
 
@@ -297,7 +297,7 @@ class FrontRouter(FrontDoor):
                 return json_response(
                     504, {"error": f"member {member.url} timed out; not retried",
                           "member": member.url})
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
             else:
                 if not _is_draining_reply(status, payload):
@@ -353,8 +353,7 @@ class FrontRouter(FrontDoor):
                         timeout_s=self.timeout_s)
                     results[url] = json.loads(payload.decode("utf-8"))
                     results[url]["status"] = status
-                except (ConnectionError, socket.timeout, ValueError,
-                        http.client.HTTPException, OSError) as exc:
+                except (http.client.HTTPException, OSError, ValueError) as exc:
                     results[url] = {"error": f"{type(exc).__name__}: {exc}"}
             return json_response(200, {"members": results})
         return self._proxy("POST", path, request.name, body, headers)

@@ -47,7 +47,7 @@ from repro.serve import cache
 from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, ResultCache,
                                canonical_num_samples, canonical_response_bytes,
                                splice_json)
-from repro.serve.client import _TRANSIENT_ERRORS
+from repro.serve.client import _ConnectionPool
 from repro.serve.invariants import InvariantMonitor
 from repro.serve.metrics import ServerMetrics
 from repro.serve.netfront import EventLoopFrontEnd
@@ -377,17 +377,25 @@ def _trace_query(path: str) -> Optional[str]:
 
 class FrontDoor:
     """What every server's HTTP surface shares: the ``GET``/``POST`` route
-    table, the event-loop front end's lifecycle and the merged ``/trace``.
+    table, the event-loop front end's lifecycle, the merged ``/trace`` and
+    the kept-alive connections to peers.
 
-    A subclass provides the views (``health_snapshot``,
-    ``metrics_snapshot``, ``models_snapshot``, ``lifecycle_snapshot``), the
-    two POST handlers ``predict_http(headers, body)`` and
-    ``admin_http(path, body, headers)``, and the attributes ``config``,
-    ``host``, ``port`` and ``tracer``.  A server that fronts other processes
-    (pool workers, federation members) lists them in :meth:`peers`.
+    A subclass calls ``super().__init__()`` and provides the views
+    (``health_snapshot``, ``metrics_snapshot``, ``models_snapshot``,
+    ``lifecycle_snapshot``), the two POST handlers
+    ``predict_http(headers, body)`` and ``admin_http(path, body, headers)``,
+    and the attributes ``config``, ``host``, ``port`` and ``tracer``.  A
+    server that fronts other processes (pool workers, federation members)
+    lists them in :meth:`peers` and reaches them with :meth:`exchange`, over
+    one idle pool per server keyed by ``(host, port)`` — the connection
+    layer ``ServeClient`` uses too.  Connections are parked only while the
+    server is bound.
     """
 
     _frontend: Optional[EventLoopFrontEnd] = None
+
+    def __init__(self) -> None:
+        self._connections = _ConnectionPool(parking=False)
 
     def handle_http(self, method: str, path: str, headers,
                     body: bytes) -> HTTPReply:
@@ -426,12 +434,14 @@ class FrontDoor:
         self._frontend = EventLoopFrontEnd(
             self.handle_http, self.config.net, self.port).start()
         self.port = self._frontend.port
+        self._connections.parking = True
 
     def _unbind(self) -> None:
         if self._frontend is not None:
             self._frontend.stop()
-            with self._idle_lock:
-                self._frontend = None
+            self._frontend = None
+        # Never park past a stop: an in-flight hop now closes its socket.
+        self._connections.parking = False
         self.close_idle()
 
     def frontend_snapshot(self) -> Dict[str, object]:
@@ -449,84 +459,39 @@ class FrontDoor:
         self.stop()
 
     # -- peers ------------------------------------------------------------------
-    #: Guards every server's ``{(host, port): [idle HTTPConnection]}``.
-    _idle_lock = threading.Lock()
-
-    def _idle_pool(self) -> Dict[Tuple[str, int], list]:
-        return self.__dict__.setdefault("_idle_connections", {})
-
     def close_idle(self, port: Optional[int] = None) -> None:
         """Close the kept-alive peer connections to ``port`` (all if None):
         a respawned worker listens on a new port, so its predecessor's
         sockets would otherwise outlive it."""
-        with self._idle_lock:
-            idle = self._idle_pool()
-            doomed = [connection for key in list(idle)
-                      if port is None or key[1] == port
-                      for connection in idle.pop(key)]
-        for connection in doomed:
-            connection.close()
+        self._connections.close(port)
 
     def exchange(self, host: str, port: int, method: str, path: str,
                  body: Optional[bytes] = None,
                  headers: Optional[Dict[str, str]] = None,
                  timeout_s: Optional[float] = None,
                  ) -> Tuple[int, bytes, Dict[str, str]]:
-        """One HTTP exchange with a peer server over a kept-alive connection.
-
-        Idle connections are kept per ``(host, port)``, so a hop costs no TCP
-        connect.  As in ``ServeClient``, a GET or ``/predict`` whose *reused*
-        socket died is replayed once on a fresh one (not a failover hop), and
-        admin POSTs ride one-shot connections, so a stale socket never makes
-        a deploy ambiguous.  Carries this process's Lamport clock out and
-        folds the peer's back in, so events after the hop order causally
-        after the peer's.  Returns ``(status, body, headers)`` with the reply
-        headers a front relays (trace id, ``Retry-After``, Lamport).
+        """One HTTP exchange with a peer server over this server's kept-alive
+        connections, so a hop costs no TCP connect (the reuse and replay
+        rule is ``repro.serve.client._ConnectionPool``'s, shared with
+        ``ServeClient``).  Carries this process's Lamport clock out and folds
+        the peer's back in, so events after the hop order causally after the
+        peer's.  Returns ``(status, body, headers)`` with the reply headers a
+        front relays (trace id, ``Retry-After``, Lamport).
         """
         send = {"Content-Type": "application/json"} if body is not None else {}
         send.update(headers or {})
         send[LAMPORT_HEADER] = str(self.tracer.clock.tick())
-        keep = method == "GET" or path == "/predict"
-        key, fresh = (host, port), not keep
-        while True:
-            connection = None
-            if not fresh:
-                with self._idle_lock:
-                    idle = self._idle_pool().get(key)
-                    connection = idle.pop() if idle else None
-            reused = connection is not None
-            if connection is None:
-                connection = http.client.HTTPConnection(host, port)
-            connection.timeout = timeout_s
-            if connection.sock is not None:
-                connection.sock.settimeout(timeout_s)
-            try:
-                connection.request(method, path, body=body, headers=send)
-                response = connection.getresponse()
-                data = response.read()
-                break
-            except BaseException as exc:
-                connection.close()
-                if not (reused and isinstance(exc, _TRANSIENT_ERRORS)):
-                    raise
-                fresh = True               # the peer reaped it: replay once
-        with self._idle_lock:
-            # Never parked past a stop: _unbind() clears _frontend, then sweeps.
-            park = (keep and not response.will_close
-                    and self._frontend is not None)
-            if park:
-                self._idle_pool().setdefault(key, []).append(connection)
-        if not park:
-            connection.close()
-        remote = response.getheader(LAMPORT_HEADER)
+        status, data, reply_headers = self._connections.exchange(
+            host, port, method, path, body, send, timeout_s)
+        remote = reply_headers.get(LAMPORT_HEADER)
         if remote is not None:
             try:
                 self.tracer.observe_remote(int(remote))
             except ValueError:
                 pass
-        relayed = {name: value for name, value in response.getheaders()
+        relayed = {name: value for name, value in reply_headers.items()
                    if name.lower() in ("x-trace-id", "retry-after", "x-lamport")}
-        return response.status, data, relayed
+        return status, data, relayed
 
     def peers(self) -> Dict[str, Callable[[str], Tuple[int, bytes]]]:
         """``{name: get}`` of the processes this server fronts, where

@@ -470,6 +470,7 @@ class PoolServer(FrontDoor):
     """
 
     def __init__(self, *, config: Optional[ServeConfig] = None):
+        super().__init__()
         config = config if config is not None else ServeConfig()
         if config.pool.workers < 1:
             raise ValueError("a pool needs at least one worker")
@@ -837,8 +838,7 @@ class PoolServer(FrontDoor):
             status, _, _ = self.exchange(
                 "127.0.0.1", worker.port, "GET", "/healthz",
                 timeout_s=self.autoscale_config.probe_timeout_s)
-        except (ConnectionError, socket.timeout, http.client.HTTPException,
-                OSError):
+        except (http.client.HTTPException, OSError):
             # Not answering yet: the heartbeat budget decides when a
             # perpetually unprobeable worker is declared dead.
             return
@@ -1218,7 +1218,7 @@ class PoolServer(FrontDoor):
                 if record:
                     self.metrics.record_timeout()
                 return Reply(504, {"error": "worker timed out; not retried"})
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 worker.proxy_failures += 1
                 # A torn connection usually means the process died; let the
                 # monitor reap/respawn it the moment the exit code confirms.

@@ -153,6 +153,7 @@ class PECANServer(FrontDoor):
     def __init__(self, registry: Optional[ModelRegistry] = None, *,
                  config: Optional[ServeConfig] = None,
                  trace_service: str = "server"):
+        super().__init__()
         config = config if config is not None else ServeConfig()
         self.config = config
         if registry is None:

@@ -27,6 +27,7 @@ import time
 import uuid
 from collections import OrderedDict, deque
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -198,26 +199,27 @@ class Span:
 
 
 # --------------------------------------------------------------------------
-# Thread-local current span context, so deep layers (``BundleEngine``) can
-# attach child spans without every call signature growing trace arguments.
+# The current span context (per thread: a new thread starts with an empty
+# context), so deep layers (``BundleEngine``) can attach child spans without
+# every call signature growing trace arguments.
 
-_context = threading.local()
+_context: ContextVar[Optional[Tuple[str, str]]] = ContextVar(
+    "repro_trace_context", default=None)
 
 
 def current_context() -> Optional[Tuple[str, str]]:
     """Return ``(trace_id, span_id)`` of the active span, if any."""
 
-    return getattr(_context, "value", None)
+    return _context.get()
 
 
 @contextmanager
 def use_context(trace_id: str, span_id: str) -> Iterator[None]:
-    previous = getattr(_context, "value", None)
-    _context.value = (trace_id, span_id)
+    token = _context.set((trace_id, span_id))
     try:
         yield
     finally:
-        _context.value = previous
+        _context.reset(token)
 
 
 class Tracer:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import shutil
 import socket
+import sys
+import threading
 import time
 
 import numpy as np
@@ -262,6 +264,41 @@ class TestEventLoopWire:
         # All eight predicts ride the client's pooled keep-alive socket.
         assert after == before
 
+    def test_threads_share_one_client_pool(self, server, bundles):
+        """Threads sharing one client never share a socket mid-exchange and
+        never lose one: every connection opened ends up parked."""
+        srv, _ = server
+        x = np.random.default_rng(10).standard_normal((1, 1, 10, 10))
+        expected = BundleEngine(bundles["v1"]).predict(x)
+        client = ServeClient(srv.url, transient_retries=0)
+        before = srv.frontend_snapshot()["accepted_total"]
+        failures = []
+
+        def run():
+            try:
+                for _ in range(10):
+                    np.testing.assert_array_equal(
+                        client.predict(x, model="m"), expected)
+            except Exception as exc:           # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        opened = srv.frontend_snapshot()["accepted_total"] - before
+        assert 1 <= opened <= len(threads)
+        assert sum(map(len, client._connections.idle.values())) == opened
+        client.close()
+
     def test_connection_budget_rejects_with_shed_shape(self, bundles):
         server = PECANServer(config=ServeConfig.build(
             port=0, max_connections=2, cache_mb=0.0,
@@ -342,6 +379,29 @@ class TestEventLoopWire:
                     and time.monotonic() < deadline):
                 time.sleep(0.02)
             assert server.frontend_snapshot()["idle_closed"] >= 1
+
+    def test_client_replays_on_a_reaped_keep_alive_socket(self, bundles):
+        """The server reaps the client's parked socket between two predicts:
+        the second is replayed on one fresh connection, free of the
+        transient retry budget (here zero)."""
+        server = PECANServer(config=ServeConfig.build(
+            port=0, idle_timeout_s=0.3, cache_mb=0.0, mmap=False))
+        server.add_bundle(bundles["v1"], name="m", preload=True)
+        x = np.random.default_rng(9).standard_normal((1, 1, 10, 10))
+        expected = BundleEngine(bundles["v1"]).predict(x)
+        with server, ServeClient(server.url, transient_retries=0) as client:
+            np.testing.assert_array_equal(client.predict(x, model="m"),
+                                          expected)
+            deadline = time.monotonic() + 5.0
+            while (server.frontend_snapshot()["idle_closed"] < 1
+                    and time.monotonic() < deadline):
+                time.sleep(0.02)
+            snapshot = server.frontend_snapshot()
+            assert snapshot["idle_closed"] == 1
+            np.testing.assert_array_equal(client.predict(x, model="m"),
+                                          expected)
+            assert server.frontend_snapshot()["accepted_total"] \
+                == snapshot["accepted_total"] + 1
 
     def test_keep_alive_survives_deploy_and_promote(self, bundles):
         server = PECANServer(config=ServeConfig.build(

@@ -259,7 +259,7 @@ class TestFederationServing:
                 verb()
                 assert owner.frontend_snapshot()["accepted_total"] \
                     == before + 1
-            assert front._idle_pool() == {}
+            assert front._connections.idle == {}
             client.close()
         finally:
             front.stop()

@@ -379,7 +379,7 @@ class TestKeepAliveHop:
         client = ServeClient(solo_pool.url)
         client.predict(x, model="toy", no_cache=True)      # park a connection
         (worker,) = solo_pool.ready_workers()
-        idle = solo_pool._idle_pool()[("127.0.0.1", worker.port)]
+        idle = solo_pool._connections.idle[("127.0.0.1", worker.port)]
         assert idle, "the hop parked no connection"
         for connection in idle:
             connection.sock.shutdown(socket.SHUT_RDWR)
@@ -407,7 +407,7 @@ def test_respawn_closes_the_dead_workers_connections(pool_bundle, module_rng):
         client = ServeClient(server.url)
         client.predict(x, model="toy", no_cache=True)
         (victim,) = server.ready_workers()
-        parked = list(server._idle_pool()[("127.0.0.1", victim.port)])
+        parked = list(server._connections.idle[("127.0.0.1", victim.port)])
         assert parked
         server.inject_fault(victim.id, "crash")
         deadline = time.monotonic() + 30.0
@@ -421,7 +421,7 @@ def test_respawn_closes_the_dead_workers_connections(pool_bundle, module_rng):
         client.close()
     finally:
         server.stop()
-    assert server._idle_pool() == {}
+    assert server._connections.idle == {}
 
 
 class TestPoolLifecycle:

@@ -14,6 +14,7 @@ recover to ``healthy`` once the burst ends.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -542,6 +543,34 @@ class TestClientBackoff:
         assert logits.shape == (2, 1)
         assert scorer.chunks_total == 2
         assert scorer.retries_total == 2
+
+    @staticmethod
+    def _score(server, *flags):
+        from repro.cli import main
+
+        return main(["score", "--url", f"http://127.0.0.1:{server.server_port}",
+                     "--dataset", "random", "--input-shape", "1,2",
+                     "--chunk", "1", *flags])
+
+    def test_score_command_counts_every_request(self, scripted_server,
+                                                capsys):
+        scripted_server.script = [(503, {"Retry-After": "0.01"}), (200, {}),
+                                  (503, {}), (429, {}), (200, {})]
+        assert self._score(scripted_server, "--num_samples", "3") == 0
+        out = capsys.readouterr().out
+        chunks, retries = map(int, re.search(
+            r"over (\d+) chunks; (\d+) chunk retries", out).groups())
+        assert (chunks, retries) == (3, 3)
+        # Every /predict the server saw is a chunk or a reported retry.
+        assert len(scripted_server.hits) == chunks + retries
+
+    def test_score_command_max_chunk_retries_bounds_requests(
+            self, scripted_server, capsys):
+        scripted_server.script = [(503, {"Retry-After": "0.01"})] * 20
+        assert self._score(scripted_server, "--num_samples", "1",
+                           "--max_chunk_retries", "2") == 1
+        assert "score failed: HTTP 503" in capsys.readouterr().out
+        assert len(scripted_server.hits) == 3      # 1 attempt + 2 retries
 
 
 # --------------------------------------------------------------------------- #
