@@ -27,12 +27,26 @@ bias, kernel_size, stride, padding)`` checks the layouts of a layer's
 constant arrays once and returns a :class:`PecanDKernel` whose calls check
 only the input and the usage array.
 
-The kernel is compiled on first use into ``src/repro/perf/_build/`` (keyed by
-a hash of the source and flags, so edits rebuild automatically) and loaded
-with ``ctypes``.  Everything degrades gracefully: no compiler, a failed
-compile, or ``REPRO_DISABLE_CKERNELS`` set to anything but ``0`` simply means
-:func:`get_pecan_d_kernel` returns ``None`` and callers use their NumPy path.
-No third-party packages are involved.
+The same source holds a **JSON tensor parser** for ``/predict`` bodies
+(used by :func:`repro.serve.pipeline.decode_predict_body`).  It finds the
+top-level ``"inputs"`` array, checks the JSON number grammar and the
+array's rectangular shape, and converts the numbers into an array of
+exactly that shape.  Every number is correctly rounded, so the values
+equal ``json.loads`` + ``np.asarray`` bit for bit.  Short significands use
+exact integer arithmetic; the rest use ``strtod_l`` in the "C" locale, so
+``LC_NUMERIC`` plays no part.  Anything else (a BOM, an escaped key, a
+repeated key, ``NaN``, ``null``, a ragged array, an out-of-range number,
+...) is declined, and the caller uses ``json.loads``.  Since ``ctypes.CDLL``
+releases the GIL for each call, a large body decodes while the engine
+thread runs.
+
+The library is compiled on first use into ``src/repro/perf/_build/`` (keyed
+by a hash of the source and flags, so edits rebuild automatically) and
+loaded with ``ctypes``.  Everything degrades gracefully: no compiler, a
+failed compile, or ``REPRO_DISABLE_CKERNELS`` set to anything but ``0``
+simply means :func:`get_pecan_d_kernel` returns ``None`` and callers use
+their NumPy path, and the JSON parser declines every body.  No third-party
+packages are involved.
 """
 
 from __future__ import annotations
@@ -45,17 +59,23 @@ import platform
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 #: Output positions searched together; the kernel's innermost loops run
 #: across this many lanes.
 POSITION_BLOCK = 8
+#: Deepest ``inputs`` nesting the JSON tensor parser accepts.
+_JSON_MAX_DEPTH = 8
 
 _C_SOURCE = r"""
+#define _GNU_SOURCE                 /* strtod_l, newlocale */
+#include <errno.h>
+#include <locale.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Fused im2col + PECAN-D search + lookup-accumulate over all groups.
  *
@@ -187,7 +207,297 @@ int pecan_d_lookup(const double* x, const int64_t* rows,
     free(roff); free(q); free(acc);
     return 0;
 }
-""" % {"block": POSITION_BLOCK}
+
+/* JSON tensor parser: the top-level "inputs" array of a /predict body.
+ *
+ * json_inputs_shape walks the top-level object, skipping every other value
+ * (strings with escapes, nested containers), and checks the one "inputs"
+ * value without converting a number: a rectangular nest of at most
+ * MAX_DEPTH non-empty arrays of strict JSON number tokens of at most
+ * MAX_NUMBER bytes.  json_inputs_fill converts the tokens of that span in
+ * order, correctly rounded.  Both decline anything else (a BOM, a key with
+ * an escape, a second "inputs", null in the tensor, a number out of float64
+ * range, ...), and the caller then parses the body with json.loads, which
+ * also validates every value this code only delimits.
+ */
+#define MAX_DEPTH %(max_depth)d
+#define MAX_NUMBER 63
+
+static locale_t c_numeric;
+
+__attribute__((constructor)) static void json_init(void)
+{
+    c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+}
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+static int is_ws(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+static int64_t skip_ws(const char* s, int64_t i, int64_t n)
+{
+    while (i < n && is_ws(s[i])) ++i;
+    return i;
+}
+
+/* End of the JSON number token at s[i], or -1 (bad grammar, too long). */
+static int64_t number_end(const char* s, int64_t i, int64_t n)
+{
+    const int64_t start = i;
+    if (i < n && s[i] == '-') ++i;
+    if (i < n && s[i] == '0') {
+        ++i;
+    } else if (i < n && is_digit(s[i])) {
+        while (i < n && is_digit(s[i])) ++i;
+    } else {
+        return -1;
+    }
+    if (i < n && s[i] == '.') {
+        if (++i >= n || !is_digit(s[i])) return -1;
+        while (i < n && is_digit(s[i])) ++i;
+    }
+    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
+        if (++i < n && (s[i] == '+' || s[i] == '-')) ++i;
+        if (i >= n || !is_digit(s[i])) return -1;
+        while (i < n && is_digit(s[i])) ++i;
+    }
+    return i - start > MAX_NUMBER ? -1 : i;
+}
+
+/* End of the string opening at s[i], or -1; *escaped is set on a backslash. */
+static int64_t string_end(const char* s, int64_t i, int64_t n, int* escaped)
+{
+    for (++i; i < n; ++i) {
+        if (s[i] == '\\') {
+            *escaped = 1;
+            ++i;
+        } else if (s[i] == '"') {
+            return i + 1;
+        }
+    }
+    return -1;
+}
+
+/* End of the value at s[i], or -1: strings, brackets and bare scalars. */
+static int64_t value_end(const char* s, int64_t i, int64_t n)
+{
+    int64_t depth = 0;
+    int escaped = 0;
+    do {
+        if (i >= n) return -1;
+        if (s[i] == '"') {
+            i = string_end(s, i, n, &escaped);
+            if (i < 0) return -1;
+        } else if (s[i] == '{' || s[i] == '[') {
+            ++depth;
+            ++i;
+        } else if (s[i] == '}' || s[i] == ']') {
+            if (--depth < 0) return -1;
+            ++i;
+        } else if (depth == 0) {
+            while (i < n && s[i] != ',' && s[i] != '}' && s[i] != ']' && !is_ws(s[i]))
+                ++i;
+            return i;
+        } else {
+            ++i;
+        }
+    } while (depth > 0);
+    return i;
+}
+
+/* Shape of the rectangular number array at s[*pos]; returns its ndim and
+ * moves *pos past it, or returns 0. */
+static int64_t array_shape(const char* s, int64_t* pos, int64_t n, int64_t* shape)
+{
+    int64_t count[MAX_DEPTH];
+    int64_t i = *pos, depth = 0, ndim = 0;
+    for (int64_t d = 0; d < MAX_DEPTH; ++d) shape[d] = -1;
+    if (i >= n || s[i] != '[') return 0;
+    for (;;) {
+        if (s[i] == '[') {
+            if (depth == MAX_DEPTH || (ndim && depth >= ndim)) return 0;
+            count[depth++] = 0;
+            i = skip_ws(s, i + 1, n);
+            if (i >= n || s[i] == ']') return 0;        /* empty */
+            continue;
+        }
+        i = number_end(s, i, n);
+        if (i < 0 || (ndim && depth != ndim)) return 0;
+        ndim = depth;
+        /* Close finished arrays until the next element. */
+        for (;;) {
+            ++count[depth - 1];
+            i = skip_ws(s, i, n);
+            if (i < n && s[i] == ',') {
+                i = skip_ws(s, i + 1, n);
+                if (i >= n) return 0;
+                break;
+            }
+            if (i >= n || s[i] != ']') return 0;
+            --depth;
+            if (shape[depth] < 0) shape[depth] = count[depth];
+            else if (shape[depth] != count[depth]) return 0;     /* ragged */
+            ++i;
+            if (depth == 0) {
+                *pos = i;
+                return ndim;
+            }
+        }
+    }
+}
+
+/* info = [start, end, shape[0..MAX_DEPTH)] of the top-level "inputs" array
+ * of the body s[0..n).  Returns its ndim, or 0 to decline. */
+int64_t json_inputs_shape(const char* s, int64_t n, int64_t* info)
+{
+    int64_t i = skip_ws(s, 0, n), ndim = 0;
+    if (i >= n || s[i] != '{') return 0;
+    i = skip_ws(s, i + 1, n);
+    for (;;) {
+        int escaped = 0;
+        if (i >= n || s[i] != '"') return 0;
+        const int64_t key = i + 1;
+        i = string_end(s, i, n, &escaped);
+        if (i < 0 || escaped) return 0;
+        const int is_inputs = i - 1 - key == 6 && memcmp(s + key, "inputs", 6) == 0;
+        i = skip_ws(s, i, n);
+        if (i >= n || s[i] != ':') return 0;
+        i = skip_ws(s, i + 1, n);
+        if (is_inputs) {
+            if (ndim) return 0;                       /* a second "inputs" */
+            info[0] = i;
+            ndim = array_shape(s, &i, n, info + 2);
+            if (!ndim) return 0;
+            info[1] = i;
+        } else {
+            i = value_end(s, i, n);
+            if (i < 0) return 0;
+        }
+        i = skip_ws(s, i, n);
+        if (i < n && s[i] == ',') {
+            i = skip_ws(s, i + 1, n);
+        } else if (i < n && s[i] == '}') {
+            return skip_ws(s, i + 1, n) == n ? ndim : 0;
+        } else {
+            return 0;
+        }
+    }
+}
+
+#ifdef __SIZEOF_INT128__
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL};
+
+static int bit_length(uint64_t v) { return 64 - __builtin_clzll(v); }
+
+/* w * 10^q rounded to nearest-even, for 0 < w and q in [-19, 19], into *v;
+ * returns -1 when the exact product does not fit in 64 bits.  A quotient
+ * w * 2^s / 10^-q of 56 to 64 bits, with the remainder as a sticky bit, is
+ * rounded to 53 bits by hand, so the result is the correctly rounded value
+ * that strtod (and Python's float) give. */
+static int scaled_value(uint64_t w, int64_t q, double* v)
+{
+    if (q >= 0) {
+        const unsigned __int128 x = (unsigned __int128)w * POW10[q];
+        if (x >> 64) return -1;
+        *v = (double)(uint64_t)x;          /* one correctly rounded conversion */
+        return 0;
+    }
+    const uint64_t d = POW10[-q];
+    int s = 56 + bit_length(d) - bit_length(w);
+    if (s < 0) s = 0;
+    const unsigned __int128 num = (unsigned __int128)w << s;
+    const uint64_t quot = (uint64_t)(num / d);          /* in [2^55, 2^64) */
+    const int sticky = num != (unsigned __int128)quot * d, sh = bit_length(quot) - 53;
+    const uint64_t rest = quot & ((1ULL << sh) - 1), half = 1ULL << (sh - 1);
+    uint64_t m = quot >> sh;
+    if (rest > half || (rest == half && (sticky || (m & 1)))) ++m;
+    /* m <= 2^53 times the normal power of two 2^(sh - s): exact. */
+    const uint64_t bits = (uint64_t)(1023 + sh - s) << 52;
+    double scale;
+    memcpy(&scale, &bits, sizeof scale);
+    *v = (double)m * scale;
+    return 0;
+}
+#endif
+
+/* The float64 that json.loads + np.asarray give the number token s[0..len)
+ * (already checked by number_end), or -1 to decline (out of float64 range,
+ * no "C" locale).  json.loads reads an integer literal as an int, so "-0"
+ * is +0.0 and only a fraction or exponent makes -0.0. */
+static int number_value(const char* s, size_t len, double* out)
+{
+    const char* p = s + (*s == '-');
+    const char* end = s + len;
+    int integer = 1, digits = 0;
+    int64_t q = 0;
+    uint64_t w = 0;
+    for (; p < end && (is_digit(*p) || *p == '.'); ++p) {
+        if (*p == '.') {
+            integer = 0;
+            continue;
+        }
+        q -= !integer;
+        if (w == 0 && *p == '0') continue;             /* leading zero */
+        if (++digits > 19) goto slow;
+        w = w * 10 + (uint64_t)(*p - '0');
+    }
+    if (p < end) {                                     /* exponent */
+        const int negative = *++p == '-';
+        int64_t e = 0;
+        integer = 0;
+        for (p += *p == '-' || *p == '+'; p < end; ++p) {
+            if (e > 100000) goto slow;
+            e = e * 10 + (*p - '0');
+        }
+        q += negative ? -e : e;
+    }
+    if (w == 0) {
+        *out = *s == '-' && !integer ? -0.0 : 0.0;
+        return 0;
+    }
+#ifdef __SIZEOF_INT128__
+    if (q >= -19 && q <= 19 && !scaled_value(w, q, out)) {
+        if (*s == '-') *out = -*out;
+        return 0;
+    }
+#endif
+slow: {
+        char token[MAX_NUMBER + 1];
+        char* tail;
+        if (c_numeric == (locale_t)0) return -1;
+        memcpy(token, s, len);
+        token[len] = '\0';
+        errno = 0;
+        *out = strtod_l(token, &tail, c_numeric);
+        return errno == ERANGE || tail != token + len ? -1 : 0;
+    }
+}
+
+/* Convert the count number tokens of s[start..end) into out.  Returns 0,
+ * or -1 to decline. */
+int json_inputs_fill(const char* s, int64_t start, int64_t end,
+                     double* out, int64_t count)
+{
+    int64_t k = 0;
+    for (int64_t i = start; i < end;) {
+        if (s[i] != '-' && !is_digit(s[i])) {          /* brackets, commas, ws */
+            ++i;
+            continue;
+        }
+        const int64_t stop = number_end(s, i, end);
+        if (stop < 0 || k == count || number_value(s + i, (size_t)(stop - i), out + k))
+            return -1;
+        ++k;
+        i = stop;
+    }
+    return k == count ? 0 : -1;
+}
+""" % {"block": POSITION_BLOCK, "max_depth": _JSON_MAX_DEPTH}
 
 _BASE_FLAGS = ["-O3", "-shared", "-fPIC"]
 _ARCH_FLAGS = ["-march=native"]
@@ -260,6 +570,11 @@ def _load() -> Optional[ctypes.CDLL]:
         return None
     lib.pecan_d_lookup.restype = ctypes.c_int
     lib.pecan_d_lookup.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 13
+    lib.json_inputs_shape.restype = ctypes.c_int64
+    lib.json_inputs_shape.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p]
+    lib.json_inputs_fill.restype = ctypes.c_int
+    lib.json_inputs_fill.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                                     ctypes.c_void_p, ctypes.c_int64]
     _lib = lib
     return _lib
 
@@ -340,6 +655,30 @@ class PecanDKernel:
         if status:
             raise MemoryError("PECAN-D kernel could not allocate its scratch")
         return out
+
+
+def _json_inputs(body: bytes) -> Optional[Tuple[np.ndarray, int, int]]:
+    """``(inputs, start, end)``: the top-level ``"inputs"`` array of a JSON
+    object body parsed into a fresh float64 array, and the byte span it
+    occupies; ``None`` when the kernel is unavailable or declines the body
+    (see the C source), in which case the caller parses it with ``json.loads``.
+
+    Both passes run in C with the GIL released: one checks the grammar and
+    finds the shape, the other converts the numbers into an array of exactly
+    that shape.
+    """
+    lib = _load()
+    if lib is None or type(body) is not bytes:
+        return None
+    info = np.empty(2 + _JSON_MAX_DEPTH, dtype=np.int64)
+    ndim = lib.json_inputs_shape(body, len(body), info.ctypes.data)
+    if ndim <= 0:
+        return None
+    start, end = int(info[0]), int(info[1])
+    inputs = np.empty(tuple(info[2:2 + ndim].tolist()))
+    if lib.json_inputs_fill(body, start, end, inputs.ctypes.data, inputs.size):
+        return None
+    return inputs, start, end
 
 
 def get_pecan_d_kernel():

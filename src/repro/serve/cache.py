@@ -80,9 +80,12 @@ _CANONICAL_FIELDS = ("outputs", "classes", "num_samples")
 def canonical_input_array(inputs: Any) -> np.ndarray:
     """``inputs`` as the serving path sees it: float64, C-contiguous.
 
-    Both front ends coerce request inputs with ``np.asarray(..., float64)``
-    before touching the engine, so hashing this canonical form guarantees a
-    list payload and an equivalent ndarray payload share a cache entry.
+    A decoded ``/predict`` body carries either a float64 ndarray (the
+    compiled JSON tensor parser) or the nested lists of ``json.loads`` (its
+    fallback), and the in-process APIs take ndarrays; both front ends coerce
+    all of them with ``np.asarray(..., float64)`` before touching the
+    engine.  Hashing this canonical form therefore gives a list payload, a
+    parsed one and an equivalent ndarray one the same cache entry.
     Raises ``TypeError``/``ValueError`` for non-numeric payloads — callers
     treat that as "not cacheable" and let the normal 400 path reject it.
     """

@@ -160,6 +160,9 @@ class ServerMetrics:
         self._request_latency = _Window(window)
         self._queue_wait = _Window(window)
         self._infer_latency = _Window(window)
+        # The engine thread's CPU time over the same calls: wall minus CPU
+        # is time it was runnable but waited (for the GIL or for a core).
+        self._infer_cpu = _Window(window)
         # QoS: per-class / per-tenant latency windows (lazily created — a
         # deployment that never sends QoS fields pays nothing) and shed
         # accounting: priority class -> reason -> count.
@@ -204,13 +207,16 @@ class ServerMetrics:
         with self._lock:
             self.errors_total += 1
 
-    def record_batch(self, batch_samples: int, infer_seconds: float) -> None:
+    def record_batch(self, batch_samples: int, infer_seconds: float,
+                     cpu_seconds: Optional[float] = None) -> None:
         with self._lock:
             self.batches_total += 1
             self.batched_samples += batch_samples
             self.batch_size_histogram[batch_samples] = \
                 self.batch_size_histogram.get(batch_samples, 0) + 1
             self._infer_latency.add(infer_seconds)
+            if cpu_seconds is not None:
+                self._infer_cpu.add(cpu_seconds)
 
     def record_completed(self, total_seconds: float, queue_seconds: float,
                          priority: Optional[str] = None,
@@ -290,6 +296,7 @@ class ServerMetrics:
                 "latency": self._request_latency.snapshot_ms(),
                 "queue_wait": self._queue_wait.snapshot_ms(),
                 "inference": self._infer_latency.snapshot_ms(),
+                "inference_cpu": self._infer_cpu.snapshot_ms(),
                 "batching": {
                     "batches": self.batches_total,
                     "histogram": {str(size): count for size, count

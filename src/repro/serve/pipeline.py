@@ -7,7 +7,8 @@ on that property, and every server runs a ``/predict`` request through the
 same steps, held here once:
 
 1. **decode** — the body becomes a :class:`PredictRequest` (payload, inputs,
-   trace context, QoS, ``no_cache``); anything malformed is a 400;
+   trace context, QoS, ``no_cache``) through :func:`decode_predict_body`;
+   anything malformed is a 400;
 2. **root span** — ``<prefix>.predict``, closed with a terminal status
    mapped from the reply's HTTP status;
 3. **cache / coalesce** — a hit is answered from memory; otherwise the
@@ -41,6 +42,7 @@ from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
+from repro.perf import ckernels
 # The module (not its functions) is imported so ``canonical_input_hash`` is
 # looked up at call time, where a profiling hook may have wrapped it.
 from repro.serve import cache
@@ -58,7 +60,7 @@ from repro.serve.trace import (LAMPORT_HEADER, TRACE_HEADER, TraceContext,
                                Tracer, causal_sort, parse_trace_context)
 
 __all__ = ["FrontDoor", "PredictRequest", "Reply", "RequestPipeline",
-           "json_response"]
+           "decode_predict_body", "json_response"]
 
 #: One app-level response: ``(status, body_bytes, headers)``.
 HTTPReply = Tuple[int, bytes, Dict[str, str]]
@@ -111,6 +113,40 @@ class Reply:
 
     def to_dict(self) -> Dict[str, Any]:
         return self.payload if self.payload is not None else json.loads(self.body)
+
+
+def decode_predict_body(body: bytes) -> Dict[str, Any]:
+    """The JSON object of a ``/predict`` body, which must hold ``inputs``.
+
+    With the compiled kernels on, the top-level ``inputs`` tensor is parsed
+    in C with the GIL released (:mod:`repro.perf.ckernels`) into a
+    C-contiguous float64 array, and ``json.loads`` parses the rest of the
+    body with the tensor's span replaced by ``null``.  Whatever that parser
+    declines (no kernel, a BOM, an escaped key, a repeated ``inputs``, an
+    empty, ragged or deep array, a token that is not a finite in-range JSON
+    number, ...) and any failure on the rest take the ``json.loads`` path
+    below.  So the other fields are exactly ``json.loads``'s, the array is
+    bitwise ``np.asarray(json.loads(body)["inputs"], np.float64)``, and every
+    error is raised with the same message.
+    """
+    parsed = ckernels._json_inputs(body)
+    if parsed is not None:
+        inputs, start, end = parsed
+        try:
+            payload = json.loads((body[:start] + b"null" + body[end:]).decode("utf-8"))
+        except (ValueError, RecursionError):
+            pass                    # the path below raises it with its message
+        else:
+            payload["inputs"] = inputs
+            return payload
+    # JSON on the wire is UTF-8 (RFC 8259): the pool splices its hop fields
+    # onto these very bytes.
+    payload = json.loads(body.decode("utf-8-sig"))
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
+    if "inputs" not in payload:
+        raise ValueError("request body must contain 'inputs'")
+    return payload
 
 
 def _refusal(exc: Exception) -> Tuple[Reply, Dict[str, Any]]:
@@ -180,18 +216,15 @@ class RequestPipeline:
     def handle(self, headers, body: bytes,
                run: Optional[Callable[[PredictRequest], Reply]] = None,
                ) -> HTTPReply:
-        """Decode, run (``run`` defaults to :meth:`run`) and encode one
-        ``/predict``; every failure leaves as a JSON error reply."""
+        """Decode (:func:`decode_predict_body`: with the kernels on, the
+        ``inputs`` tensor is parsed in compiled code outside the GIL, with
+        the same results as ``json.loads``), run (``run`` defaults to
+        :meth:`run`) and encode one ``/predict``; every failure leaves as a
+        JSON error reply."""
         ctx = parse_trace_context(None, headers)
         try:
-            # JSON on the wire is UTF-8 (RFC 8259): the pool splices its
-            # hop fields onto these very bytes.
             body = body or b"{}"
-            payload = json.loads(body.decode("utf-8-sig"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            if "inputs" not in payload:
-                raise ValueError("request body must contain 'inputs'")
+            payload = decode_predict_body(body)
             ctx = parse_trace_context(payload, headers)
             request = PredictRequest(
                 inputs=payload["inputs"], model=str(payload.get("model") or ""),

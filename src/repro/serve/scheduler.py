@@ -431,6 +431,7 @@ class DynamicBatcher:
             return
         started = time.monotonic()
         wall_started = time.time()
+        cpu_started = time.thread_time()
         try:
             # Concatenation stays inside the guard: a shape-mismatched request
             # that slipped past admission must fail its batch, not kill the
@@ -451,9 +452,13 @@ class DynamicBatcher:
             for request in live:
                 request.set_error(exc)
             return
+        # This thread's CPU time over the same interval: wall minus CPU is
+        # time the engine could have run but waited for the GIL or a core.
+        cpu_seconds = time.thread_time() - cpu_started
         infer_seconds = time.monotonic() - started
         self._infer_ewma += 0.3 * (infer_seconds - self._infer_ewma)
-        self.metrics.record_batch(int(inputs.shape[0]), infer_seconds)
+        self.metrics.record_batch(int(inputs.shape[0]), infer_seconds,
+                                  cpu_seconds)
         offset = 0
         finished = time.monotonic()
         for request in live:
@@ -469,7 +474,8 @@ class DynamicBatcher:
                     parent_id=request.parent_span,
                     attrs={"batch_samples": int(inputs.shape[0]),
                            "batch_requests": len(live),
-                           "samples": request.num_samples})
+                           "samples": request.num_samples,
+                           "cpu_ms": cpu_seconds * 1e3})
                 if span is not None:
                     span.start_time = wall_started
                 self.tracer.finish_span(span)

@@ -16,13 +16,20 @@ Outputs must match byte for byte, and usage, CAM statistics and op counts
 must be equal. The ``batchnorm`` op (with and without a fused ReLU, NaNs
 included) must equal the allocating NumPy expression byte for byte, for
 float64 and float32 inputs.
+
+The ``/predict`` wire format has its own grid: for generated and named JSON
+bodies, ``decode_predict_body`` (the compiled tensor parser with its
+``json.loads`` fallback) must give exactly what ``json.loads`` +
+``np.asarray`` give, or raise the same exception with the same message.
 """
 
 import importlib
+import json
 import os
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.cam.runtime as runtime_mod
@@ -33,6 +40,7 @@ from repro.cam.layer_lut import LayerLUT
 from repro.ir.executor import GraphExecutor
 from repro.ir.graph import Graph, Node
 from repro.pecan.config import PECANMode
+from repro.serve.pipeline import decode_predict_body
 
 GRID = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -235,3 +243,189 @@ def test_batchnorm_matches_reference_bitwise(case):
     got32 = GraphExecutor(graph).run(x32)
     assert got32.dtype == expected32.dtype
     assert got32.tobytes() == expected32.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# The /predict wire format
+# --------------------------------------------------------------------------- #
+def json_reference(body):
+    """What ``decode_predict_body`` must match: ``json.loads`` of the UTF-8
+    text (a BOM allowed), which must be an object holding ``inputs``."""
+    payload = json.loads(body.decode("utf-8-sig"))
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
+    if "inputs" not in payload:
+        raise ValueError("request body must contain 'inputs'")
+    return payload
+
+
+def decode_path(body):
+    """Check ``decode_predict_body(body)`` against :func:`json_reference`
+    and return the path that answered: ``compiled``, ``json`` or ``error``."""
+    try:
+        expected = json_reference(body)
+    except Exception as exc:                   # noqa: BLE001 - compared below
+        with pytest.raises(type(exc)) as raised:
+            decode_predict_body(body)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return "error"
+    got = decode_predict_body(body)
+    assert list(got) == list(expected)                  # same keys, same order
+    assert repr({k: v for k, v in got.items() if k != "inputs"}) \
+        == repr({k: v for k, v in expected.items() if k != "inputs"})
+    inputs = got["inputs"]
+    if not isinstance(inputs, np.ndarray):
+        assert repr(inputs) == repr(expected["inputs"])
+        return "json"
+    reference = np.asarray(expected["inputs"], dtype=np.float64)
+    assert inputs.dtype == np.float64 and inputs.flags.c_contiguous
+    assert inputs.shape == reference.shape
+    assert inputs.tobytes() == reference.tobytes()
+    return "compiled"
+
+
+#: ``(body, path)``: the path a body takes when the kernels are on.
+WIRE_CASES = {
+    "minus_zero_int": (b'{"inputs": [-0, 0, 1]}', "compiled"),
+    "minus_zero_float": (b'{"inputs": [-0.0, -0e0, -0E+3, 0.0]}', "compiled"),
+    "ints": (b'{"inputs": [[1, -2], [3, 40]]}', "compiled"),
+    "ints_above_2_63": (b'{"inputs": [9223372036854775809, -18446744073709551617,'
+                        b' 123456789012345678901234567890]}', "compiled"),
+    "int_above_1e308": (b'{"inputs": [1' + b"0" * 309 + b']}', "json"),
+    "1e400": (b'{"inputs": [1e400]}', "json"),
+    "minus_1e400": (b'{"inputs": [-1e400]}', "json"),
+    "1e-400": (b'{"inputs": [1e-400]}', "json"),
+    "subnormals": (b'{"inputs": [5e-324, 2.225073858507201e-308, -4.9e-324]}', None),
+    "min_normal": (b'{"inputs": [2.2250738585072014e-308, 1.7976931348623157e308]}',
+                   "compiled"),
+    "ties_to_even": (b'{"inputs": [9007199254740993, 9007199254740995.0,'
+                     b' 900719925474099.3e1]}', "compiled"),
+    "many_digits": (b'{"inputs": [0.12345678901234567890123, 1.5e-300]}', "compiled"),
+    "exponent_forms": (b'{"inputs": [1E5, 1e+5, 1e-5, 2.5E-3, 7e0]}', "compiled"),
+    "nan": (b'{"inputs": [1, NaN]}', "json"),
+    "infinity": (b'{"inputs": [Infinity, -Infinity]}', "json"),
+    "null": (b'{"inputs": [1, null]}', "json"),
+    "true": (b'{"inputs": [true, 2]}', "json"),
+    "string_number": (b'{"inputs": ["1"]}', "json"),
+    "scalar": (b'{"inputs": 5}', "json"),
+    "empty": (b'{"inputs": []}', "json"),
+    "empty_rows": (b'{"inputs": [[], []]}', "json"),
+    "ragged": (b'{"inputs": [[1, 2], [3]]}', "json"),
+    "ragged_depth": (b'{"inputs": [[1], 2]}', "json"),
+    "ragged_deeper": (b'{"inputs": [1, [2]]}', "json"),
+    "max_depth": (b'{"inputs": ' + b"[" * 8 + b"1" + b"]" * 8 + b"}", "compiled"),
+    "too_deep": (b'{"inputs": ' + b"[" * 9 + b"1" + b"]" * 9 + b"}", "json"),
+    "long_token": (b'{"inputs": [0.' + b"1" * 70 + b']}', "json"),
+    "bom": (b'\xef\xbb\xbf{"inputs": [1.5]}', "json"),
+    "escaped_key": (b'{"in\\u0070uts": [1.5]}', "json"),
+    "escaped_other_key": (b'{"inputs": [1.5], "mo\\u0064el": "m"}', "json"),
+    "duplicate_inputs": (b'{"inputs": [1], "model": "m", "inputs": [2, 3]}', "json"),
+    "inputs_in_string": (b'{"model": "\\"inputs\\": [9]", "inputs": [1.5]}', "compiled"),
+    "inputs_in_object": (b'{"meta": {"inputs": [9], "x": [1, {"inputs": 2}]},'
+                         b' "inputs": [1.5], "tail": ["inputs", {}]}', "compiled"),
+    "inputs_only_nested": (b'{"meta": {"inputs": [9]}}', "error"),
+    "string_escapes": (b'{"model": "a\\\\\\"b\\\\", "inputs": [1.5]}', "compiled"),
+    "key_order": (b'{"priority": "batch", "inputs": [1.5], "model": "m",'
+                  b' "no_cache": true, "tenant": null}', "compiled"),
+    "whitespace": (b' \t\n\r{ \t\n\r"inputs" \t\n\r: \t\n\r[ \t\n\r1 \t\n\r,'
+                   b' \t\n\r2.5 \t\n\r] \t\n\r, "model"\t:\n"m"\r} \t\n\r', "compiled"),
+    "form_feed": (b'{"inputs": [1,\x0c2]}', "error"),
+    "truncated_tensor": (b'{"inputs": [1, 2', "error"),
+    "truncated_object": (b'{"inputs": [1, 2]', "error"),
+    "truncated_string": (b'{"inputs": [1, 2], "model": "m', "error"),
+    "trailing_data": (b'{"inputs": [1]} x', "error"),
+    "leading_zero": (b'{"inputs": [01]}', "error"),
+    "bare_point": (b'{"inputs": [1.]}', "error"),
+    "leading_point": (b'{"inputs": [.5]}', "error"),
+    "plus_sign": (b'{"inputs": [+1]}', "error"),
+    "hex": (b'{"inputs": [0x10]}', "error"),
+    "empty_exponent": (b'{"inputs": [1e]}', "error"),
+    "lone_minus": (b'{"inputs": [-]}', "error"),
+    "non_utf8_in_tensor": (b'{"inputs": [1, \xff2]}', "error"),
+    "non_utf8_outside": (b'{"inputs": [1.5], "model": "\xff"}', "error"),
+    "not_an_object": (b'[1.5]', "error"),
+    "missing_inputs": (b'{"model": "m"}', "error"),
+    "empty_body": (b"", "error"),
+}
+
+
+@pytest.mark.parametrize("disabled", [False, True], ids=["kernels", "disabled"])
+@pytest.mark.parametrize("case", sorted(WIRE_CASES))
+def test_wire_cases_decode_like_json(case, disabled):
+    body, path = WIRE_CASES[case]
+    if disabled:
+        with kernels_disabled():
+            assert decode_path(body) in ("json", "error")
+        return
+    got = decode_path(body)
+    if not ck.kernel_available():
+        assert got in ("json", "error")
+    elif path is not None:
+        assert got == path
+
+
+WHITESPACE = st.sampled_from(["", "", " ", "\t", "\n", "\r", " \r\n\t"])
+
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(0, 24)).map(lambda t: f"{t[0]:.{t[1]}e}"),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["-0", "0", "-0.0", "-0e0", "1e400", "-1e400", "1e-400",
+                     "5e-324", "2.2250738585072014e-308", "1E5", "1e+5",
+                     "NaN", "Infinity", "-Infinity", "null", "true", '"1"',
+                     "01", "1.", ".5", "+1", "0." + "1" * 70]),
+)
+
+OTHER_FIELDS = [("model", '"m"'), ("priority", '"batch"'), ("no_cache", "true"),
+                ("tenant", '"t\\"inputs\\""'), ("meta", '{"inputs": [9], "x": [{}]}'),
+                ("note", '"inputs"'), ("deadline_ms", "2.5e3")]
+
+
+@st.composite
+def predict_bodies(draw):
+    """A ``/predict``-shaped body: a number tensor (sometimes ragged or with
+    a non-number token) among other fields in any order, then sometimes
+    damaged (BOM, truncation, a stray byte, a repeated or escaped key)."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    tokens = iter(draw(st.lists(NUMBER_TOKENS, min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape)))))
+    ragged = draw(st.booleans()) and draw(st.booleans())
+
+    def nest(dims):
+        if not dims:
+            return next(tokens)
+        items = [nest(dims[1:]) for _ in range(dims[0])]
+        if ragged and len(dims) == 1 and len(items) > 1:
+            items.pop()
+        sep = draw(WHITESPACE) + "," + draw(WHITESPACE)
+        return "[" + draw(WHITESPACE) + sep.join(items) + draw(WHITESPACE) + "]"
+
+    fields = [("inputs", nest(shape))] + draw(st.lists(
+        st.sampled_from(OTHER_FIELDS), unique_by=lambda f: f[0], max_size=4))
+    fields = draw(st.permutations(fields))
+    text = "{" + ",".join(f'{draw(WHITESPACE)}"{key}"{draw(WHITESPACE)}:'
+                          f'{draw(WHITESPACE)}{value}' for key, value in fields) + "}"
+    body = text.encode()
+    damage = draw(st.sampled_from(["none"] * 6 + ["bom", "truncate", "byte",
+                                                 "duplicate", "escaped"]))
+    if damage == "bom":
+        body = b"\xef\xbb\xbf" + body
+    elif damage == "truncate":
+        body = body[:draw(st.integers(0, len(body) - 1))]
+    elif damage == "byte":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00"])) + body[at:]
+    elif damage == "duplicate":
+        body = body[:-1] + b', "inputs": [7.5]}'
+    elif damage == "escaped":
+        body = body.replace(b'"inputs"', b'"in\\u0070uts"', 1)
+    return body
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(body=predict_bodies())
+def test_generated_bodies_decode_like_json(body):
+    decode_path(body)

@@ -1,5 +1,8 @@
 """Unit tests for the perf subsystem (chunking, workspace, timers, kernels)."""
 
+import ctypes
+import json
+
 import numpy as np
 import pytest
 
@@ -256,3 +259,38 @@ class TestCompiledKernel:
              "-o", str(tmp_path / "pecan_kernels.so"), str(source)],
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
+        # One source: the JSON tensor parser is built with the same flags.
+        lib = ctypes.CDLL(str(tmp_path / "pecan_kernels.so"))
+        for symbol in ("pecan_d_lookup", "json_inputs_shape", "json_inputs_fill"):
+            assert hasattr(lib, symbol), symbol
+
+    def test_json_inputs_ignore_a_comma_decimal_locale(self):
+        """The tensor parser reads numbers in the "C" locale whatever
+        ``LC_NUMERIC`` says (plain ``strtod`` would stop at the '.')."""
+        import locale
+        import repro.perf.ckernels as ck
+        if not ck.kernel_available():
+            pytest.skip("compiled kernels unavailable")
+        saved = locale.setlocale(locale.LC_NUMERIC)
+        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
+                     "de_DE", "fr_FR"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            if locale.localeconv()["decimal_point"] == ",":
+                break
+        else:
+            locale.setlocale(locale.LC_NUMERIC, saved)
+            pytest.skip("no comma-decimal locale installed")
+        # Past 19 significant digits or a decimal exponent of 19 the parser
+        # calls strtod_l; shorter numbers are converted in integer arithmetic.
+        body = (b'{"inputs": [0.5, 1.25e-300, 0.123456789012345678901234,'
+                b' -7.5e+300, 3]}')
+        try:
+            parsed = ck._json_inputs(body)
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, saved)
+        assert parsed is not None
+        expected = np.asarray(json.loads(body)["inputs"], dtype=np.float64)
+        assert parsed[0].tobytes() == expected.tobytes()

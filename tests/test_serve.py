@@ -29,6 +29,7 @@ from repro.serve import (BundleEngine, DynamicBatcher, ModelRegistry,
                          ServeConfig, ServeHTTPError, ServerMetrics)
 from repro.serve import scheduler
 from repro.serve.metrics import percentile
+from repro.serve.trace import Tracer
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -252,6 +253,27 @@ class TestDynamicBatcher:
         for i, result in enumerate(results):
             assert result.shape == (1, 1)
             np.testing.assert_allclose(result[0, 0], i * 18.0)
+
+    def test_engine_cpu_time_rides_next_to_its_wall_time(self):
+        """The ``batch.infer`` span carries the engine thread's CPU time for
+        the call, which can never exceed the span's wall time, and
+        ``/metrics`` reports it beside the inference latency."""
+        tracer = Tracer("test")
+        batcher = DynamicBatcher(lambda x: np.zeros((x.shape[0], 1)), tracer=tracer)
+        requests = [batcher.submit(np.zeros((1, 2)), trace_id=f"{i:032x}")
+                    for i in range(1, 4)]
+        batcher.start()
+        for request in requests:
+            request.result(timeout=5.0)
+        batcher.stop()
+        spans = [span for request in requests
+                 for span in tracer.find(request.trace_id)
+                 if span["name"] == "batch.infer"]
+        assert len(spans) == 3
+        for span in spans:
+            assert 0.0 <= span["attrs"]["cpu_ms"] <= span["duration_ms"] + 0.05
+        snap = batcher.metrics.snapshot()
+        assert snap["inference_cpu"]["count"] == snap["inference"]["count"] == 1
 
     def test_respects_max_batch_size(self):
         batches = []

@@ -20,7 +20,8 @@ from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, FrontRouter, PECANServer, PoolServer,
                          ServeConfig, canonical_response_bytes)
-from repro.serve.cache import canonical_num_samples
+from repro.serve.cache import canonical_input_hash, canonical_num_samples
+from repro.serve.pipeline import decode_predict_body
 from repro.serve.trace import LAMPORT_HEADER, TRACE_HEADER, new_trace_id
 
 
@@ -115,6 +116,39 @@ def test_bodies_are_utf8_json(request, door, bundle):
                                   BundleEngine(bundle).predict(x))
     status, reply, _ = post(port, text.encode("utf-16"))
     assert status == 400 and "error" in reply
+
+
+@pytest.mark.parametrize("door", ["server", "pool"])
+def test_json_floats_ints_and_ndarray_are_one_input(request, door, bundle):
+    """One tensor sent as JSON floats, as JSON ints (with ``-0``, which
+    ``json.loads`` reads as the int 0) and as an ndarray through the Python
+    ``predict`` API: one canonical hash, bitwise one output, and the second
+    and third sends are cache hits.  Malformed bodies keep their exact 400
+    message."""
+    door = request.getfixturevalue(door)
+    x = np.random.default_rng(11).integers(-3, 4, size=(2, 1, 10, 10)).astype(float)
+    floats = json.dumps({"inputs": x.tolist(), "model": "m"}).encode()
+    ints = json.dumps({"inputs": x.astype(int).tolist(), "model": "m"}).encode()
+    ints = ints.replace(b" 0,", b" -0,")
+    assert b"-0," in ints
+    hashes = {canonical_input_hash(decode_predict_body(body)["inputs"])
+              for body in (floats, ints)}
+    assert hashes == {canonical_input_hash(x)}
+    status, fill, _ = post(door.port, floats)
+    assert status == 200 and "cached" not in fill
+    status, hit, _ = post(door.port, ints)
+    assert status == 200 and hit["cached"] is True
+    in_process = door.predict(x, model="m")
+    assert in_process["cached"] is True
+    expected = BundleEngine(bundle).predict(x).view(np.uint64)
+    for reply in (fill, hit, in_process):
+        assert (np.asarray(reply["outputs"]).view(np.uint64) == expected).all()
+
+    for body in (b'{"inputs": [1, 2', b'{"inputs": [[1.5, 2], [3]], "model": "m"}'):
+        with pytest.raises(ValueError) as refused:
+            np.asarray(json.loads(body)["inputs"], dtype=np.float64)
+        status, reply, _ = post(door.port, body)
+        assert status == 400 and reply["error"] == str(refused.value)
 
 
 def run_matrix(port: int):
