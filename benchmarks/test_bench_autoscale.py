@@ -1,22 +1,15 @@
-"""Bench PR10 — elasticity & federation: the pool that sizes itself.
+"""Bench PR10 — elasticity: the pool that sizes itself.
 
-Two legs, both against the Section 4.3 paced accelerator cost model so
-capacity is worker-bound (not host-CPU-bound):
-
-* **ramp** — one elastic :class:`PoolServer` (autoscaler enabled,
-  envelope 1..4) is hammered by closed-loop clients.  Sustained queue
-  pressure must double the pool up to the ceiling (1 → 2 → 4), the
-  4-worker plateau must deliver a real multiple of one worker's paced
-  capacity, and when the load stops the idle dwell must walk the pool
-  back down to the floor (4 → 3 → 2 → 1).  Every response along the
-  whole ramp is verified bitwise against the reference engine; the
-  contract is zero failed requests and zero mismatches while the worker
-  set churns underneath the traffic.
-* **federation** — two single-worker pools behind a :class:`FrontRouter`.
-  Mid-load, the member that owns the model's namespace is stopped
-  outright.  Connection-level failures fail over to the survivor
-  (timeouts are never retried), so the contract is zero client-visible
-  failures, zero mismatches, and ``failovers_total >= 1``.
+One **ramp** leg against the Section 4.3 paced accelerator cost model, so
+capacity is worker-bound (not host-CPU-bound): one elastic
+:class:`PoolServer` (autoscaler enabled, envelope 1..4) is hammered by
+closed-loop clients.  Sustained queue pressure must double the pool up to
+the ceiling (1 → 2 → 4), the 4-worker plateau must deliver a real multiple
+of one worker's paced capacity, and when the load stops the idle dwell
+must walk the pool back down to the floor (4 → 3 → 2 → 1).  Every response
+along the whole ramp is verified bitwise against the reference engine; the
+contract is zero failed requests and zero mismatches while the worker set
+churns underneath the traffic.
 
 Results land in ``.bench_results/BENCH_PR10.json`` (leaf keys ``requests_per_s`` /
 ``p50_ms`` / ``p95_ms`` / ``p99_ms`` line up with
@@ -43,7 +36,7 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import BundleEngine, FrontRouter, PoolServer, ServeClient
+from repro.serve import BundleEngine, PoolServer, ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.server import _AcceleratorPacer
 
@@ -223,65 +216,6 @@ def run_ramp_leg(bundle: Path, hardware_hz: float, cases) -> dict:
     return leg
 
 
-def run_federation_leg(bundle: Path, cases) -> dict:
-    pools = []
-    for _ in range(2):
-        pool = PoolServer(config=ServeConfig.build(
-            port=0, workers=1,
-            **{"pool.heartbeat_interval_s": 0.1,
-               "cache.cache_mb": 0.0}))
-        pool.add_bundle(bundle, name="m")
-        pool.start()
-        assert pool.wait_ready(180.0)
-        pools.append(pool)
-    # A deliberately lazy prober: the kill must be discovered by live
-    # traffic (connection refused → failover hop), not papered over by a
-    # background health probe re-routing between requests.
-    front = FrontRouter(ServeConfig.build(
-        port=0,
-        **{"federation.members": tuple(f"127.0.0.1:{p.port}"
-                                       for p in pools),
-           "federation.probe_interval_s": 30.0})).start()
-    try:
-        victim_url = front.route_for("m")[0].url
-        victim = next(p for p in pools
-                      if f"127.0.0.1:{p.port}" == victim_url)
-        survivor = next(p for p in pools if p is not victim)
-
-        #: Enough completions that the kill lands mid-stream either side.
-        chunk = max(30, int(60 * WINDOW_S))
-        hammer = Hammer(front.url, cases, "m", 8).start()
-        try:
-            assert wait_for(lambda: hammer.count() >= chunk)
-            before_kill = hammer.count()
-            victim.stop()
-            killed_at = time.monotonic()
-            assert wait_for(lambda: hammer.count() >= before_kill + chunk)
-            recovered_s = time.monotonic() - killed_at
-        finally:
-            hammer.join()
-        leg = {
-            "requests": hammer.count(),
-            "completed_before_kill": before_kill,
-            "failures": len(hammer.failures),
-            "mismatches": hammer.mismatches,
-            "failovers_total": front.failovers_total,
-            "recovered_chunk_s": round(recovered_s, 3),
-            "survivor_proxied": front.members[
-                f"127.0.0.1:{survivor.port}"].proxied,
-            "failure_sample": hammer.failures[:3],
-        }
-        leg.update(hammer.percentiles())
-        return leg
-    finally:
-        front.stop()
-        for pool in pools:
-            try:
-                pool.stop()
-            except Exception:   # noqa: BLE001 - victim is already down
-                pass
-
-
 def test_bench_autoscale(tmp_path):
     bundle = build_bundle(tmp_path)
     engine = BundleEngine(bundle)
@@ -293,10 +227,9 @@ def test_bench_autoscale(tmp_path):
     hardware_hz = calibrate_hardware_hz(bundle)
 
     ramp = run_ramp_leg(bundle, hardware_hz, cases)
-    federation = run_federation_leg(bundle, cases)
 
     payload = {
-        "bench": "elastic pool ramp + federation failover (PR10)",
+        "bench": "elastic pool ramp (PR10)",
         "platform": platform.machine(),
         "cpu_count": os.cpu_count(),
         "config": {
@@ -308,7 +241,7 @@ def test_bench_autoscale(tmp_path):
             "one_worker_capacity_rps": round(ONE_WORKER_RPS, 1),
             "hardware_hz": round(hardware_hz, 1),
         },
-        "results": {"ramp": ramp, "federation": federation},
+        "results": {"ramp": ramp},
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
@@ -324,11 +257,3 @@ def test_bench_autoscale(tmp_path):
     # Contract 2: elasticity delivered real capacity — the 4-worker
     # plateau beats what one paced worker can possibly serve.
     assert ramp["requests_per_s"] > 1.5 * ONE_WORKER_RPS, ramp
-
-    # Contract 3: killing the owning member mid-load lost nothing the
-    # front could retry — zero client-visible failures, bitwise parity,
-    # and at least one recorded failover hop.
-    assert federation["failures"] == 0, federation["failure_sample"]
-    assert federation["mismatches"] == 0
-    assert federation["failovers_total"] >= 1
-    assert federation["requests"] >= federation["completed_before_kill"] + 30

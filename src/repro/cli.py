@@ -332,12 +332,9 @@ def _command_scale(args: argparse.Namespace) -> int:
     except ServeHTTPError as exc:
         print(f"scale failed: {exc}")
         return 1
-    if "members" in response:       # federation front: per-member results
-        print(json.dumps(response, indent=2))
-    else:
-        print(f"pool pinned to {response.get('workers', args.workers)} "
-              f"worker(s) (spawned {response.get('spawned', 0)}, "
-              f"retired {response.get('retired', 0)})")
+    print(f"pool pinned to {response.get('workers', args.workers)} "
+          f"worker(s) (spawned {response.get('spawned', 0)}, "
+          f"retired {response.get('retired', 0)})")
     return 0
 
 
@@ -413,11 +410,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve.config import serve_config_from_args
 
     config = serve_config_from_args(args)
-    if config.federation.members:
-        return _serve_federation(config)
     if not config.lifecycle.bundles:
-        print("error: serve needs at least one --bundle "
-              "(or --federate to start the federation front router)")
+        print("error: serve needs at least one --bundle")
         return 2
     if config.pool.workers > 1 or config.autoscale.enabled:
         return _serve_pool(config)
@@ -480,28 +474,6 @@ def _serve_pool(config) -> int:
               "see /healthz for per-worker errors")
     print("SIGTERM or Ctrl-C drains in-flight requests before shutdown")
     pool.serve_forever(install_signal_handler=False)
-    return 0
-
-
-def _serve_federation(config) -> int:
-    import signal
-
-    from repro.serve.federation import FrontRouter
-
-    front = FrontRouter(config)
-    signal.signal(signal.SIGTERM, lambda signum, frame: front.stop())
-    front.start()
-    members = ", ".join(config.federation.members)
-    print(f"federating on {front.url} over members: {members}")
-    print("model@version namespaces shard by consistent hashing; "
-          "failover to surviving members on connection failure or drain "
-          "(POST /predict /admin/*, GET /models /metrics /healthz /trace)")
-    try:
-        front.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        front.stop()
     return 0
 
 
@@ -681,10 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     rollback.set_defaults(handler=_command_rollback)
 
     scale = subparsers.add_parser(
-        "scale", help="pin a running pool's worker target (or broadcast to "
-                      "every member of a federation front)")
+        "scale", help="pin a running pool's worker target")
     scale.add_argument("--url", default="http://127.0.0.1:8080",
-                       help="base URL of the running pool/front process")
+                       help="base URL of the running pool process")
     scale.add_argument("--timeout_s", type=float, default=30.0,
                        help="admin request timeout")
     scale.add_argument("--workers", type=int, required=True,

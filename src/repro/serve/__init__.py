@@ -64,7 +64,7 @@ inference program); this package turns that file back into a serving process:
   :class:`SlowlorisSwarm` for slow-client chaos;
 * :mod:`repro.serve.netfront` — :class:`EventLoopFrontEnd`, the
   ``selectors``-based HTTP/1.1 network front end shared by
-  :class:`PECANServer`, :class:`PoolServer` and :class:`FrontRouter`:
+  :class:`PECANServer` and :class:`PoolServer`:
   non-blocking accept/read/write on one loop thread, incremental parsing
   (:class:`RequestParser`),
   keep-alive with in-order pipelining, a bounded connection budget
@@ -72,8 +72,8 @@ inference program); this package turns that file back into a serving process:
   parsed requests to the blocking serving plane over a bounded completion
   bridge;
 * :mod:`repro.serve.config` — :class:`ServeConfig`, the layered configuration
-  tree that is the ONE constructor argument for :class:`PECANServer` /
-  :class:`PoolServer` / :class:`FrontRouter`; every ``repro-pecan serve``
+  tree that is the ONE constructor argument for :class:`PECANServer` and
+  :class:`PoolServer`; every ``repro-pecan serve``
   flag, its ``--help`` text and the README reference table are generated
   from its field metadata, with argv ⇄ config ⇄ JSON round trips;
 * :mod:`repro.serve.adminapi` — the typed ``/admin/*`` wire contract shared
@@ -82,12 +82,7 @@ inference program); this package turns that file back into a serving process:
 * :mod:`repro.serve.autoscale` — :class:`Autoscaler`, the elastic
   worker-pool policy: sustained queue/latency pressure doubles the worker
   target, idle dwell steps it down (optionally to zero with mmap-backed
-  cold starts), all inside the crash-loop breaker's authority;
-* :mod:`repro.serve.federation` — :class:`FrontRouter`, the multi-pool
-  federation tier: ``model@version`` namespaces shard across member pools
-  by consistent hashing on the stable route hash, with byte-compatible
-  proxying, failover to surviving members (timeouts never retried) and
-  Lamport-merged ``/metrics`` + ``/trace``.
+  cold starts), all inside the crash-loop breaker's authority.
 
 Importing this package never loads the training substrate (autograd,
 optimizers, the model zoo) — the serving path stays lean, which
@@ -103,15 +98,13 @@ from repro.serve.autoscale import Autoscaler, ScaleDecision, ScaleSignals
 from repro.serve.cache import (NO_CACHE_HEADER, CachePlane, InFlightCall,
                                ResultCache, canonical_input_array,
                                canonical_input_hash, canonical_response_bytes,
-                               consistent_ring_points, splice_json,
-                               stable_route_hash)
+                               splice_json, stable_route_hash)
 from repro.serve.client import BulkScorer, ServeClient, ServeHTTPError
 from repro.serve.config import (AutoscaleConfig, CacheConfig, EngineConfig,
-                                FederationConfig, LifecycleConfig, NetConfig,
-                                PoolConfig, ServeConfig, TraceConfig,
+                                LifecycleConfig, NetConfig, PoolConfig,
+                                ServeConfig, TraceConfig,
                                 add_serve_arguments, config_reference_table,
                                 serve_config_from_args, serve_config_to_args)
-from repro.serve.federation import FrontRouter, HashRing, MemberPool
 from repro.serve.engine import BundleEngine
 from repro.serve.loadgen import (LoadResult, SlowlorisSwarm, ZipfWorkload,
                                  run_concurrent_load, run_zipf_load,
@@ -157,7 +150,6 @@ __all__ = [
     "AutoscaleConfig",
     "CacheConfig",
     "EngineConfig",
-    "FederationConfig",
     "LifecycleConfig",
     "NetConfig",
     "PoolConfig",
@@ -167,10 +159,6 @@ __all__ = [
     "config_reference_table",
     "serve_config_from_args",
     "serve_config_to_args",
-    "FrontRouter",
-    "HashRing",
-    "MemberPool",
-    "consistent_ring_points",
     "BROWNOUT_STATES",
     "PRIORITY_CLASSES",
     "BrownoutController",

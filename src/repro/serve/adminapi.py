@@ -1,8 +1,7 @@
 """Typed request/response schemas for the ``/admin/*`` API.
 
-Four subsystems speak the admin protocol — :class:`~repro.serve.server.
-PECANServer`, :class:`~repro.serve.pool.PoolServer`, the federation
-:class:`~repro.serve.federation.FrontRouter` and
+Three subsystems speak the admin protocol — :class:`~repro.serve.server.
+PECANServer`, :class:`~repro.serve.pool.PoolServer` and
 :class:`~repro.serve.client.ServeClient` — and until this module each kept
 its own ad-hoc payload parsing, so a field added on one side silently
 vanished on another.  This module is the single wire contract:
@@ -18,8 +17,7 @@ vanished on another.  This module is the single wire contract:
   branch on ``code`` instead of regex-matching messages.
 * **Shared dispatch** — :func:`dispatch_admin` owns path routing, body
   parsing and the exception→status mapping for every server, so the admin
-  plane literally cannot drift between the single server, the pool and the
-  federation front.
+  plane literally cannot drift between the single server and the pool.
 
 Error codes (``ERROR_CODES``): ``bad-request`` (400 — validation,
 lifecycle-rule or file errors), ``not-found`` (404 — unknown model/version/

@@ -49,7 +49,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -112,19 +112,6 @@ def canonical_input_hash(inputs: Any) -> str:
 def stable_route_hash(key: str) -> int:
     """Process-stable string hash for affinity bucketing (crc32)."""
     return zlib.crc32(key.encode("utf-8"))
-
-
-def consistent_ring_points(member: str, replicas: int) -> List[int]:
-    """Virtual-node positions for ``member`` on a consistent-hash ring.
-
-    Each member claims ``replicas`` points derived from
-    :func:`stable_route_hash` — the same process-stable hash the cache and
-    the affinity routing policies key on, so a federation front router and a
-    pool's ``cache_affinity`` policy agree about identity.  More replicas
-    spread namespaces more evenly and shrink the remap set when a member
-    leaves (only keys whose arc belonged to it move).
-    """
-    return [stable_route_hash(f"{member}#{index}") for index in range(replicas)]
 
 
 def canonical_response_bytes(response: Union[bytes, Dict[str, Any], None],

@@ -8,10 +8,9 @@ tree:
 
 * :class:`ServeConfig` — the ONE constructor argument for
   :class:`~repro.serve.server.PECANServer`,
-  :class:`~repro.serve.pool.PoolServer` and
-  :class:`~repro.serve.federation.FrontRouter`.  Sections:
+  and :class:`~repro.serve.pool.PoolServer`.  Sections:
   ``net`` / ``engine`` / ``pool`` / ``qos`` / ``cache`` / ``trace`` /
-  ``lifecycle`` / ``autoscale`` / ``federation``.
+  ``lifecycle`` / ``autoscale``.
 * **Flag generation** — every ``repro-pecan serve`` flag is generated from
   the field metadata (:func:`add_serve_arguments`), so a flag and its config
   field can never drift: adding a field adds the flag, its ``--help`` text
@@ -59,7 +58,6 @@ __all__ = [
     "AutoscaleConfig",
     "CacheConfig",
     "EngineConfig",
-    "FederationConfig",
     "FlagSpec",
     "LifecycleConfig",
     "NetConfig",
@@ -332,39 +330,11 @@ class AutoscaleConfig:
 
 
 @dataclass
-class FederationConfig:
-    """The multi-pool federation tier (:mod:`repro.serve.federation`)."""
-
-    members: Tuple[str, ...] = cfgfield(
-        factory=tuple, flag="--federate", parse=str, repeatable=True,
-        metavar="URL",
-        help="base URL of a member PoolServer/PECANServer; repeatable; any "
-             "--federate makes `serve` start the federation front router "
-             "that shards model namespaces across the members by "
-             "consistent hashing")
-    ring_replicas: int = cfgfield(
-        64, parse=int,
-        help="virtual nodes per member on the consistent-hash ring "
-             "(more = smoother namespace spread, slower ring builds)")
-    failover_retries: int = cfgfield(
-        1, parse=int,
-        help="how many surviving members to try after a member connection "
-             "failure or draining refusal (in-flight timeouts are never "
-             "retried)")
-    front_timeout_s: float = cfgfield(
-        60.0, parse=float,
-        help="front-router socket timeout per proxied member request")
-    probe_interval_s: float = cfgfield(
-        1.0, flag="--member_probe_interval_s", parse=float,
-        help="how often the front router health-probes its members")
-
-
-@dataclass
 class ServeConfig:
     """Every serving knob, layered by subsystem.
 
-    ``PECANServer(config=ServeConfig(...))`` (and the same for ``PoolServer``
-    / ``FrontRouter``) is the one construction path.  :meth:`build` offers a
+    ``PECANServer(config=ServeConfig(...))`` (and the same for
+    ``PoolServer``) is the one construction path.  :meth:`build` offers a
     flat convenience spelling for tests and scripts:
     ``ServeConfig.build(port=0, workers=4)``.
     """
@@ -377,7 +347,6 @@ class ServeConfig:
     trace: TraceConfig = field(default_factory=TraceConfig)
     lifecycle: LifecycleConfig = field(default_factory=LifecycleConfig)
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
-    federation: FederationConfig = field(default_factory=FederationConfig)
 
     @classmethod
     def build(cls, **flat: Any) -> "ServeConfig":
@@ -438,7 +407,6 @@ SECTION_ORDER: Tuple[Tuple[str, type], ...] = (
     ("trace", TraceConfig),
     ("lifecycle", LifecycleConfig),
     ("autoscale", AutoscaleConfig),
-    ("federation", FederationConfig),
 )
 
 

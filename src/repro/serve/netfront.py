@@ -28,9 +28,8 @@ becomes an ordered slot on its connection; the application thread renders
 the response bytes and posts the slot back to the loop through a socketpair
 wakeup, so the loop thread remains the only writer to any socket.
 
-This is the only network plane: :class:`~repro.serve.server.PECANServer`,
-:class:`~repro.serve.pool.PoolServer` and
-:class:`~repro.serve.federation.FrontRouter` each hand it their
+This is the only network plane: :class:`~repro.serve.server.PECANServer`
+and :class:`~repro.serve.pool.PoolServer` each hand it their
 ``handle_http`` application hook.
 """
 
@@ -332,8 +331,8 @@ class EventLoopFrontEnd:
     ----------
     app:
         ``app(method, path, headers, body) -> (status, body_bytes, headers)``
-        — the dispatch :class:`PECANServer`, :class:`PoolServer` and
-        :class:`FrontRouter` expose as ``handle_http``.  Called on an
+        — the dispatch :class:`PECANServer` and :class:`PoolServer` expose
+        as ``handle_http``.  Called on an
         application thread; may block (batcher waits, worker proxying).
     net:
         The :class:`~repro.serve.config.NetConfig` the front end runs:

@@ -25,9 +25,9 @@ same steps, held here once:
    ``Retry-After`` where the client should back off).  Hits and coalesced
    followers are spliced from the canonical cached bytes, never re-encoded.
 
-:class:`FrontDoor` is what every server and the federation front share on
-the wire (the ``GET``/``POST`` route table, the front end's lifecycle, the
-merged ``/trace``), and :func:`json_response` the one JSON reply helper.
+:class:`FrontDoor` is what both servers share on the wire (the
+``GET``/``POST`` route table, the front end's lifecycle, the merged
+``/trace``), and :func:`json_response` the one JSON reply helper.
 """
 
 from __future__ import annotations
@@ -418,11 +418,11 @@ class FrontDoor:
     ``lifecycle_snapshot``), the two POST handlers
     ``predict_http(headers, body)`` and ``admin_http(path, body, headers)``,
     and the attributes ``config``, ``host``, ``port`` and ``tracer``.  A
-    server that fronts other processes (pool workers, federation members)
-    lists them in :meth:`peers` and reaches them with :meth:`exchange`, over
-    one idle pool per server keyed by ``(host, port)`` — the connection
-    layer ``ServeClient`` uses too.  Connections are parked only while the
-    server is bound.
+    server that fronts other processes (pool workers) lists them in
+    :meth:`peers` and reaches them with :meth:`exchange`, over one idle pool
+    per server keyed by ``(host, port)`` — the connection layer
+    ``ServeClient`` uses too.  Connections are parked only while the server
+    is bound.
     """
 
     _frontend: Optional[EventLoopFrontEnd] = None

@@ -990,8 +990,8 @@ class PoolServer(FrontDoor):
         """
         with self._lock:
             if self._draining or not self._running:
-                # Refused before any dispatch: a federation front may safely
-                # retry it on another member (``reason`` tells it so).
+                # Refused before any dispatch, so a client may safely retry
+                # it elsewhere (``reason`` tells it so).
                 return json_response(503, {"error": "pool is draining",
                                            "reason": "draining"})
             self._inflight += 1

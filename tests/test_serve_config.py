@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -112,7 +113,7 @@ class TestPreExistingFlagParity:
         names = {f"{section}.{spec.name}"
                  for section, spec in iter_serve_fields()}
         assert len(names) > 50
-        assert "autoscale.enabled" in names and "federation.members" in names
+        assert "autoscale.enabled" in names and "lifecycle.bundles" in names
 
     def test_reference_table_covers_every_flag(self):
         table = config_reference_table()
@@ -120,6 +121,14 @@ class TestPreExistingFlagParity:
             if spec.flag:
                 assert spec.flag in table, spec.flag
             assert f"`{spec.name}`" in table
+
+    def test_readme_holds_the_generated_reference_table(self):
+        # The README's configuration table is this function's output pasted
+        # verbatim, from the blank line after its summary to the closing
+        # tag; a field added, removed or re-documented must be pasted again.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = "\n\n" + config_reference_table() + "</details>"
+        assert block in readme.read_text(encoding="utf-8")
 
 
 # --------------------------------------------------------------------------- #
@@ -313,7 +322,7 @@ class TestSections:
     def test_section_order_matches_serveconfig_fields(self):
         assert [name for name, _ in SECTION_ORDER] == [
             "net", "engine", "pool", "qos", "cache", "trace", "lifecycle",
-            "autoscale", "federation"]
+            "autoscale"]
 
     def test_flag_specs_reject_bare_fields(self):
         import dataclasses

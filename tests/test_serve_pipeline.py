@@ -18,8 +18,8 @@ from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, FrontRouter, PECANServer, PoolServer,
-                         ServeConfig, canonical_response_bytes)
+from repro.serve import (BundleEngine, PECANServer, PoolServer, ServeConfig,
+                         canonical_response_bytes)
 from repro.serve.cache import canonical_input_hash, canonical_num_samples
 from repro.serve.pipeline import decode_predict_body
 from repro.serve.trace import LAMPORT_HEADER, TRACE_HEADER, new_trace_id
@@ -64,15 +64,6 @@ def pool(bundle):
     pool.stop(drain=True)
 
 
-@pytest.fixture(scope="module")
-def front(server):
-    front = FrontRouter(ServeConfig.build(
-        port=0, **{"federation.members": (f"127.0.0.1:{server.port}",)}))
-    front.start()
-    yield front
-    front.stop()
-
-
 def post(port: int, body: bytes, headers=None):
     """POST raw bytes to ``/predict``: ``(status, body_dict, headers)``."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60.0)
@@ -89,7 +80,7 @@ def post(port: int, body: bytes, headers=None):
 
 @pytest.mark.parametrize("body", [b'"inputs"', b'["inputs"]', b"5"],
                          ids=["string", "list", "number"])
-@pytest.mark.parametrize("door", ["server", "pool", "front"])
+@pytest.mark.parametrize("door", ["server", "pool"])
 def test_non_object_json_body_is_400(request, door, body):
     """Valid JSON that is not an object is a client error at every front
     door (the single server used to answer 500 for a string or a list)."""
@@ -102,7 +93,7 @@ def test_non_object_json_body_is_400(request, door, body):
     assert headers[TRACE_HEADER.lower()] == trace_id
 
 
-@pytest.mark.parametrize("door", ["server", "pool", "front"])
+@pytest.mark.parametrize("door", ["server", "pool"])
 def test_bodies_are_utf8_json(request, door, bundle):
     """JSON on the wire is UTF-8 (RFC 8259), with or without a BOM and
     trailing whitespace.  The pool splices its hop fields onto the client's

@@ -10,6 +10,8 @@ the CLI entry point.
 
 from __future__ import annotations
 
+import http.client
+import json
 import signal
 import socket
 import subprocess
@@ -444,6 +446,28 @@ class TestPoolLifecycle:
         with pytest.raises(ServeHTTPError) as excinfo:
             idle.predict(np.zeros((1, 1, 10, 10)))
         assert excinfo.value.status == 503
+
+    def test_draining_pool_refuses_predict_before_dispatch(self):
+        # A stopping pool answers /predict with a structured 503 before it
+        # dispatches anything.  Only the router is bound: no worker exists,
+        # so any other answer would mean the refusal came too late.
+        draining = PoolServer(config=ServeConfig.build(
+            port=0, workers=1, cache_mb=0.0))
+        draining._draining = True
+        draining._bind()
+        connection = http.client.HTTPConnection("127.0.0.1", draining.port,
+                                                timeout=30.0)
+        try:
+            connection.request("POST", "/predict", body=json.dumps(
+                {"inputs": np.zeros((1, 1, 10, 10)).tolist(),
+                 "model": "toy"}))
+            response = connection.getresponse()
+            assert response.status == 503
+            assert json.loads(response.read()) == {
+                "error": "pool is draining", "reason": "draining"}
+        finally:
+            connection.close()
+            draining.stop()
 
     def test_graceful_drain_completes_in_flight_requests(self, pool_bundle,
                                                          module_rng):
