@@ -25,20 +25,15 @@ from __future__ import annotations
 import json
 import os
 import platform
-import threading
 import time
 from pathlib import Path
 
 import numpy as np
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
+from harness import ClosedLoop, accelerator_hz, build_bundle
 from repro.serve import BundleEngine, PoolServer, ServeClient
 from repro.serve.config import ServeConfig
-from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = result_path("BENCH_PR10.json")
 
@@ -55,27 +50,6 @@ IMAGE = 10
 IN_CHANNELS = 1
 
 
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, 6, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "m.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
-def calibrate_hardware_hz(bundle: Path) -> float:
-    calibration = BundleEngine(bundle)
-    calibration.predict(np.zeros((1, IN_CHANNELS, IMAGE, IMAGE)))
-    hardware_hz = (_AcceleratorPacer(calibration, hz=1.0)._cycles()
-                   / ACCEL_SECONDS_PER_SAMPLE)
-    assert hardware_hz > 0
-    return hardware_hz
-
-
 def wait_for(predicate, timeout_s=120.0, interval_s=0.05):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -85,75 +59,30 @@ def wait_for(predicate, timeout_s=120.0, interval_s=0.05):
     return predicate()
 
 
-class Hammer:
+def hammer(url: str, cases, model: str, threads: int) -> ClosedLoop:
     """Closed-loop clients verifying every response bitwise.
 
     ``cases`` is a list of ``(input, expected_logits)`` pairs; each thread
     cycles through them from its own offset so the stream stays unique
     enough that the PR8 response cache cannot absorb the load (the pools
     under test disable it anyway — the autoscaler must see real work).
+    Runs until :meth:`ClosedLoop.stop`.
     """
+    clients = [ServeClient(url, timeout_s=120.0) for _ in range(threads)]
 
-    def __init__(self, url: str, cases, model: str, threads: int):
-        self.url, self.cases, self.model = url, cases, model
-        self.stop = threading.Event()
-        self.lock = threading.Lock()
-        self.completed = 0
-        self.failures: list = []
-        self.mismatches = 0
-        self.latencies_ms: list = []
-        self.threads = [threading.Thread(target=self._run, args=(offset,))
-                        for offset in range(threads)]
+    def case(client: int, n: int):
+        return cases[(client + n) % len(cases)]
 
-    def _run(self, offset: int):
-        client = ServeClient(self.url, timeout_s=120.0)
-        index = offset
-        while not self.stop.is_set():
-            x, expected = self.cases[index % len(self.cases)]
-            index += 1
-            started = time.monotonic()
-            try:
-                outputs = client.predict(x, model=self.model)
-            except Exception as exc:    # noqa: BLE001 - collected for report
-                with self.lock:
-                    self.failures.append(repr(exc))
-                continue
-            elapsed_ms = (time.monotonic() - started) * 1e3
-            ok = np.array_equal(np.asarray(outputs), expected)
-            with self.lock:
-                self.completed += 1
-                self.latencies_ms.append(elapsed_ms)
-                if not ok:
-                    self.mismatches += 1
-
-    def start(self):
-        for thread in self.threads:
-            thread.start()
-        return self
-
-    def join(self):
-        self.stop.set()
-        for thread in self.threads:
-            thread.join(60.0)
-
-    def count(self) -> int:
-        with self.lock:
-            return self.completed
-
-    def percentiles(self) -> dict:
-        with self.lock:
-            lat = np.asarray(self.latencies_ms, dtype=float)
-        if not lat.size:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-        return {name: round(float(np.percentile(lat, q)), 3)
-                for name, q in (("p50_ms", 50), ("p95_ms", 95),
-                                ("p99_ms", 99))}
+    return ClosedLoop(
+        lambda client, n: clients[client].predict(case(client, n)[0],
+                                                  model=model),
+        clients=threads, expect=lambda client, n: case(client, n)[1])
 
 
-def measure_rps(hammer: Hammer, window_s: float) -> float:
-    before = hammer.count()
+def measure_rps(load: ClosedLoop, window_s: float) -> float:
+    before = load.completed()
     time.sleep(window_s)
-    return round((hammer.count() - before) / window_s, 1)
+    return round((load.completed() - before) / window_s, 1)
 
 
 def run_ramp_leg(bundle: Path, hardware_hz: float, cases) -> dict:
@@ -174,17 +103,17 @@ def run_ramp_leg(bundle: Path, hardware_hz: float, cases) -> dict:
         assert pool.wait_ready(180.0), "pool never became ready"
         ready = lambda: len(pool.ready_workers())   # noqa: E731
 
-        hammer = Hammer(pool.url, cases, "m", HAMMERS).start()
+        load = hammer(pool.url, cases, "m", HAMMERS).start()
         ramp_started = time.monotonic()
         try:
             grew = wait_for(lambda: ready() >= MAX_WORKERS)
             ramp_up_s = time.monotonic() - ramp_started
             assert grew, (f"queue pressure never grew the pool to "
                           f"{MAX_WORKERS} (ready={ready()})")
-            peak_rps = measure_rps(hammer, max(WINDOW_S, 0.5))
+            peak_rps = measure_rps(load, max(WINDOW_S, 0.5))
             peak_ready = ready()
         finally:
-            hammer.join()
+            result = load.stop()
 
         shrink_started = time.monotonic()
         shrank = wait_for(lambda: ready() == 1 and
@@ -198,11 +127,11 @@ def run_ramp_leg(bundle: Path, hardware_hz: float, cases) -> dict:
             np.asarray(tail.predict(tail_x, model="m")), tail_expected)
         autoscale = pool.metrics_snapshot()["autoscale"]
 
-    leg = {
-        "requests": hammer.count(),
+    return {
+        "requests": result.requests,
         "requests_per_s": peak_rps,
-        "failures": len(hammer.failures),
-        "mismatches": hammer.mismatches,
+        "failures": result.summary("errors")["errors"],
+        "mismatches": result.mismatches,
         "peak_ready_workers": peak_ready,
         "ramp_up_s": round(ramp_up_s, 3),
         "ramp_down_s": round(ramp_down_s, 3),
@@ -210,21 +139,22 @@ def run_ramp_leg(bundle: Path, hardware_hz: float, cases) -> dict:
         "scale_downs": autoscale["scale_downs"],
         "reasons": sorted({event["reason"]
                            for event in autoscale["events"]}),
-        "failure_sample": hammer.failures[:3],
+        "failure_sample": result.errors[:3],
+        **result.summary("p50_ms", "p95_ms", "p99_ms"),
     }
-    leg.update(hammer.percentiles())
-    return leg
 
 
 def test_bench_autoscale(tmp_path):
-    bundle = build_bundle(tmp_path)
+    bundle = build_bundle(tmp_path, name="m", image=IMAGE,
+                          in_channels=IN_CHANNELS, prototypes=4, hidden=(4,),
+                          classes=6)
     engine = BundleEngine(bundle)
     rng = np.random.default_rng(1)
     cases = []
     for _ in range(UNIQUE_BODIES):
         x = rng.standard_normal((1, IN_CHANNELS, IMAGE, IMAGE))
         cases.append((x, engine.predict(x)))
-    hardware_hz = calibrate_hardware_hz(bundle)
+    hardware_hz = accelerator_hz(bundle, ACCEL_SECONDS_PER_SAMPLE)
 
     ramp = run_ramp_leg(bundle, hardware_hz, cases)
 

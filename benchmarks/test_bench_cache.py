@@ -42,13 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
+from harness import accelerator_hz, build_bundle, run_zipf_load
 from repro.serve import (BundleEngine, PoolServer, ServeClient, ServeConfig,
-                         ZipfWorkload, canonical_response_bytes, run_zipf_load)
-from repro.serve.server import _AcceleratorPacer
+                         ZipfWorkload, canonical_response_bytes)
 
 RESULT_PATH = result_path("BENCH_PR8.json")
 
@@ -70,20 +66,6 @@ ACCEL_SECONDS_PER_SAMPLE = 0.025
 WORKERS = 2
 IMAGE = 12
 IN_CHANNELS = 3
-
-
-def build_bundle(tmp_path: Path, seed: int, name: str) -> Path:
-    rng = np.random.default_rng(seed)
-    cfg = PQLayerConfig(num_prototypes=8, mode="distance", temperature=0.5)
-    spatial = (IMAGE - 2) // 2
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 16, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(16 * spatial * spatial, 32, rng=rng), ReLU(),
-        Linear(32, 10, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / f"{name}.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
 
 
 def canonical_references(engine: BundleEngine, items) -> list:
@@ -212,15 +194,9 @@ def test_bench_cache(tmp_path):
     items = [rng.standard_normal((SAMPLES_PER_REQUEST, IN_CHANNELS,
                                   IMAGE, IMAGE)) for _ in range(UNIQUE_ITEMS)]
 
-    # Calibrate the emulated accelerator clock from one traced request so a
-    # SAMPLES_PER_REQUEST batch is paced to exactly
+    # A SAMPLES_PER_REQUEST batch is paced to exactly
     # SAMPLES_PER_REQUEST * ACCEL_SECONDS_PER_SAMPLE of modeled latency.
-    calibration = BundleEngine(v1)
-    calibration.predict(items[0])
-    pacer = _AcceleratorPacer(calibration, hz=1.0)
-    hardware_hz = pacer._cycles() / (SAMPLES_PER_REQUEST
-                                     * ACCEL_SECONDS_PER_SAMPLE)
-    assert hardware_hz > 0
+    hardware_hz = accelerator_hz(v1, ACCEL_SECONDS_PER_SAMPLE)
     workload = ZipfWorkload(items, alpha=ZIPF_ALPHA, seed=7)
     v1_refs = canonical_references(engine_v1, items)
     v2_refs = canonical_references(engine_v2, items)

@@ -2,11 +2,12 @@
 
 A paced 2-worker pool (Section 4.3 accelerator cost model, cache disabled so
 every request really executes) is driven at 32 / 128 / 512 concurrent
-**keep-alive** connections by the selectors-multiplexed closed-loop driver
-:func:`repro.serve.loadgen.run_concurrent_load`.  The ``selectors`` front end
-has one loop thread owning every socket, a deep accept backlog that absorbs
-the connect storm, and a bounded app-thread bridge that keeps serving-plane
-concurrency at ``io_threads`` no matter how many connections are open.
+**keep-alive** connections by ``run_concurrent_load`` from
+``benchmarks/harness.py``, the selectors-multiplexed closed-loop driver.
+The ``selectors`` front end has one loop thread owning every socket, a deep
+accept backlog that absorbs the connect storm, and a bounded app-thread
+bridge that keeps serving-plane concurrency at ``io_threads`` no matter how
+many connections are open.
 
 Contracts:
 
@@ -36,13 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, PoolServer, ServeConfig,
-                         run_concurrent_load)
-from repro.serve.server import _AcceleratorPacer
+from harness import accelerator_hz, build_bundle, run_concurrent_load
+from repro.serve import BundleEngine, PoolServer, ServeConfig
 
 RESULT_PATH = result_path("BENCH_PR9.json")
 
@@ -72,18 +68,6 @@ def _raise_fd_limit(want: int = 4096) -> None:
                                (min(want, hard), hard))
     except (ImportError, ValueError, OSError):
         pass
-
-
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, 6, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "m.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
 
 
 def start_pool(bundle: Path, hardware_hz: float) -> PoolServer:
@@ -127,7 +111,9 @@ def run_leg(pool: PoolServer, bodies, references, conns: int,
 
 def test_bench_connections(tmp_path):
     _raise_fd_limit()
-    bundle = build_bundle(tmp_path)
+    bundle = build_bundle(tmp_path, name="m", image=IMAGE,
+                          in_channels=IN_CHANNELS, prototypes=4, hidden=(4,),
+                          classes=6)
     engine = BundleEngine(bundle)
 
     rng = np.random.default_rng(1)
@@ -138,11 +124,7 @@ def test_bench_connections(tmp_path):
             {"inputs": x.tolist(), "model": "m"}).encode())
         references.append(engine.predict(x).tolist())
 
-    calibration = BundleEngine(bundle)
-    calibration.predict(np.zeros((1, IN_CHANNELS, IMAGE, IMAGE)))
-    pacer = _AcceleratorPacer(calibration, hz=1.0)
-    hardware_hz = pacer._cycles() / ACCEL_SECONDS_PER_SAMPLE
-    assert hardware_hz > 0
+    hardware_hz = accelerator_hz(bundle, ACCEL_SECONDS_PER_SAMPLE)
 
     #: Total requests per leg, scaled by the CI window knob; every
     #: connection gets at least two so keep-alive reuse is always exercised.

@@ -29,16 +29,13 @@ from __future__ import annotations
 import json
 import os
 import platform
-import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.models import build_model
+from harness import build_bundle, run_singles
 from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
 RESULT_PATH = result_path("BENCH_PR3.json")
@@ -51,51 +48,6 @@ IMAGE = 16
 IN_CHANNELS = 3
 WIDTH = 0.125
 PROTOTYPE_CAP = 4
-
-
-def build_bundle(tmp_path: Path) -> Path:
-    model = build_model("resnet20_pecan_d", width_multiplier=WIDTH,
-                        prototype_cap=PROTOTYPE_CAP,
-                        rng=np.random.default_rng(0))
-    return export_deployment_bundle(model, tmp_path / "resnet_bench.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
-def run_load(client: ServeClient, images: np.ndarray, window_s: float):
-    """Closed-loop load: CLIENTS workers fire singles for ``window_s``."""
-    stop_at = time.monotonic() + window_s
-    latencies_ms = []
-    errors = []
-    lock = threading.Lock()
-
-    def worker(offset: int):
-        i = offset
-        while time.monotonic() < stop_at:
-            sample = images[i % len(images):i % len(images) + 1]
-            started = time.monotonic()
-            try:
-                client.predict(sample)
-            except Exception as exc:            # noqa: BLE001 - recorded below
-                with lock:
-                    errors.append(repr(exc))
-                return
-            elapsed = (time.monotonic() - started) * 1e3
-            with lock:
-                latencies_ms.append(elapsed)
-            i += CLIENTS
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(CLIENTS)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - started
-    return latencies_ms, elapsed, errors
-
-
-def _quantile(ordered, q):
-    return round(ordered[min(len(ordered) - 1, int(len(ordered) * q))], 3)
 
 
 def _engine_throughput(engine: BundleEngine, images: np.ndarray,
@@ -112,7 +64,10 @@ def _engine_throughput(engine: BundleEngine, images: np.ndarray,
 
 @pytest.fixture(scope="module")
 def bench_results(tmp_path_factory):
-    bundle_path = build_bundle(tmp_path_factory.mktemp("graph_serving"))
+    bundle_path = build_bundle(
+        tmp_path_factory.mktemp("graph_serving"), name="resnet_bench",
+        arch="resnet20_pecan_d", width=WIDTH, prototypes=PROTOTYPE_CAP,
+        image=IMAGE, in_channels=IN_CHANNELS)
     engine = BundleEngine(bundle_path)
     optimized = BundleEngine(bundle_path, optimize=True)
     rng = np.random.default_rng(1)
@@ -134,23 +89,19 @@ def bench_results(tmp_path_factory):
             assert client.wait_ready(10.0)
             # Parity spot-check through the full HTTP + batching stack.
             np.testing.assert_array_equal(client.predict(images[:4]), expected)
-            latencies_ms, elapsed, errors = run_load(client, images, WINDOW_S)
+            load = run_singles(lambda _, batch: client.predict(batch),
+                               images, clients=CLIENTS, window_s=WINDOW_S)
             # Every audit queued so far must have run before it is counted.
             assert server.monitor.drain(60.0), "parity audits never drained"
             metrics = server.metrics_snapshot()
             snapshot = metrics["server"]
             verification = metrics["runtime_verification"]
-        assert not errors, errors[:3]
-        assert latencies_ms, "no requests completed"
-        ordered = sorted(latencies_ms)
+        assert not load.errors, load.errors[:3]
+        assert load.latencies_ms, "no requests completed"
         results[f"max_batch_{budget}"] = {
             "max_batch_size": budget,
-            "requests": len(latencies_ms),
-            "window_s": round(elapsed, 3),
-            "requests_per_s": round(len(latencies_ms) / elapsed, 1),
-            "p50_ms": _quantile(ordered, 0.50),
-            "p95_ms": _quantile(ordered, 0.95),
-            "p99_ms": _quantile(ordered, 0.99),
+            **load.summary("requests", "window_s", "requests_per_s",
+                           "p50_ms", "p95_ms", "p99_ms"),
             "batch_histogram": snapshot["batching"]["histogram"],
             "mean_batch": round(snapshot["batching"]["mean_batch"], 2),
             "audits": verification["checks"],

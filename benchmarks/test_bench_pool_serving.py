@@ -36,20 +36,14 @@ from __future__ import annotations
 import json
 import os
 import platform
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
+from harness import accelerator_hz, build_bundle, run_singles
 from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
-from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = result_path("BENCH_PR4.json")
 
@@ -62,61 +56,6 @@ IN_CHANNELS = 3
 PROTOTYPES = 8
 #: Modeled accelerator latency per sample in the emulated profile.
 ACCEL_SECONDS_PER_SAMPLE = 0.008
-
-
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=PROTOTYPES, mode="distance", temperature=0.5)
-    spatial = (IMAGE - 2) // 2
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 16, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(16 * spatial * spatial, 32, rng=rng), ReLU(),
-        Linear(32, 10, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "pool_bench.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
-def per_sample_cycles(bundle_path: Path) -> float:
-    """Modeled accelerator cycles for one sample (probe via the op counter)."""
-    engine = BundleEngine(bundle_path)
-    pacer = _AcceleratorPacer(engine, hz=1.0)
-    engine.predict(np.zeros((1, IN_CHANNELS, IMAGE, IMAGE)))
-    return pacer._cycles()
-
-
-def run_load(client: ServeClient, images: np.ndarray, window_s: float):
-    """Closed-loop load: CLIENTS workers fire singles for ``window_s``."""
-    stop_at = time.monotonic() + window_s
-    latencies_ms = []
-    errors = []
-    lock = threading.Lock()
-
-    def worker(offset: int):
-        i = offset
-        while time.monotonic() < stop_at:
-            sample = images[i % len(images):i % len(images) + 1]
-            started = time.monotonic()
-            try:
-                client.predict(sample, model="bench")
-            except Exception as exc:            # noqa: BLE001 - recorded below
-                with lock:
-                    errors.append(repr(exc))
-                return
-            elapsed = (time.monotonic() - started) * 1e3
-            with lock:
-                latencies_ms.append(elapsed)
-            i += CLIENTS
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(CLIENTS)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - started
-    return latencies_ms, elapsed, errors
 
 
 def run_pool_config(bundle_path: Path, workers: int, images: np.ndarray,
@@ -132,18 +71,16 @@ def run_pool_config(bundle_path: Path, workers: int, images: np.ndarray,
         # Bitwise parity through router + worker + batching + mmap arrays.
         np.testing.assert_array_equal(client.predict(images[:4], model="bench"),
                                       expected)
-        latencies_ms, elapsed, errors = run_load(client, images, WINDOW_S)
+        load = run_singles(
+            lambda _, batch: client.predict(batch, model="bench"),
+            images, clients=CLIENTS, window_s=WINDOW_S)
         pool_state = pool.describe_pool()
-    assert not errors, errors[:3]
-    assert latencies_ms, "no requests completed"
-    ordered = sorted(latencies_ms)
+    assert not load.errors, load.errors[:3]
+    assert load.latencies_ms, "no requests completed"
     return {
         "workers": workers,
-        "requests": len(latencies_ms),
-        "window_s": round(elapsed, 3),
-        "requests_per_s": round(len(latencies_ms) / elapsed, 1),
-        "p50_ms": round(ordered[len(ordered) // 2], 3),
-        "p95_ms": round(ordered[int(len(ordered) * 0.95) - 1], 3),
+        **load.summary("requests", "window_s", "requests_per_s", "p50_ms",
+                       "p95_ms"),
         "restarts": pool_state["restarts"],
         "dispatched": {str(info["id"]): info["dispatched"]
                        for info in pool_state["workers"]},
@@ -152,14 +89,14 @@ def run_pool_config(bundle_path: Path, workers: int, images: np.ndarray,
 
 @pytest.fixture(scope="module")
 def bench_results(tmp_path_factory):
-    bundle_path = build_bundle(tmp_path_factory.mktemp("pool_serving"))
+    bundle_path = build_bundle(tmp_path_factory.mktemp("pool_serving"),
+                               name="pool_bench", prototypes=PROTOTYPES)
     engine = BundleEngine(bundle_path)
     rng = np.random.default_rng(1)
     images = rng.standard_normal((64, IN_CHANNELS, IMAGE, IMAGE))
     expected = engine.predict(images[:4])
 
-    cycles = per_sample_cycles(bundle_path)
-    hardware_hz = cycles / ACCEL_SECONDS_PER_SAMPLE
+    hardware_hz = accelerator_hz(bundle_path, ACCEL_SECONDS_PER_SAMPLE)
 
     paced = {}
     for workers in WORKER_COUNTS:
@@ -191,7 +128,8 @@ def bench_results(tmp_path_factory):
             "kernels": engine.kernel_names(),
             "accel_seconds_per_sample": ACCEL_SECONDS_PER_SAMPLE,
             "hardware_hz": round(hardware_hz, 1),
-            "per_sample_cycles": cycles,
+            "per_sample_cycles": round(
+                hardware_hz * ACCEL_SECONDS_PER_SAMPLE, 3),
         },
         "results": {
             "emulated_accelerator": paced,

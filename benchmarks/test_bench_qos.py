@@ -31,19 +31,13 @@ import os
 import platform
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, PoolServer, QoSConfig, ServeClient,
-                         ServeConfig)
+from harness import accelerator_hz, build_bundle, run_closed_loop
+from repro.serve import PoolServer, QoSConfig, ServeClient, ServeConfig
 from repro.serve.client import BulkScorer
-from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = result_path("BENCH_PR6.json")
 
@@ -69,75 +63,29 @@ IMAGE = 12
 IN_CHANNELS = 3
 
 
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=8, mode="distance", temperature=0.5)
-    spatial = (IMAGE - 2) // 2
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 16, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(16 * spatial * spatial, 32, rng=rng), ReLU(),
-        Linear(32, 10, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "qos.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
-def pct(ordered, q):
-    if not ordered:
-        return 0.0
-    return round(ordered[min(int(q * len(ordered)), len(ordered) - 1)], 3)
-
-
 def run_interactive(url: str, images: np.ndarray, window_s: float,
                     deadline_ms=None):
     """Closed-loop interactive clients: ``INTERACTIVE_SAMPLES`` per request
     at ``interactive`` priority, with a think time between requests."""
-    stop_at = time.monotonic() + window_s
-    latencies_ms = []
-    errors = []
-    lock = threading.Lock()
+    clients = [ServeClient(url, timeout_s=60.0, backoff_retries=0,
+                           transient_retries=0)
+               for _ in range(INTERACTIVE_CLIENTS)]
 
-    def worker(offset: int):
-        client = ServeClient(url, timeout_s=60.0, backoff_retries=0,
-                             transient_retries=0)
-        i = offset
-        while time.monotonic() < stop_at:
-            index = i % (len(images) - INTERACTIVE_SAMPLES)
-            started = time.monotonic()
-            try:
-                client.predict(images[index:index + INTERACTIVE_SAMPLES],
-                               model="m", priority="interactive",
-                               tenant=f"online-{offset}",
-                               deadline_ms=deadline_ms)
-            except Exception as exc:            # noqa: BLE001 - recorded below
-                with lock:
-                    errors.append(repr(exc))
-                return
-            elapsed = (time.monotonic() - started) * 1e3
-            with lock:
-                latencies_ms.append(elapsed)
-            i += 1
-            time.sleep(INTERACTIVE_THINK_S)
+    def call(client: int, n: int):
+        index = (client + n) % (len(images) - INTERACTIVE_SAMPLES)
+        return clients[client].predict(
+            images[index:index + INTERACTIVE_SAMPLES], model="m",
+            priority="interactive", tenant=f"online-{client}",
+            deadline_ms=deadline_ms)
 
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(INTERACTIVE_CLIENTS)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = max(time.monotonic() - started, 1e-9)
-    ordered = sorted(latencies_ms)
-    return {
-        "requests": len(latencies_ms),
-        "samples_per_s": round(len(latencies_ms) * INTERACTIVE_SAMPLES
-                               / elapsed, 1),
-        "p50_ms": pct(ordered, 0.50),
-        "p95_ms": pct(ordered, 0.95),
-        "p99_ms": pct(ordered, 0.99),
-        "errors": len(errors),
-    }
+    load = run_closed_loop(call, clients=INTERACTIVE_CLIENTS,
+                           window_s=window_s, think_s=INTERACTIVE_THINK_S,
+                           on_error="stop")
+    summary = load.summary("requests", "p50_ms", "p95_ms", "p99_ms",
+                           "errors")
+    summary["samples_per_s"] = round(
+        load.requests * INTERACTIVE_SAMPLES / load.elapsed_s, 1)
+    return summary
 
 
 def run_bulk(url: str, images: np.ndarray, window_s: float):
@@ -232,13 +180,10 @@ def run_overload(pool, images: np.ndarray, window_s: float):
 
 
 def test_bench_qos(tmp_path):
-    bundle = build_bundle(tmp_path)
-    probe_engine = BundleEngine(bundle)
+    bundle = build_bundle(tmp_path, name="qos")
     rng = np.random.default_rng(1)
     images = rng.standard_normal((32, IN_CHANNELS, IMAGE, IMAGE))
-    probe_engine.predict(np.zeros((1, IN_CHANNELS, IMAGE, IMAGE)))
-    pacer = _AcceleratorPacer(probe_engine, hz=1.0)
-    hardware_hz = pacer._cycles() / ACCEL_SECONDS_PER_SAMPLE
+    hardware_hz = accelerator_hz(bundle, ACCEL_SECONDS_PER_SAMPLE)
 
     config = ServeConfig.build(
         # Round-robin, not least_outstanding: a long-lived bulk chunk counts

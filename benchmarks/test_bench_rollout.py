@@ -35,17 +35,12 @@ import platform
 import shutil
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
+from harness import accelerator_hz, build_bundle, run_singles
 from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
-from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = result_path("BENCH_PR5.json")
 
@@ -59,91 +54,29 @@ IN_CHANNELS = 3
 ACCEL_SECONDS_PER_SAMPLE = 0.006
 
 
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=8, mode="distance", temperature=0.5)
-    spatial = (IMAGE - 2) // 2
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 16, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(16 * spatial * spatial, 32, rng=rng), ReLU(),
-        Linear(32, 10, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "rollout_v1.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
 def run_load(url: str, images: np.ndarray, expected: np.ndarray,
              window_s: float):
     """Closed-loop load: CLIENTS threads fire singles for ``window_s``;
     every response is checked bitwise against the reference engine."""
-    stop_at = time.monotonic() + window_s
-    latencies_ms = []
-    errors = []
-    mismatches = [0]
-    lock = threading.Lock()
-
-    def worker(offset: int):
-        client = ServeClient(url, timeout_s=60.0)
-        i = offset
-        while time.monotonic() < stop_at:
-            index = i % len(images)
-            started = time.monotonic()
-            try:
-                outputs = client.predict(images[index:index + 1], model="m")
-            except Exception as exc:            # noqa: BLE001 - recorded below
-                with lock:
-                    errors.append(repr(exc))
-                return
-            elapsed = (time.monotonic() - started) * 1e3
-            with lock:
-                latencies_ms.append(elapsed)
-                if not np.array_equal(outputs, expected[index:index + 1]):
-                    mismatches[0] += 1
-            i += CLIENTS
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(CLIENTS)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - started
-    return latencies_ms, elapsed, errors, mismatches[0]
-
-
-def summarize(latencies_ms, elapsed, errors, mismatches):
-    ordered = sorted(latencies_ms)
-
-    def pct(q):
-        if not ordered:
-            return 0.0
-        return round(ordered[min(int(q * len(ordered)), len(ordered) - 1)], 3)
-
-    return {
-        "requests": len(latencies_ms),
-        "window_s": round(elapsed, 3),
-        "requests_per_s": round(len(latencies_ms) / elapsed, 1) if elapsed else 0.0,
-        "p50_ms": pct(0.50),
-        "p95_ms": pct(0.95),
-        "errors": len(errors),
-        "output_mismatches": mismatches,
-    }
+    clients = [ServeClient(url, timeout_s=60.0) for _ in range(CLIENTS)]
+    load = run_singles(
+        lambda client, batch: clients[client].predict(batch, model="m"),
+        images, clients=CLIENTS, window_s=window_s, expected=expected)
+    summary = load.summary("requests", "window_s", "requests_per_s",
+                           "p50_ms", "p95_ms", "errors")
+    summary["output_mismatches"] = load.mismatches
+    return summary
 
 
 def test_bench_rollout_lifecycle(tmp_path):
-    bundle = build_bundle(tmp_path)
+    bundle = build_bundle(tmp_path, name="rollout_v1")
     candidate = tmp_path / "rollout_v2.npz"
     shutil.copyfile(bundle, candidate)        # identical → bitwise parity
 
-    probe_engine = BundleEngine(bundle)
     rng = np.random.default_rng(1)
     images = rng.standard_normal((32, IN_CHANNELS, IMAGE, IMAGE))
-    expected = probe_engine.predict(images)
-    probe_engine.predict(np.zeros((1, IN_CHANNELS, IMAGE, IMAGE)))
-    pacer = _AcceleratorPacer(probe_engine, hz=1.0)
-    per_sample_cycles = pacer._cycles()
-    hardware_hz = per_sample_cycles / ACCEL_SECONDS_PER_SAMPLE
+    expected = BundleEngine(bundle).predict(images)
+    hardware_hz = accelerator_hz(bundle, ACCEL_SECONDS_PER_SAMPLE)
 
     pool = PoolServer(config=ServeConfig.build(
         port=0, workers=WORKERS, policy="least_outstanding",
@@ -157,8 +90,7 @@ def test_bench_rollout_lifecycle(tmp_path):
         client = ServeClient(pool.url, timeout_s=60.0)
 
         # Phase 1: steady state.
-        results["steady"] = summarize(*run_load(pool.url, images, expected,
-                                                WINDOW_S))
+        results["steady"] = run_load(pool.url, images, expected, WINDOW_S)
 
         # Phase 2: the same load while a canary rollout runs to promotion.
         def deploy_soon():
@@ -169,8 +101,7 @@ def test_bench_rollout_lifecycle(tmp_path):
 
         deployer = threading.Thread(target=deploy_soon)
         deployer.start()
-        results["rollout"] = summarize(*run_load(pool.url, images, expected,
-                                                 WINDOW_S))
+        results["rollout"] = run_load(pool.url, images, expected, WINDOW_S)
         deployer.join(60.0)
         deadline = time.monotonic() + 60.0
         rollout_state = None
@@ -186,8 +117,7 @@ def test_bench_rollout_lifecycle(tmp_path):
         results["gate"] = rollout_state["gate"]
 
         # Phase 3: after promotion (the candidate is now active).
-        results["post_promote"] = summarize(*run_load(pool.url, images,
-                                                      expected, WINDOW_S))
+        results["post_promote"] = run_load(pool.url, images, expected, WINDOW_S)
         restarts = pool.restarts_total
     finally:
         pool.stop(drain=True)

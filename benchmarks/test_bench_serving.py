@@ -25,18 +25,12 @@ from __future__ import annotations
 import json
 import os
 import platform
-import threading
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
+from harness import build_bundle, run_singles
 from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
 RESULT_PATH = result_path("BENCH_PR2.json")
@@ -50,56 +44,10 @@ IN_CHANNELS = 3
 PROTOTYPES = 8
 
 
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=PROTOTYPES, mode="distance", temperature=0.5)
-    spatial = (IMAGE - 2) // 2
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 16, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(16 * spatial * spatial, 32, rng=rng), ReLU(),
-        Linear(32, 10, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "serving_bench.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
-def run_load(client: ServeClient, images: np.ndarray, window_s: float):
-    """Closed-loop load: CLIENTS workers fire singles for ``window_s``."""
-    stop_at = time.monotonic() + window_s
-    latencies_ms = []
-    errors = []
-    lock = threading.Lock()
-
-    def worker(offset: int):
-        i = offset
-        while time.monotonic() < stop_at:
-            sample = images[i % len(images):i % len(images) + 1]
-            started = time.monotonic()
-            try:
-                client.predict(sample)
-            except Exception as exc:            # noqa: BLE001 - recorded below
-                with lock:
-                    errors.append(repr(exc))
-                return
-            elapsed = (time.monotonic() - started) * 1e3
-            with lock:
-                latencies_ms.append(elapsed)
-            i += CLIENTS
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(CLIENTS)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - started
-    return latencies_ms, elapsed, errors
-
-
 @pytest.fixture(scope="module")
 def bench_results(tmp_path_factory):
-    bundle_path = build_bundle(tmp_path_factory.mktemp("serving"))
+    bundle_path = build_bundle(tmp_path_factory.mktemp("serving"),
+                               name="serving_bench", prototypes=PROTOTYPES)
     engine = BundleEngine(bundle_path)
     rng = np.random.default_rng(1)
     images = rng.standard_normal((64, IN_CHANNELS, IMAGE, IMAGE))
@@ -119,22 +67,19 @@ def bench_results(tmp_path_factory):
             assert client.wait_ready(10.0)
             # Parity spot-check through the full HTTP + batching stack.
             np.testing.assert_array_equal(client.predict(images[:4]), expected)
-            latencies_ms, elapsed, errors = run_load(client, images, WINDOW_S)
+            load = run_singles(lambda _, batch: client.predict(batch),
+                               images, clients=CLIENTS, window_s=WINDOW_S)
             # Every audit queued so far must have run before it is counted.
             assert server.monitor.drain(60.0), "parity audits never drained"
             metrics = server.metrics_snapshot()
             snapshot = metrics["server"]
             verification = metrics["runtime_verification"]
-        assert not errors, errors[:3]
-        assert latencies_ms, "no requests completed"
-        ordered = sorted(latencies_ms)
+        assert not load.errors, load.errors[:3]
+        assert load.latencies_ms, "no requests completed"
         results[f"max_batch_{budget}"] = {
             "max_batch_size": budget,
-            "requests": len(latencies_ms),
-            "window_s": round(elapsed, 3),
-            "requests_per_s": round(len(latencies_ms) / elapsed, 1),
-            "p50_ms": round(ordered[len(ordered) // 2], 3),
-            "p95_ms": round(ordered[int(len(ordered) * 0.95) - 1], 3),
+            **load.summary("requests", "window_s", "requests_per_s",
+                           "p50_ms", "p95_ms"),
             "batch_histogram": snapshot["batching"]["histogram"],
             "mean_batch": round(snapshot["batching"]["mean_batch"], 2),
             "audits": verification["checks"],

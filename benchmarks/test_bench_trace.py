@@ -27,19 +27,13 @@ from __future__ import annotations
 import json
 import os
 import platform
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
 
 from bench_results import result_path
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
+from harness import accelerator_hz, build_bundle, run_closed_loop
 from repro.serve import BundleEngine, PoolServer, ServeClient, ServeConfig
-from repro.serve.server import _AcceleratorPacer
 
 RESULT_PATH = result_path("BENCH_PR7.json")
 
@@ -54,71 +48,25 @@ IMAGE = 12
 IN_CHANNELS = 3
 
 
-def build_bundle(tmp_path: Path) -> Path:
-    rng = np.random.default_rng(0)
-    cfg = PQLayerConfig(num_prototypes=8, mode="distance", temperature=0.5)
-    spatial = (IMAGE - 2) // 2
-    model = Sequential(
-        Conv2d(IN_CHANNELS, 16, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(16 * spatial * spatial, 32, rng=rng), ReLU(),
-        Linear(32, 10, rng=rng),
-    )
-    pecan = convert_to_pecan(model, cfg, rng=rng)
-    return export_deployment_bundle(pecan, tmp_path / "trace.npz",
-                                    input_shape=(IN_CHANNELS, IMAGE, IMAGE))
-
-
-def pct(ordered, q):
-    if not ordered:
-        return 0.0
-    return round(ordered[min(int(q * len(ordered)), len(ordered) - 1)], 3)
-
-
-def run_closed_loop(url: str, images: np.ndarray, window_s: float):
+def run_clients(url: str, images: np.ndarray, window_s: float):
     """Closed-loop clients, no think time: the pacing bounds throughput, so
     any per-request bookkeeping overhead shows up directly in the numbers."""
-    stop_at = time.monotonic() + window_s
-    latencies_ms = []
-    errors = []
-    lock = threading.Lock()
+    clients = [ServeClient(url, timeout_s=60.0, backoff_retries=0,
+                           transient_retries=0) for _ in range(CLIENTS)]
 
-    def worker(offset: int):
-        client = ServeClient(url, timeout_s=60.0, backoff_retries=0,
-                             transient_retries=0)
-        i = offset
-        while time.monotonic() < stop_at:
-            index = i % (len(images) - SAMPLES_PER_REQUEST)
-            started = time.monotonic()
-            try:
-                client.predict(images[index:index + SAMPLES_PER_REQUEST],
-                               model="m", tenant=f"client-{offset}")
-            except Exception as exc:            # noqa: BLE001 - recorded below
-                with lock:
-                    errors.append(repr(exc))
-                return
-            elapsed = (time.monotonic() - started) * 1e3
-            with lock:
-                latencies_ms.append(elapsed)
-            i += 1
+    def call(client: int, n: int):
+        index = (client + n) % (len(images) - SAMPLES_PER_REQUEST)
+        return clients[client].predict(
+            images[index:index + SAMPLES_PER_REQUEST], model="m",
+            tenant=f"client-{client}")
 
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(CLIENTS)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = max(time.monotonic() - started, 1e-9)
-    ordered = sorted(latencies_ms)
-    return {
-        "requests": len(latencies_ms),
-        "samples_per_s": round(len(latencies_ms) * SAMPLES_PER_REQUEST
-                               / elapsed, 1),
-        "p50_ms": pct(ordered, 0.50),
-        "p95_ms": pct(ordered, 0.95),
-        "p99_ms": pct(ordered, 0.99),
-        "errors": len(errors),
-    }
+    load = run_closed_loop(call, clients=CLIENTS, window_s=window_s,
+                           on_error="stop")
+    summary = load.summary("requests", "p50_ms", "p95_ms", "p99_ms",
+                           "errors")
+    summary["samples_per_s"] = round(
+        load.requests * SAMPLES_PER_REQUEST / load.elapsed_s, 1)
+    return summary
 
 
 def run_mode(bundle: Path, images: np.ndarray, probe: np.ndarray,
@@ -135,7 +83,7 @@ def run_mode(bundle: Path, images: np.ndarray, probe: np.ndarray,
         warm = ServeClient(pool.url, timeout_s=60.0)
         for _ in range(4):
             warm.predict(images[:1], model="m")
-        result = run_closed_loop(pool.url, images, WINDOW_S)
+        result = run_clients(pool.url, images, WINDOW_S)
         # The fixed probe's logits, for the bitwise-identity contract.
         outputs = warm.predict(probe, model="m")
         metrics = pool.metrics_snapshot()
@@ -154,14 +102,12 @@ def run_mode(bundle: Path, images: np.ndarray, probe: np.ndarray,
 
 
 def test_bench_trace(tmp_path):
-    bundle = build_bundle(tmp_path)
-    probe_engine = BundleEngine(bundle)
+    bundle = build_bundle(tmp_path, name="trace")
     rng = np.random.default_rng(1)
     images = rng.standard_normal((32, IN_CHANNELS, IMAGE, IMAGE))
     probe = images[:2]
-    reference = probe_engine.predict(probe)
-    pacer = _AcceleratorPacer(probe_engine, hz=1.0)
-    hardware_hz = pacer._cycles() / ACCEL_SECONDS_PER_SAMPLE
+    reference = BundleEngine(bundle).predict(probe)
+    hardware_hz = accelerator_hz(bundle, ACCEL_SECONDS_PER_SAMPLE)
 
     off, outputs_off = run_mode(bundle, images, probe, hardware_hz,
                                 traced=False)

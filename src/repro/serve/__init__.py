@@ -56,12 +56,9 @@ inference program); this package turns that file back into a serving process:
   namespaced per ``model@version``, epoch-guarded lifecycle invalidation)
   and in-flight request coalescing (:class:`InFlightCall`) — exact and
   provably lossless because PECAN-D inference is bitwise deterministic;
-* :mod:`repro.serve.loadgen` — :class:`ZipfWorkload` +
-  :func:`run_zipf_load`, a closed-loop skewed load generator with optional
-  bitwise response verification (used by the cache benchmarks and chaos
-  tests), plus :func:`run_concurrent_load`, a selectors-multiplexed driver
-  for hundreds of concurrent keep-alive connections, and
-  :class:`SlowlorisSwarm` for slow-client chaos;
+* :mod:`repro.serve.loadgen` — :class:`ZipfWorkload`, seeded
+  Zipf-distributed request streams over a pool of unique inputs (the load
+  drivers that replay them live in ``benchmarks/harness.py``);
 * :mod:`repro.serve.netfront` — :class:`EventLoopFrontEnd`, the
   ``selectors``-based HTTP/1.1 network front end shared by
   :class:`PECANServer` and :class:`PoolServer`:
@@ -106,9 +103,7 @@ from repro.serve.config import (AutoscaleConfig, CacheConfig, EngineConfig,
                                 add_serve_arguments, config_reference_table,
                                 serve_config_from_args, serve_config_to_args)
 from repro.serve.engine import BundleEngine
-from repro.serve.loadgen import (LoadResult, SlowlorisSwarm, ZipfWorkload,
-                                 run_concurrent_load, run_zipf_load,
-                                 slowloris_connections)
+from repro.serve.loadgen import ZipfWorkload
 from repro.serve.netfront import (EventLoopFrontEnd, Headers, HTTPParseError,
                                   ParsedRequest, RequestParser,
                                   render_response)
@@ -197,11 +192,6 @@ __all__ = [
     "splice_json",
     "stable_route_hash",
     "ZipfWorkload",
-    "LoadResult",
-    "run_zipf_load",
-    "run_concurrent_load",
-    "slowloris_connections",
-    "SlowlorisSwarm",
     "EventLoopFrontEnd",
     "Headers",
     "HTTPParseError",

@@ -1,43 +1,19 @@
-"""``repro.serve.loadgen`` — deterministic Zipf-distributed load generation.
+"""``repro.serve.loadgen`` — deterministic Zipf-distributed request streams.
 
 Real user traffic is heavily skewed: a small hot head of popular requests
 dominates.  :class:`ZipfWorkload` models that as a fixed pool of unique
 inputs with Zipf(``alpha``) popularity weights and hands out deterministic,
 seeded index streams — the shape of traffic where a deterministic response
-cache pays off (the hot head hits, the long tail fills).
-
-:func:`run_zipf_load` is the shared closed-loop driver used by the cache
-bench and the chaos tests: N threads, no think time, each walking its own
-Zipf stream, with optional bitwise verification of every response against
-per-item reference logits (the "zero stale responses" contract — any stale
-cached tensor or cross-version mix-up fails the run, not just an average).
-
-:func:`run_concurrent_load` is the connection-scale driver behind the PR9
-front-end bench and the ``conn-smoke`` CI job: hundreds of concurrent
-**keep-alive** HTTP connections multiplexed through one :mod:`selectors`
-thread (a 512-thread client would perturb the very measurement it takes),
-each issuing ``/predict`` requests back-to-back over its persistent socket,
-with optional bitwise verification of every response's logits and two chaos
-knobs — ``disconnect_every`` (drop the socket mid-response and reconnect)
-and :func:`slowloris_connections` (trickle a request head forever) — used
-to prove the server sheds misbehaving connections without stalling the
-rest.
+cache pays off (the hot head hits, the long tail fills).  The perfbench
+``pool_zipf`` workload and the benches' load drivers
+(``benchmarks/harness.py``) draw their requests from it.
 """
 
 from __future__ import annotations
 
-import json
-import selectors
-import socket
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
 import numpy as np
 
-__all__ = ["ZipfWorkload", "LoadResult", "run_zipf_load",
-           "run_concurrent_load", "slowloris_connections", "SlowlorisSwarm"]
+__all__ = ["ZipfWorkload"]
 
 
 class ZipfWorkload:
@@ -73,504 +49,3 @@ class ZipfWorkload:
             return 0.0
         drawn = self.indices(requests, stream=0)
         return 1.0 - len(np.unique(drawn)) / requests
-
-
-@dataclass
-class LoadResult:
-    """Outcome of one closed-loop run (latencies in milliseconds)."""
-
-    requests: int = 0
-    errors: List[str] = field(default_factory=list)
-    mismatches: int = 0
-    latencies_ms: List[float] = field(default_factory=list)
-    elapsed_s: float = 0.0
-    #: Connection-plane counters (populated by :func:`run_concurrent_load`):
-    #: sockets opened, connect-level failures, and requests deliberately
-    #: abandoned mid-response by the ``disconnect_every`` chaos knob.
-    connects: int = 0
-    connect_errors: int = 0
-    aborted: int = 0
-    #: Errors past the recorded-string cap (the count stays exact even when
-    #: an error storm would otherwise fill memory with identical strings).
-    error_overflow: int = 0
-
-    def percentile(self, q: float) -> float:
-        ordered = sorted(self.latencies_ms)
-        if not ordered:
-            return 0.0
-        return round(ordered[min(int(q * len(ordered)), len(ordered) - 1)], 3)
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "requests_per_s": round(self.requests / self.elapsed_s, 1)
-            if self.elapsed_s else 0.0,
-            "p50_ms": self.percentile(0.50),
-            "p95_ms": self.percentile(0.95),
-            "p99_ms": self.percentile(0.99),
-            "errors": len(self.errors) + self.error_overflow,
-            "mismatches": self.mismatches,
-        }
-
-
-def run_zipf_load(predict: Callable[[np.ndarray, int], Any],
-                  workload: ZipfWorkload, *,
-                  clients: int = 4,
-                  window_s: Optional[float] = None,
-                  requests_per_client: Optional[int] = None,
-                  references: Optional[Sequence[np.ndarray]] = None,
-                  on_error: str = "record") -> LoadResult:
-    """Drive ``predict(item, client_index)`` from ``clients`` Zipf streams.
-
-    Runs closed-loop (no think time) until ``window_s`` elapses or each
-    client has issued ``requests_per_client`` requests, whichever is given.
-    When ``references`` holds per-item reference logits (arrays) or
-    canonical response bytes, every response is checked bitwise against its
-    item's reference (``mismatches`` counts violations — the stale-response
-    detector).  ``on_error="record"`` keeps a failed client's thread going;
-    ``"stop"`` ends that thread.
-    """
-    if window_s is None and requests_per_client is None:
-        raise ValueError("need window_s and/or requests_per_client")
-    if on_error not in ("record", "stop"):
-        raise ValueError(f"unknown on_error mode {on_error!r}")
-    result = LoadResult()
-    lock = threading.Lock()
-    stop_at = (time.monotonic() + window_s) if window_s is not None else None
-
-    def client_loop(client_index: int) -> None:
-        budget = requests_per_client
-        issued = 0
-        # Draw a generous stream up front; extend lazily for long windows.
-        stream = workload.indices(max(budget or 0, 1024),
-                                  stream=client_index)
-        while budget is None or issued < budget:
-            if stop_at is not None and time.monotonic() >= stop_at:
-                return
-            if issued >= len(stream):
-                stream = np.concatenate([
-                    stream,
-                    workload.indices(len(stream), stream=client_index + 7919),
-                ])
-            index = int(stream[issued])
-            issued += 1
-            item = workload.items[index]
-            started = time.monotonic()
-            try:
-                outputs = predict(item, client_index)
-            except Exception as exc:  # noqa: BLE001 - recorded for the caller
-                with lock:
-                    result.errors.append(repr(exc))
-                if on_error == "stop":
-                    return
-                continue
-            elapsed_ms = (time.monotonic() - started) * 1e3
-            mismatch = 0
-            if references is not None:
-                expected = references[index]
-                if isinstance(expected, (bytes, bytearray)):
-                    if outputs != expected:
-                        mismatch = 1
-                else:
-                    got = np.asarray(outputs, dtype=np.float64)
-                    if got.shape != expected.shape or not np.array_equal(
-                            got, expected):
-                        mismatch = 1
-            with lock:
-                result.requests += 1
-                result.latencies_ms.append(elapsed_ms)
-                result.mismatches += mismatch
-
-    threads = [threading.Thread(target=client_loop, args=(i,), daemon=True)
-               for i in range(clients)]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    result.elapsed_s = max(time.monotonic() - started, 1e-9)
-    return result
-
-
-# --------------------------------------------------------------------------- #
-# Connection-scale keep-alive driver (the PR9 front-end bench + conn-smoke)
-# --------------------------------------------------------------------------- #
-_MAX_RECORDED_ERRORS = 512
-
-
-class _LoadConnection:
-    """One keep-alive socket's state inside :func:`run_concurrent_load`."""
-
-    __slots__ = ("index", "sock", "state", "out", "buf", "inflight_body",
-                 "sent_at", "connect_started", "issued", "completed", "done",
-                 "abort_next")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.sock: Optional[socket.socket] = None
-        self.state = "idle"            # idle | connecting | active
-        self.out = b""
-        self.buf = bytearray()
-        self.inflight_body: Optional[int] = None   # body index awaiting reply
-        self.sent_at = 0.0
-        self.connect_started = 0.0
-        self.issued = 0
-        self.completed = 0
-        self.done = False
-        self.abort_next = False
-
-
-def _find_content_length(header_text: str) -> Optional[int]:
-    for line in header_text.split("\r\n")[1:]:
-        name, _, value = line.partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                return int(value.strip())
-            except ValueError:
-                return None
-    return None
-
-
-def run_concurrent_load(host: str, port: int, bodies: Sequence[bytes], *,
-                        path: str = "/predict",
-                        connections: int = 32,
-                        window_s: Optional[float] = None,
-                        requests_per_connection: Optional[int] = None,
-                        headers: Optional[Dict[str, str]] = None,
-                        references: Optional[Sequence[object]] = None,
-                        disconnect_every: int = 0,
-                        connect_timeout_s: float = 10.0,
-                        request_timeout_s: float = 60.0) -> LoadResult:
-    """Closed-loop load over ``connections`` concurrent keep-alive sockets.
-
-    Every connection POSTs ``bodies[(index + issued) % len(bodies)]`` to
-    ``path`` back-to-back over one persistent HTTP/1.1 connection, all
-    multiplexed through a single :mod:`selectors` thread — the offered
-    concurrency is the connection count itself, without a thread per client
-    perturbing the measurement.  All sockets connect at once (a genuine
-    connect storm: a front end with a five-slot listen backlog feels it).
-
-    ``references[i]`` (optional) holds the expected ``outputs`` logits for
-    ``bodies[i]``; every 200 response is parsed and compared exactly
-    (``mismatches`` counts violations — the bitwise-parity contract).
-    Non-200 responses and torn connections are recorded in ``errors``
-    (the stored strings are capped; ``error_overflow`` keeps the count
-    exact through an error storm).
-
-    ``disconnect_every=N`` is the chaos knob: every Nth response on a
-    connection is abandoned as soon as its first bytes arrive — the socket
-    is dropped mid-response and reconnected — modelling clients that give
-    up; the server must absorb it without stalling other connections
-    (``aborted`` counts them; they are not errors).
-    """
-    if window_s is None and requests_per_connection is None:
-        raise ValueError("need window_s and/or requests_per_connection")
-    if not bodies:
-        raise ValueError("need at least one request body")
-    result = LoadResult()
-    extra = "".join(f"{name}: {value}\r\n"
-                    for name, value in (headers or {}).items())
-    rendered = [
-        (f"POST {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-         "Content-Type: application/json\r\n"
-         f"Content-Length: {len(body)}\r\n{extra}\r\n").encode("latin-1")
-        + bytes(body)
-        for body in bodies
-    ]
-    selector = selectors.DefaultSelector()
-    conns = [_LoadConnection(i) for i in range(connections)]
-    started = time.monotonic()
-    stop_at = (started + window_s) if window_s is not None else None
-
-    def record_error(message: str) -> None:
-        if len(result.errors) < _MAX_RECORDED_ERRORS:
-            result.errors.append(message)
-        else:
-            result.error_overflow += 1
-
-    def open_connection(conn: _LoadConnection, now: float) -> None:
-        conn.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        conn.sock.setblocking(False)
-        try:
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        conn.state = "connecting"
-        conn.connect_started = now
-        conn.buf.clear()
-        conn.out = b""
-        conn.inflight_body = None
-        error = conn.sock.connect_ex((host, port))
-        if error not in (0, 115, 36, 10035):   # EINPROGRESS / EWOULDBLOCK
-            close_connection(conn)
-            result.connect_errors += 1
-            return
-        selector.register(conn.sock, selectors.EVENT_WRITE, conn)
-
-    def close_connection(conn: _LoadConnection) -> None:
-        if conn.sock is not None:
-            try:
-                selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        conn.sock = None
-        conn.state = "idle"
-        conn.inflight_body = None
-
-    def finish(conn: _LoadConnection) -> None:
-        conn.done = True
-        close_connection(conn)
-
-    def issue(conn: _LoadConnection, now: float) -> None:
-        if stop_at is not None and now >= stop_at:
-            finish(conn)
-            return
-        if (requests_per_connection is not None
-                and conn.issued >= requests_per_connection):
-            finish(conn)
-            return
-        body_index = (conn.index + conn.issued) % len(bodies)
-        conn.issued += 1
-        conn.inflight_body = body_index
-        conn.out = rendered[body_index]
-        conn.sent_at = now
-        conn.abort_next = bool(
-            disconnect_every
-            and conn.issued % disconnect_every == 0)
-        selector.modify(conn.sock,
-                        selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
-
-    def complete(conn: _LoadConnection, status: int, payload: bytes,
-                 closing: bool, now: float) -> None:
-        latency_ms = (now - conn.sent_at) * 1e3
-        body_index = conn.inflight_body
-        conn.inflight_body = None
-        conn.completed += 1
-        if status == 200:
-            mismatch = 0
-            if references is not None:
-                try:
-                    outputs = json.loads(payload)["outputs"]
-                except (ValueError, KeyError, TypeError):
-                    mismatch = 1
-                else:
-                    if outputs != references[body_index]:
-                        mismatch = 1
-            result.requests += 1
-            result.latencies_ms.append(latency_ms)
-            result.mismatches += mismatch
-        else:
-            record_error(f"HTTP {status}: {payload[:120]!r}")
-        if closing:
-            close_connection(conn)
-            open_connection(conn, now)
-        else:
-            issue(conn, now)
-
-    def service(conn: _LoadConnection, events: int, now: float) -> None:
-        if conn.state == "connecting":
-            error = conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            if error:
-                close_connection(conn)
-                result.connect_errors += 1
-                record_error(f"connect failed (errno {error})")
-                open_connection(conn, now)       # keep offering load
-                return
-            conn.state = "active"
-            result.connects += 1
-            issue(conn, now)
-            return
-        if events & selectors.EVENT_WRITE and conn.out:
-            try:
-                sent = conn.sock.send(conn.out)
-                conn.out = conn.out[sent:]
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError as exc:
-                record_error(f"send failed: {exc!r}")
-                close_connection(conn)
-                open_connection(conn, now)
-                return
-            if not conn.out:
-                selector.modify(conn.sock, selectors.EVENT_READ, conn)
-        if events & selectors.EVENT_READ:
-            try:
-                data = conn.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError as exc:
-                record_error(f"recv failed: {exc!r}")
-                close_connection(conn)
-                open_connection(conn, now)
-                return
-            if not data:
-                if conn.inflight_body is not None:
-                    record_error("connection closed mid-exchange")
-                close_connection(conn)
-                if not conn.done:
-                    open_connection(conn, now)
-                return
-            conn.buf += data
-            if conn.abort_next and conn.inflight_body is not None:
-                # Chaos: give up as soon as the response starts arriving.
-                result.aborted += 1
-                conn.abort_next = False
-                close_connection(conn)
-                open_connection(conn, now)
-                return
-            drain_responses(conn, now)
-
-    def drain_responses(conn: _LoadConnection, now: float) -> None:
-        while conn.inflight_body is not None:
-            head_end = conn.buf.find(b"\r\n\r\n")
-            if head_end < 0:
-                return
-            header_text = bytes(conn.buf[:head_end]).decode(
-                "latin-1", "replace")
-            length = _find_content_length(header_text) or 0
-            total = head_end + 4 + length
-            if len(conn.buf) < total:
-                return
-            status_parts = header_text.split("\r\n", 1)[0].split()
-            try:
-                status = int(status_parts[1])
-            except (IndexError, ValueError):
-                status = 0
-            payload = bytes(conn.buf[head_end + 4:total])
-            del conn.buf[:total]
-            closing = "connection: close" in header_text.lower()
-            complete(conn, status, payload, closing, now)
-
-    for conn in conns:
-        open_connection(conn, started)
-    while True:
-        now = time.monotonic()
-        if all(conn.done for conn in conns):
-            break
-        if stop_at is not None and now >= stop_at:
-            # Window over: anything still in flight is abandoned, not
-            # counted — the measurement is what completed inside the window.
-            for conn in conns:
-                if not conn.done:
-                    finish(conn)
-            break
-        timeout = 0.05
-        if stop_at is not None:
-            timeout = min(timeout, max(stop_at - now, 0.001))
-        for key, events in selector.select(timeout):
-            service(key.data, events, time.monotonic())
-        now = time.monotonic()
-        for conn in conns:
-            if conn.done:
-                continue
-            if (conn.state == "connecting"
-                    and now - conn.connect_started > connect_timeout_s):
-                close_connection(conn)
-                result.connect_errors += 1
-                record_error("connect timed out")
-                open_connection(conn, now)
-            elif (conn.state == "active" and conn.inflight_body is not None
-                    and now - conn.sent_at > request_timeout_s):
-                record_error("request timed out")
-                close_connection(conn)
-                open_connection(conn, now)
-    for conn in conns:
-        close_connection(conn)
-    selector.close()
-    result.elapsed_s = max(time.monotonic() - started, 1e-9)
-    return result
-
-
-class SlowlorisSwarm:
-    """Connections that trickle an unfinished request head forever.
-
-    The classic slow-client attack: each socket sends a valid request line,
-    then drips one filler header every ``interval_s`` and never sends the
-    terminating blank line.  A thread-per-connection front end donates a
-    thread to every such socket indefinitely; the event-loop front end's
-    ``request_timeout_s`` guard answers 408 and drops them.  ``remaining()``
-    reports how many sockets the server still tolerates — the chaos test
-    asserts it reaches zero while healthy traffic keeps flowing.
-    """
-
-    def __init__(self, host: str, port: int, *, count: int = 4,
-                 interval_s: float = 0.25, path: str = "/predict"):
-        self.host = host
-        self.port = port
-        self.count = int(count)
-        self.interval_s = float(interval_s)
-        self.path = path
-        self._sockets: List[socket.socket] = []
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
-
-    def start(self) -> "SlowlorisSwarm":
-        for _ in range(self.count):
-            sock = socket.create_connection((self.host, self.port),
-                                            timeout=5.0)
-            sock.setblocking(True)
-            sock.sendall(f"POST {self.path} HTTP/1.1\r\n"
-                         f"Host: {self.host}:{self.port}\r\n".encode())
-            self._sockets.append(sock)
-        self._thread = threading.Thread(target=self._drip,
-                                        name="repro-slowloris", daemon=True)
-        self._thread.start()
-        return self
-
-    def _drip(self) -> None:
-        drips = 0
-        while not self._stop.wait(self.interval_s):
-            drips += 1
-            with self._lock:
-                sockets = list(self._sockets)
-            for sock in sockets:
-                try:
-                    sock.sendall(f"X-Drip-{drips}: {drips}\r\n".encode())
-                except OSError:
-                    # The server hung up on this socket (408 / reset): it has
-                    # been shed.  Stop counting it as pending.
-                    with self._lock:
-                        if sock in self._sockets:
-                            self._sockets.remove(sock)
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-
-    def remaining(self) -> int:
-        """Sockets the server has not yet shed."""
-        with self._lock:
-            return len(self._sockets)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(2.0)
-            self._thread = None
-        with self._lock:
-            sockets = list(self._sockets)
-            self._sockets.clear()
-        for sock in sockets:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "SlowlorisSwarm":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-def slowloris_connections(host: str, port: int, *, count: int = 4,
-                          interval_s: float = 0.25,
-                          path: str = "/predict") -> SlowlorisSwarm:
-    """Start (and return) a :class:`SlowlorisSwarm` against ``host:port``."""
-    return SlowlorisSwarm(host, port, count=count, interval_s=interval_s,
-                          path=path).start()

@@ -44,18 +44,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.serve.scheduler import (DEFAULT_PRIORITY, DEFAULT_TENANT,
                                    PRIORITY_CLASSES, QueueFullError,
-                                   RequestTimeout)
-
-_PRIORITY_INDEX = {name: index for index, name in enumerate(PRIORITY_CLASSES)}
-
-
-def priority_index(priority: str) -> int:
-    """Numeric rank of ``priority`` (0 = most important); raises on unknown."""
-    try:
-        return _PRIORITY_INDEX[priority]
-    except KeyError:
-        raise ValueError(f"unknown priority class {priority!r}; "
-                         f"expected one of {PRIORITY_CLASSES}") from None
+                                   RequestTimeout, priority_rank)
 
 
 class ShedError(RuntimeError):
@@ -108,7 +97,7 @@ class RequestQoS:
 
     @property
     def rank(self) -> int:
-        return priority_index(self.priority)
+        return priority_rank(self.priority)
 
     def remaining_ms(self, now: Optional[float] = None) -> Optional[float]:
         if self.deadline is None:
@@ -159,7 +148,7 @@ def parse_qos(payload: Optional[Mapping[str, object]] = None,
         if payload.get("deadline_ms") is not None:
             deadline_ms = payload["deadline_ms"]
     priority = str(priority).strip().lower()
-    priority_index(priority)                       # validates
+    priority_rank(priority)                       # validates
     tenant = str(tenant).strip() or DEFAULT_TENANT
     deadline: Optional[float] = None
     if deadline_ms is not None:
@@ -357,7 +346,7 @@ class FairScheduler:
             self._vtime[tenant] = max(self._vtime.get(tenant, 0.0), floor)
         queues.setdefault(tenant, deque()).append(waiter)
         self._waiting += 1
-        if rank == priority_index("batch"):
+        if rank == priority_rank("batch"):
             self._batch_waiting += 1
 
     def _remove(self, waiter: _Waiter) -> bool:
@@ -370,7 +359,7 @@ class FairScheduler:
         except ValueError:
             return False
         self._waiting -= 1
-        if waiter.qos.rank == priority_index("batch"):
+        if waiter.qos.rank == priority_rank("batch"):
             self._batch_waiting -= 1
         return True
 
@@ -383,7 +372,7 @@ class FairScheduler:
             tenant = min(candidates, key=lambda t: (self._vtime.get(t, 0.0), t))
             waiter = queues[tenant].popleft()
             self._waiting -= 1
-            if rank == priority_index("batch"):
+            if rank == priority_rank("batch"):
                 self._batch_waiting -= 1
             self._vtime[tenant] = self._vtime.get(tenant, 0.0) + 1.0 / self._weight(tenant)
             return waiter
@@ -428,7 +417,7 @@ class FairScheduler:
                 self.rejected_total += 1
                 raise QueueFullError(
                     f"router queue is full ({self.max_waiting} waiting)")
-            if (qos.rank == priority_index("batch")
+            if (qos.rank == priority_rank("batch")
                     and self._batch_waiting >= self.batch_waiting_cap):
                 self.rejected_total += 1
                 raise QueueFullError(
@@ -505,8 +494,8 @@ BROWNOUT_STATES: Tuple[str, ...] = ("healthy", "shed-batch", "shed-standard",
 #: is affected for long.
 _SHED_FLOOR = {
     "healthy": None,
-    "shed-batch": priority_index("batch"),
-    "shed-standard": priority_index("standard"),
+    "shed-batch": priority_rank("batch"),
+    "shed-standard": priority_rank("standard"),
     "emergency": 0,
 }
 
@@ -666,7 +655,7 @@ class BrownoutController:
         returns normally on admit.
         """
         now = time.monotonic() if now is None else now
-        rank = priority_index(priority)
+        rank = priority_rank(priority)
         with self._lock:
             self._refresh(now)
             floor = _SHED_FLOOR[self._state]

@@ -21,14 +21,14 @@ import time
 import numpy as np
 import pytest
 
+from harness import SlowlorisSwarm, run_concurrent_load
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
 from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, Headers, HTTPParseError, PECANServer,
                          RequestParser, ServeClient, ServeConfig,
-                         SlowlorisSwarm, render_response, run_concurrent_load,
-                         slowloris_connections)
+                         render_response)
 
 
 def small_model(seed: int):
@@ -450,8 +450,8 @@ class TestConnectionChaos:
                 x = rng.standard_normal((1, 1, 10, 10))
                 bodies.append(predict_body(x, model="m"))
                 references.append(engine.predict(x).tolist())
-            swarm = slowloris_connections("127.0.0.1", server.port,
-                                          count=4, interval_s=0.1)
+            swarm = SlowlorisSwarm("127.0.0.1", server.port, count=4,
+                                   interval_s=0.1).start()
             assert isinstance(swarm, SlowlorisSwarm)
             try:
                 result = run_concurrent_load(

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from harness import run_zipf_load
 from repro.io import export_deployment_bundle
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -30,7 +31,7 @@ from repro.serve import (BundleEngine, CacheAffinityPolicy, InvariantMonitor,
                          ServeClient, ServeConfig, ServeHTTPError,
                          ZipfWorkload,
                          canonical_input_hash, canonical_response_bytes,
-                         format_versioned, run_zipf_load, splice_json,
+                         format_versioned, splice_json,
                          stable_route_hash)
 from repro.serve.scheduler import RequestTimeout
 
