@@ -113,9 +113,9 @@ from repro.serve.lifecycle import (CanaryPolicy, LifecycleError, Rollout,
                                    split_versioned)
 from repro.serve.metrics import ServerMetrics, aggregate_counter_trees
 from repro.serve.pool import (POLICIES, CacheAffinityPolicy,
-                              LeastOutstandingPolicy, ModelAffinityPolicy,
-                              PoolServer, RoundRobinPolicy, RoutingPolicy,
-                              WorkerConfig, make_policy)
+                              LeastOutstandingPolicy, PoolServer,
+                              RoundRobinPolicy, RoutingPolicy, WorkerConfig,
+                              make_policy)
 from repro.serve.qos import (BROWNOUT_STATES, PRIORITY_CLASSES,
                              BrownoutController, FairScheduler, QoSConfig,
                              RequestQoS, ShedError, TokenBucket,
@@ -178,7 +178,6 @@ __all__ = [
     "RoutingPolicy",
     "RoundRobinPolicy",
     "LeastOutstandingPolicy",
-    "ModelAffinityPolicy",
     "CacheAffinityPolicy",
     "POLICIES",
     "make_policy",

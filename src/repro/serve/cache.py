@@ -16,7 +16,7 @@ Three cooperating pieces live here:
   keys the cache, the ``cache_affinity`` routing policy, and the invariant
   monitor's cross-request argmax checks, so all three planes agree on what
   "the same request" means.  :func:`stable_route_hash` is the shared
-  string→bucket hash used by the affinity policies (crc32: stable across
+  string→bucket hash used by ``cache_affinity`` routing (crc32: stable across
   processes and Python versions, unlike ``hash()``).
 
 * **:class:`ResultCache`** — a byte-budgeted LRU mapping

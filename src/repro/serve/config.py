@@ -182,8 +182,7 @@ class PoolConfig:
              "in-process server")
     policy: str = cfgfield(
         "least_outstanding", parse=str,
-        choices=("round_robin", "least_outstanding", "model_affinity",
-                 "cache_affinity"),
+        choices=("round_robin", "least_outstanding", "cache_affinity"),
         help="pool routing policy (with --workers > 1); cache_affinity pins "
              "identical inputs to one worker by canonical input hash")
     heartbeat_interval_s: float = cfgfield(
@@ -215,23 +214,17 @@ class CacheConfig:
 
     cache_mb: float = cfgfield(
         64.0, parse=float,
-        help="deterministic response-cache budget in MiB (PECAN-D inference "
-             "is bitwise deterministic, so exact result caching + in-flight "
+        help="deterministic response-cache budget in MiB, 0 disables the "
+             "cache and in-flight request coalescing (PECAN-D inference is "
+             "bitwise deterministic, so exact result caching + in-flight "
              "coalescing is provably lossless); namespaced per "
              "model@version and invalidated on promote/rollback/undeploy")
-    enabled: bool = cfgfield(
-        True, flag="--no_cache", invert=True,
-        help="disable the response cache and in-flight request coalescing")
     cache_check_every: int = cfgfield(
         64, parse=int,
         help="cache-parity audit rate (pool only): re-execute one cache hit "
              "in N through a worker engine and compare bitwise — divergence "
              "is a cache_parity runtime-verification violation (1 checks "
              "every hit, 0 disables)")
-
-    @property
-    def effective_mb(self) -> float:
-        return self.cache_mb if self.enabled else 0.0
 
 
 @dataclass
@@ -352,7 +345,7 @@ class ServeConfig:
     def build(cls, **flat: Any) -> "ServeConfig":
         """Construct from flat field names: ``ServeConfig.build(port=0)``.
 
-        Dotted names (``"cache.enabled"``) disambiguate the few field names
+        Dotted names (``"trace.enabled"``) disambiguate the few field names
         that appear in more than one section.
         """
         config = cls()

@@ -15,10 +15,9 @@ bundle arrays**, fronted by an HTTP router that speaks the exact same
   LUT/prototype pages for the whole pool instead of one per worker.
 * **Pluggable routing** — ``round_robin`` (cheap, uniform),
   ``least_outstanding`` (load-aware: the worker with the fewest in-flight
-  proxied requests), ``model_affinity`` (a stable hash of the request's model
-  name pins each model to a worker so per-model LRU caches stay hot),
-  ``cache_affinity`` (a stable hash of the request's *canonical input* pins
-  repeat traffic to the worker that already executed it).
+  proxied requests), ``cache_affinity`` (a stable hash of the request's
+  *canonical input* pins repeat traffic to the worker that already executed
+  it).
 * **Deterministic response cache + coalescing** — with ``cache_mb`` set, the
   shared request pipeline (:mod:`repro.serve.pipeline`) answers repeat
   requests from the router's exact cache, namespaced per ``model@version``
@@ -86,6 +85,7 @@ from repro.serve.metrics import ServerMetrics, aggregate_counter_trees
 from repro.serve.pipeline import (FrontDoor, HTTPReply, PredictRequest, Reply,
                                   RequestPipeline, json_response)
 from repro.serve.qos import QoSConfig, RequestQoS, ShedError, qos_wire_fields
+from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import QueueFullError, RequestTimeout
 from repro.serve.trace import (ATTEMPT_HEADER, PARENT_SPAN_HEADER,
                                TRACE_HEADER, TraceContext, Tracer)
@@ -133,7 +133,7 @@ def worker_serve_config(router: ServeConfig) -> ServeConfig:
     return replace(
         router, net=NetConfig(host=router.net.host, port=0),
         qos=QoSConfig(batch_class_samples=router.qos.batch_class_samples),
-        cache=CacheConfig(enabled=False))
+        cache=CacheConfig(cache_mb=0.0))
 
 
 def _worker_admin(server, message: Dict[str, object]) -> Dict[str, object]:
@@ -336,16 +336,13 @@ class RoutingPolicy:
     """Choose a ready worker for one request.
 
     ``choose`` receives the current ready workers (never empty) in ascending
-    worker-id order and, when :attr:`needs_model` is set, the request's model
-    name (``""`` for the default model).  Policies with :attr:`needs_key`
-    additionally receive ``key`` — the request's canonical input hash
+    worker-id order, the request's model name (``""`` for the default model)
+    and ``key`` — the request's canonical input hash
     (:func:`~repro.serve.cache.canonical_input_hash`), ``""`` when the body
-    had no hashable inputs.
+    had no hashable inputs or the router computed none.
     """
 
     name = "abstract"
-    needs_model = False
-    needs_key = False
 
     def choose(self, workers: Sequence[WorkerHandle],
                model: str = "", key: str = "") -> WorkerHandle:
@@ -360,7 +357,8 @@ class RoundRobinPolicy(RoutingPolicy):
     def __init__(self):
         self._ticket = itertools.count()
 
-    def choose(self, workers: Sequence[WorkerHandle], model: str = "") -> WorkerHandle:
+    def choose(self, workers: Sequence[WorkerHandle],
+               model: str = "", key: str = "") -> WorkerHandle:
         return workers[next(self._ticket) % len(workers)]
 
 
@@ -372,27 +370,11 @@ class LeastOutstandingPolicy(RoutingPolicy):
     def __init__(self):
         self._ticket = itertools.count()
 
-    def choose(self, workers: Sequence[WorkerHandle], model: str = "") -> WorkerHandle:
+    def choose(self, workers: Sequence[WorkerHandle],
+               model: str = "", key: str = "") -> WorkerHandle:
         rotation = next(self._ticket) % len(workers)
         rotated = list(workers[rotation:]) + list(workers[:rotation])
         return min(rotated, key=lambda worker: worker.outstanding)
-
-
-class ModelAffinityPolicy(RoutingPolicy):
-    """Pin each model name to a worker via a stable hash.
-
-    Keeps one model's traffic on one worker so that worker's registry LRU
-    (and its warm engine state) stays hot even when the pool serves more
-    models than fit one process's ``--max_total_values`` budget.  The hash is
-    taken over the current ready set, so a dead worker's models remap
-    deterministically to the survivors and remap back when it returns.
-    """
-
-    name = "model_affinity"
-    needs_model = True
-
-    def choose(self, workers: Sequence[WorkerHandle], model: str = "") -> WorkerHandle:
-        return workers[stable_route_hash(model) % len(workers)]
 
 
 class CacheAffinityPolicy(RoutingPolicy):
@@ -401,13 +383,13 @@ class CacheAffinityPolicy(RoutingPolicy):
     Repeat traffic for one input keeps landing on the same worker, so its
     batcher/engine state is warm and — with the router cache filling from
     that worker — the pool behaves like a consistent-hash cache tier.
-    Requests without hashable inputs fall back to the model pin, so the
-    policy degrades to ``model_affinity`` rather than randomizing.
+    Requests without hashable inputs fall back to pinning their model name,
+    rather than randomizing.  The hash is taken over the current ready set,
+    so a dead worker's keys remap deterministically to the survivors and
+    remap back when it returns.
     """
 
     name = "cache_affinity"
-    needs_model = True
-    needs_key = True
 
     def choose(self, workers: Sequence[WorkerHandle], model: str = "",
                key: str = "") -> WorkerHandle:
@@ -417,13 +399,11 @@ class CacheAffinityPolicy(RoutingPolicy):
 POLICIES = {
     policy.name: policy
     for policy in (RoundRobinPolicy, LeastOutstandingPolicy,
-                   ModelAffinityPolicy, CacheAffinityPolicy)
+                   CacheAffinityPolicy)
 }
 
 
-def make_policy(policy: Union[str, RoutingPolicy]) -> RoutingPolicy:
-    if isinstance(policy, RoutingPolicy):
-        return policy
+def make_policy(policy: str) -> RoutingPolicy:
     try:
         return POLICIES[policy]()
     except KeyError:
@@ -521,7 +501,7 @@ class PoolServer(FrontDoor):
         #: active.  One hit in ``cache_check_every`` is additionally
         #: re-executed on a worker and compared bitwise by the invariant
         #: monitor (``cache_parity``); 0 disables the probes.
-        cache_mb = config.cache.effective_mb
+        cache_mb = config.cache.cache_mb
         self.cache: Optional[ResultCache] = (
             ResultCache(int(cache_mb * 1024 * 1024)) if cache_mb > 0 else None)
         self.cache_check_every = config.cache.cache_check_every
@@ -536,13 +516,11 @@ class PoolServer(FrontDoor):
         #: though each response is returned to the caller successfully.
         self.proxied_status: Dict[str, int] = {"2xx": 0, "3xx": 0, "4xx": 0, "5xx": 0}
         self.restarts_total = 0
-        self._bundles: List[Tuple[str, str]] = []
-        #: Lifecycle state (all guarded by the pool lock unless noted):
-        #: per-base active/previous alias versions, a never-reused version
-        #: counter, in-flight/terminal rollouts and a bounded history.
-        self._active_versions: Dict[str, int] = {}
-        self._previous_versions: Dict[str, int] = {}
-        self._version_counter: Dict[str, int] = {}
+        #: The pool's version table: what every worker registers and which
+        #: version each base alias names.  The router registers and deploys
+        #: through it but never checks out an engine, so it loads none.
+        self.registry = ModelRegistry()
+        #: In-flight/terminal rollouts and a bounded history (pool lock).
         self._rollouts: Dict[str, Rollout] = {}
         self._rollout_history: List[Dict[str, object]] = []
         self._admin_ids = itertools.count(1)
@@ -574,18 +552,9 @@ class PoolServer(FrontDoor):
         if self._running:
             raise RuntimeError("bundles must be registered before the pool starts")
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"deployment bundle not found: {path}")
         name = name or path.stem
-        if any(existing == name for existing, _ in self._bundles):
-            raise ValueError(f"model {name!r} is already registered")
-        base, version = split_versioned(name)
+        self.registry.register(name, path)
         self._materialize_cache(path)
-        self._bundles.append((name, str(path)))
-        version = 1 if version is None else version
-        self._version_counter[base] = max(self._version_counter.get(base, 0),
-                                          version)
-        self._active_versions.setdefault(base, version)
         return name
 
     def _materialize_cache(self, path: Path) -> None:
@@ -598,11 +567,14 @@ class PoolServer(FrontDoor):
             materialize_bundle_cache(path)
 
     def _worker_config(self) -> WorkerConfig:
-        with self._lock:
-            bundles = tuple(self._bundles)
-            active = tuple(sorted(self._active_versions.items()))
-        return WorkerConfig(serve=self.config, bundles=bundles,
-                            active_versions=active)
+        table = self.registry.version_table()
+        return WorkerConfig(
+            serve=self.config,
+            bundles=tuple((entry["name"], entry["path"])
+                          for model in table.values()
+                          for entry in model["versions"]),
+            active_versions=tuple(sorted(
+                (base, model["active_version"]) for base, model in table.items())))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -610,7 +582,7 @@ class PoolServer(FrontDoor):
     def start(self) -> "PoolServer":
         if self._running:
             return self
-        if not self._bundles:
+        if not len(self.registry):
             raise ValueError("no bundles registered; call add_bundle() first")
         self._running = True
         self._draining = False
@@ -1069,7 +1041,7 @@ class PoolServer(FrontDoor):
         policy does not need one or the inputs do not hash)."""
         if request.plane is not None:
             return request.plane.input_hash
-        if not getattr(self.policy, "needs_key", False):
+        if not isinstance(self.policy, CacheAffinityPolicy):
             return ""
         try:
             return cache.canonical_input_hash(request.inputs)
@@ -1096,40 +1068,13 @@ class PoolServer(FrontDoor):
     # Response cache + in-flight coalescing
     # ------------------------------------------------------------------ #
     def _cache_namespace(self, model: str) -> Optional[Tuple[str, str]]:
-        """``(namespace, model-echo)`` for a cacheable request, else ``None``.
-
-        The namespace is the *fully versioned* id the request resolves to
-        right now: a bare base name follows the active alias (so a promote
-        moves traffic to a fresh namespace), an explicit ``m@vN`` pins that
-        deployed version, and the empty model follows the default base.
-        ``echo`` is the model name a worker would echo in its response —
-        needed to splice cached bytes into a faithful reply.  Canary traffic
-        is never cached: the rollout gate judges fresh candidate executions.
-        """
+        """The registry's ``(namespace, echo)`` for ``model``
+        (:meth:`ModelRegistry.cache_namespace`), except that canary traffic
+        is never cached: the rollout gate judges fresh candidate
+        executions."""
         if self._canary_rollout_for(model) is not None:
             return None
-        with self._lock:
-            try:
-                base, version = self._requested_base(model)
-            except LifecycleError:
-                return None
-            if version is not None:
-                deployed = any(name == model for name, _ in self._bundles)
-                return (model, model) if deployed else None
-            active = self._active_versions.get(base)
-            if active is None:
-                return None
-            return format_versioned(base, active), (model or base)
-
-    def _requested_base(self, model: str) -> Tuple[Optional[str], Optional[int]]:
-        """``(base, pinned version)`` a request names (call with the pool
-        lock held).  An empty model follows the default (first-registered)
-        base, exactly like the workers' registries resolve it."""
-        if model:
-            return split_versioned(model)
-        if not self._bundles:
-            return None, None
-        return split_versioned(self._bundles[0][0])[0], None
+        return self.registry.cache_namespace(model)
 
     def _maybe_verify_hit(self, request: PredictRequest,
                           canonical: bytes) -> None:
@@ -1194,11 +1139,8 @@ class PoolServer(FrontDoor):
                           if worker.id not in tried]
             if not candidates:
                 break
-            if getattr(self.policy, "needs_key", False):
-                worker = self.policy.choose(candidates, model=model,
-                                            key=routing_key or "")
-            else:
-                worker = self.policy.choose(candidates, model=model)
+            worker = self.policy.choose(candidates, model=model,
+                                        key=routing_key or "")
             tried.add(worker.id)
             with self._lock:
                 worker.outstanding += 1
@@ -1272,7 +1214,8 @@ class PoolServer(FrontDoor):
         with self._lock:
             if not self._rollouts:
                 return None
-            base, version = self._requested_base(model)
+            base, version = split_versioned(
+                model or self.registry.default_name() or "")
             rollout = self._rollouts.get(base) if version is None else None
             return rollout if rollout is not None and rollout.in_canary else None
 
@@ -1505,51 +1448,36 @@ class PoolServer(FrontDoor):
         """
         with self._admin_lock:
             self._require_admin_ready()
-            path = Path(path)
-            if not path.exists():
-                raise FileNotFoundError(f"deployment bundle not found: {path}")
-            base, parsed = split_versioned(name)
-            if parsed is not None:
-                if version is not None and version != parsed:
-                    raise LifecycleError(f"conflicting versions: name {name!r} "
-                                         f"vs version={version}")
-                version = parsed
+            base, _ = split_versioned(name)
+            active_version = self.registry.active_version(base)
+            if active_version is None:
+                raise KeyError(f"model {base!r} is not served by this pool")
             with self._lock:
-                if base not in self._active_versions:
-                    raise KeyError(f"model {base!r} is not served by this pool "
-                                   f"(known: {sorted(self._active_versions)})")
                 rollout = self._rollouts.get(base)
                 if rollout is not None and rollout.in_canary:
                     raise LifecycleError(
                         f"a rollout of {base!r} is already in flight "
                         f"(candidate {rollout.candidate})")
-                if version is None:
-                    version = self._version_counter.get(base, 1) + 1
-                elif version <= self._version_counter.get(base, 0):
-                    raise LifecycleError(
-                        f"version {version} of {base!r} was already used; "
-                        f"next free version is "
-                        f"{self._version_counter.get(base, 0) + 1}")
-                active_version = self._active_versions[base]
-            candidate = format_versioned(base, version)
-            self._materialize_cache(path)
-            with self._lock:
-                # Publish the candidate (and burn its version number) *before*
-                # the broadcast: a worker respawned mid-deploy builds from
-                # this list, so it must come up with the candidate too — a
-                # ready worker without it would 404 mirrored canary traffic
-                # and trip the gate on a healthy rollout.  A failed deploy
-                # removes the entry but never reuses the number.
-                self._bundles.append((candidate, str(path)))
-                self._version_counter[base] = version
-            results = self._admin_broadcast(
-                "deploy", {"name": base, "path": str(path), "version": version},
-                timeout_s=timeout_s)
+            self._materialize_cache(Path(path))
+            # Publish the candidate (and burn its version number) *before*
+            # the broadcast: a worker respawned mid-deploy builds from the
+            # registry, so it must come up with the candidate too — a ready
+            # worker without it would 404 mirrored canary traffic and trip
+            # the gate on a healthy rollout.  A failed deploy removes the
+            # entry; the registry never reuses the number.
+            record = self.registry.deploy(name, path, version=version)
+            candidate, version = record.name, record.version
+            try:
+                results = self._admin_broadcast(
+                    "deploy", {"name": base, "path": str(path),
+                               "version": version},
+                    timeout_s=timeout_s)
+            except LifecycleError:
+                self.registry.undeploy(candidate)     # no worker to take it
+                raise
             error = self._first_error(results)
             if error is not None:
-                with self._lock:
-                    self._bundles = [entry for entry in self._bundles
-                                     if entry[0] != candidate]
+                self.registry.undeploy(candidate)
                 if self.cache is not None:
                     # Some workers may have served the candidate (explicit
                     # m@vN requests) before the deploy failed; none hold it
@@ -1593,26 +1521,14 @@ class PoolServer(FrontDoor):
         with self._admin_lock:
             self._require_admin_ready()
             base, parsed = split_versioned(name)
+            with self._lock:
+                rollout = self._rollouts.get(base)
             if parsed is not None:
                 version = parsed
-            with self._lock:
-                if base not in self._active_versions:
-                    raise KeyError(f"model {base!r} is not served by this pool")
-                rollout = self._rollouts.get(base)
-                deployed = self._deployed_versions_locked(base)
-                if version is None:
-                    if rollout is not None and rollout.in_canary:
-                        version = rollout.candidate_version
-                    else:
-                        # Newest version the workers actually hold — the raw
-                        # counter also remembers rolled-back (undeployed)
-                        # versions, which no worker could activate.
-                        version = max(deployed, default=None)
-                if version not in deployed:
-                    raise LifecycleError(
-                        f"model {base!r} has no deployed version {version} "
-                        f"(deployed: {sorted(deployed)})")
-                previous = self._active_versions[base]
+            elif version is None and rollout is not None and rollout.in_canary:
+                version = rollout.candidate_version
+            version = self.registry.check_version(base, version)
+            previous = self.registry.active_version(base)
             if rollout is not None and rollout.in_canary:
                 rollout.claim_transition()     # stop the gate's auto path
             results = self._admin_broadcast(
@@ -1622,10 +1538,7 @@ class PoolServer(FrontDoor):
             if error is not None:
                 raise LifecycleError(f"promote of {base}@v{version} {error} "
                                      f"(safe to retry: promote is idempotent)")
-            with self._lock:
-                if previous != version:
-                    self._previous_versions[base] = previous
-                self._active_versions[base] = version
+            self.registry.set_active(base, version)
             if self.cache is not None and previous != version:
                 # Atomically retire the outgoing version's namespace.  The
                 # broadcast above only succeeds once *every* worker flipped,
@@ -1646,15 +1559,6 @@ class PoolServer(FrontDoor):
                     "previous_version": previous,
                     "workers": {str(wid): reply for wid, reply in results.items()}}
 
-    def _deployed_versions_locked(self, base: str) -> set:
-        """Versions of ``base`` the workers hold (pool lock held)."""
-        deployed = set()
-        for bundle_name, _ in self._bundles:
-            bundle_base, bundle_version = split_versioned(bundle_name)
-            if bundle_base == base:
-                deployed.add(1 if bundle_version is None else bundle_version)
-        return deployed
-
     def rollback(self, name: str, *, reason: str = "operator rollback",
                  timeout_s: float = 120.0) -> Dict[str, object]:
         """Abort an in-flight canary, or restore the previously active version.
@@ -1667,32 +1571,19 @@ class PoolServer(FrontDoor):
             self._require_admin_ready()
             base, _ = split_versioned(name)
             with self._lock:
-                if base not in self._active_versions:
-                    raise KeyError(f"model {base!r} is not served by this pool")
                 rollout = self._rollouts.get(base)
-                in_canary = rollout is not None and rollout.in_canary
-            if in_canary:
+            if rollout is not None and rollout.in_canary:
                 rollout.claim_transition()     # stop the gate's auto path
                 results = self._admin_broadcast(
                     "undeploy", {"name": rollout.candidate}, timeout_s=timeout_s)
-                with self._lock:
-                    self._bundles = [(bundle_name, bundle_path)
-                                     for bundle_name, bundle_path in self._bundles
-                                     if bundle_name != rollout.candidate]
+                self.registry.undeploy(rollout.candidate)
                 rollout.finish(ROLLED_BACK, reason)
-                with self._lock:
-                    active_version = self._active_versions[base]
                 return {"model": base, "aborted_canary": rollout.candidate,
-                        "active_version": active_version,
+                        "active_version": self.registry.active_version(base),
                         "workers": {str(wid): reply
                                     for wid, reply in results.items()}}
-            with self._lock:
-                previous = self._previous_versions.get(base)
-            if previous is None:
-                raise LifecycleError(f"model {base!r} has no previous active "
-                                     f"version to roll back to")
-            info = self.promote(base, previous, reason=reason,
-                                timeout_s=timeout_s)
+            info = self.promote(base, self.registry.rollback_target(base),
+                                reason=reason, timeout_s=timeout_s)
             info["rolled_back"] = True
             return info
 
@@ -1712,18 +1603,8 @@ class PoolServer(FrontDoor):
 
     def lifecycle_snapshot(self) -> Dict[str, object]:
         """The pool ``/admin/status`` payload."""
+        versions = self.registry.version_table()
         with self._lock:
-            versions: Dict[str, Dict[str, object]] = {}
-            for bundle_name, bundle_path in self._bundles:
-                base, version = split_versioned(bundle_name)
-                entry = versions.setdefault(base, {"versions": []})
-                entry["versions"].append(
-                    {"version": 1 if version is None else version,
-                     "name": bundle_name, "path": bundle_path})
-            for base, entry in versions.items():
-                entry["versions"].sort(key=lambda item: item["version"])
-                entry["active_version"] = self._active_versions.get(base)
-                entry["previous_version"] = self._previous_versions.get(base)
             rollouts = {base: rollout.snapshot()
                         for base, rollout in self._rollouts.items()}
             history = list(self._rollout_history)
@@ -1770,12 +1651,14 @@ class PoolServer(FrontDoor):
         per_worker = self.fetch_peers("/metrics")
         healthy = [payload for payload in per_worker.values()
                    if "error" not in payload]
+        table = self.registry.version_table()
         with self._lock:
             lifecycle = {
                 "rollouts": {base: rollout.snapshot()
                              for base, rollout in self._rollouts.items()},
                 "history": list(self._rollout_history),
-                "active_versions": dict(self._active_versions),
+                "active_versions": {base: model["active_version"]
+                                    for base, model in table.items()},
             }
         self.tracer.flush()
         return {
@@ -1824,7 +1707,7 @@ class PoolServer(FrontDoor):
         else:
             status = "unavailable"
         return {"status": status, "pool": pool,
-                "models": [name for name, _ in self._bundles]}
+                "models": self.registry.names()}
 
     # ------------------------------------------------------------------ #
     # Fault injection (chaos tests)

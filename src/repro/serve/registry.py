@@ -10,6 +10,15 @@ alias; :meth:`set_active` / :meth:`rollback_active` flip it atomically, which
 is what makes hot reload and canary rollout (:mod:`repro.serve.lifecycle`)
 races-free at the naming layer.
 
+The registry is the one version table of both server kinds: a
+:class:`~repro.serve.server.PECANServer` and every pool worker serve from
+it, and the pool router keeps one that never loads an engine.  Version
+numbers are **never reused**: a per-base high-water mark, raised by every
+:meth:`register` and :meth:`deploy`, refuses a number an undeployed version
+once held, so each ``m@vN`` names exactly one bundle for the registry's
+lifetime — the property the response cache's ``model@version`` namespaces
+(:meth:`cache_namespace`) and the canary gate's bitwise comparisons rest on.
+
 Engines load lazily and are **refcounted**: :meth:`acquire` hands out an
 :class:`EngineLease`, and an engine with live leases is never dropped —
 eviction and :meth:`unload` defer (``pending``) until the last lease is
@@ -31,7 +40,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.serve.engine import BundleEngine
 from repro.serve.lifecycle import (LifecycleError, format_versioned,
@@ -161,6 +170,7 @@ class ModelRegistry:
         self._versions: Dict[str, Dict[int, str]] = {}     # base → {version: id}
         self._active: Dict[str, int] = {}                  # base → active version
         self._previous: Dict[str, int] = {}                # base → last active
+        self._high: Dict[str, int] = {}                    # base → highest ever
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self.evictions_total = 0
@@ -175,10 +185,21 @@ class ModelRegistry:
         self._records[name] = record
         self._canonical[record.versioned_id] = name
         self._versions.setdefault(base, {})[version] = name
+        self._high[base] = max(self._high.get(base, 0), version)
         # The first version of a base activates it; later deploys only
         # change the alias through set_active()/rollback_active().
         self._active.setdefault(base, version)
         return record
+
+    def _check_free(self, base: str, version: int) -> None:
+        """Refuse a version that is registered or was ever used (lock held)."""
+        if version in self._versions.get(base, {}):
+            raise ValueError(f"version {version} of model {base!r} is "
+                             f"already registered")
+        used = self._high.get(base, 0)
+        if version <= used:
+            raise LifecycleError(f"version {version} of {base!r} was already "
+                                 f"used; next free version is {used + 1}")
 
     def register(self, name: str, path: PathLike,
                  preload: bool = False) -> RegisteredModel:
@@ -186,7 +207,8 @@ class ModelRegistry:
 
         A bare ``name`` registers version 1 of a new base (re-registering an
         existing base raises — use :meth:`deploy` for subsequent versions);
-        ``name@vN`` registers that exact version.
+        ``name@vN`` registers that exact version.  A version number is
+        never reused, even after its version was undeployed.
         """
         path = Path(path)
         if not path.exists():
@@ -200,9 +222,7 @@ class ModelRegistry:
                     raise ValueError(f"model {name!r} is already registered "
                                      f"(deploy() adds new versions)")
                 version = 1
-            elif version in self._versions.get(base, {}):
-                raise ValueError(f"version {version} of model {base!r} is "
-                                 f"already registered")
+            self._check_free(base, version)
             record = self._add_record(name, base, version, path)
         if preload:
             self.get_engine(name)
@@ -212,7 +232,8 @@ class ModelRegistry:
                preload: bool = False) -> RegisteredModel:
         """Register a **new version** of base ``name`` without activating it.
 
-        ``version`` defaults to one past the highest registered version.  The
+        ``version`` defaults to one past the highest version the base ever
+        held (numbers of undeployed versions are never reused).  The
         record id is the canonical ``base@vN`` form; traffic only reaches it
         by explicit versioned name until :meth:`set_active` flips the alias.
         """
@@ -226,12 +247,9 @@ class ModelRegistry:
                                      f"vs version={version}")
             version = parsed
         with self._lock:
-            known = self._versions.get(base, {})
             if version is None:
-                version = max(known, default=0) + 1
-            if version in known:
-                raise ValueError(f"version {version} of model {base!r} is "
-                                 f"already registered")
+                version = self._high.get(base, 0) + 1
+            self._check_free(base, version)
             record = self._add_record(format_versioned(base, version),
                                       base, version, path)
         if preload:
@@ -273,29 +291,47 @@ class ModelRegistry:
         remembered for :meth:`rollback_active`.
         """
         with self._lock:
-            known = self._versions.get(base)
-            if not known:
-                raise KeyError(f"model {base!r} is not registered "
-                               f"(known: {sorted(self._versions)})")
-            if version not in known:
-                raise LifecycleError(f"model {base!r} has no version {version} "
-                                     f"(known: {sorted(known)})")
+            version = self.check_version(base, version)
             current = self._active[base]
             if current != version:
                 self._previous[base] = current
                 self._active[base] = version
-            return known[version]
+            return self._versions[base][version]
 
     def rollback_active(self, base: str) -> str:
         """Flip the base alias back to the previously active version."""
         with self._lock:
+            return self.set_active(base, self.rollback_target(base))
+
+    def check_version(self, base: str, version: Optional[int] = None) -> int:
+        """``version`` if ``base`` holds it (default: its newest version).
+
+        Raises ``KeyError`` for an unknown base and :class:`LifecycleError`
+        for a version it does not hold — the check every promote makes
+        before it flips anything.
+        """
+        with self._lock:
+            known = self._versions.get(base)
+            if not known:
+                raise KeyError(f"model {base!r} is not registered "
+                               f"(known: {sorted(self._versions)})")
+            if version is None:
+                return max(known)
+            if version not in known:
+                raise LifecycleError(f"model {base!r} has no version {version} "
+                                     f"(known: {sorted(known)})")
+            return version
+
+    def rollback_target(self, base: str) -> int:
+        """The version a rollback of ``base`` restores; raises when none."""
+        with self._lock:
             if base not in self._versions:
                 raise KeyError(f"model {base!r} is not registered")
-            previous = self._previous.get(base)
-            if previous is None or previous not in self._versions[base]:
+            previous = self.previous_version(base)
+            if previous is None:
                 raise LifecycleError(f"model {base!r} has no previous active "
                                      f"version to roll back to")
-            return self.set_active(base, previous)
+            return previous
 
     # ------------------------------------------------------------------ #
     # Resolution / listing
@@ -335,11 +371,6 @@ class ModelRegistry:
         with self._lock:
             return self._active.get(base)
 
-    def latest_version(self, base: str) -> Optional[int]:
-        with self._lock:
-            known = self._versions.get(base)
-            return max(known) if known else None
-
     def previous_version(self, base: str) -> Optional[int]:
         """The version :meth:`rollback_active` would restore (if any)."""
         with self._lock:
@@ -347,6 +378,48 @@ class ModelRegistry:
             if previous is not None and previous in self._versions.get(base, {}):
                 return previous
             return None
+
+    def cache_namespace(self, model: str) -> Optional[Tuple[str, str]]:
+        """``(namespace, echo)`` of a cacheable request for ``model``.
+
+        The namespace is the fully versioned id the request resolves to
+        right now: a bare base follows its active version (so a promote moves
+        traffic to a fresh namespace), an explicit ``m@vN`` keys on that
+        registered version, and the empty model follows the default base.
+        ``echo`` is the model name the response carries.  ``None`` for
+        unknown models, unregistered versions and malformed names: nothing
+        is cached for them.
+        """
+        with self._lock:
+            name = model or next(iter(self._versions), None)
+            if name is None:
+                return None
+            try:
+                base, version = split_versioned(name)
+            except LifecycleError:
+                return None
+            known = self._versions.get(base)
+            if known is None or (version is not None and version not in known):
+                return None
+            return format_versioned(base, version or self._active[base]), name
+
+    def version_table(self) -> Dict[str, Dict[str, object]]:
+        """Every base's versions and alias state, read in one go.
+
+        ``{base: {"versions": [{"version", "name", "path"}, ...],
+        "active_version", "previous_version"}}`` with versions ascending:
+        the pool's ``/admin/status`` block, and the list a respawned pool
+        worker registers (then promotes) from, so it never sees a
+        half-applied deploy or promote.
+        """
+        with self._lock:
+            return {base: {
+                "versions": [{"version": version, "name": name,
+                              "path": str(self._records[name].path)}
+                             for version, name in sorted(versions.items())],
+                "active_version": self._active[base],
+                "previous_version": self.previous_version(base),
+            } for base, versions in self._versions.items()}
 
     def __contains__(self, name: str) -> bool:
         with self._lock:

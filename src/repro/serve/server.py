@@ -36,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -191,7 +191,7 @@ class PECANServer(FrontDoor):
                                         tracer=self.tracer)
         #: Deterministic response cache + in-flight coalescing (see class
         #: docstring); ``None`` when disabled.
-        cache_mb = config.cache.effective_mb
+        cache_mb = config.cache.cache_mb
         self.cache: Optional[ResultCache] = (
             ResultCache(int(cache_mb * 1024 * 1024)) if cache_mb > 0 else None)
         #: Overload brownout: queue depth across all batchers + recent p99.
@@ -199,7 +199,7 @@ class PECANServer(FrontDoor):
         self.pipeline = RequestPipeline(
             "server", tracer=self.tracer, metrics=self.metrics,
             monitor=self.monitor, cache=self.cache,
-            resolve=self._cache_namespace, dispatch=self._dispatch,
+            resolve=self.registry.cache_namespace, dispatch=self._dispatch,
             follow_timeout_s=self.request_timeout_s)
         self._served: Dict[str, ServedModel] = {}
         self._lock = threading.RLock()
@@ -372,17 +372,10 @@ class PECANServer(FrontDoor):
                 raise LifecycleError(f"conflicting versions: name {name!r} "
                                      f"vs version={version}")
             version = parsed
-        if version is None:
-            version = self.registry.latest_version(base)
-            if version is None:
-                raise KeyError(f"model {base!r} is not registered")
-        versions = self.registry.versions_of(base)
-        if version not in versions:
-            raise LifecycleError(f"model {base!r} has no version {version} "
-                                 f"(known: {sorted(versions)})")
+        version = self.registry.check_version(base, version)
         previous_version = self.registry.active_version(base)
         previous_id = self.registry.resolve_id(base)
-        candidate_id = versions[version]
+        candidate_id = self.registry.versions_of(base)[version]
         if candidate_id != previous_id:
             # Warm by canonical versioned name: the record id of a
             # bare-registered v1 is the base name itself, which the resolver
@@ -403,11 +396,7 @@ class PECANServer(FrontDoor):
     def rollback(self, name: str) -> Dict[str, object]:
         """Flip base ``name`` back to its previously active version."""
         base, _ = split_versioned(name)
-        previous = self.registry.previous_version(base)
-        if previous is None:
-            raise LifecycleError(f"model {base!r} has no previous active "
-                                 f"version to roll back to")
-        info = self.promote(base, previous)
+        info = self.promote(base, self.registry.rollback_target(base))
         info["rolled_back"] = True
         return info
 
@@ -471,26 +460,6 @@ class PECANServer(FrontDoor):
             trace=trace if trace is not None else TraceContext(),
             no_cache=no_cache))
         return result if reply else result.to_dict()
-
-    def _cache_namespace(self, model: str) -> Optional[Tuple[str, str]]:
-        """``(namespace, model-echo)`` of a cacheable request, else ``None``.
-
-        The namespace is always fully versioned: explicit ``m@vN`` requests
-        key on that version, bare names on the base's *active* version at
-        lookup time.
-        """
-        name = model or self.registry.default_name()
-        if not name:
-            return None
-        try:
-            base, version = split_versioned(name)
-        except LifecycleError:
-            return None
-        if version is None:
-            version = self.registry.active_version(base)
-            if version is None:
-                return None
-        return format_versioned(base, version), name
 
     def _dispatch(self, request: PredictRequest) -> Reply:
         """The single server's dispatch step: brownout, then the batcher."""

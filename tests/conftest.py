@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from harness import build_bundle
 from repro.autograd.tensor import Tensor
 from repro.data import make_dataset
 from repro.pecan.config import PECANMode, PQLayerConfig
@@ -32,6 +35,22 @@ def mnist_like():
 def cifar_like():
     """A tiny synthetic CIFAR-like (train, test) pair for integration tests."""
     return make_dataset("cifar10", num_train=48, num_test=24, image_size=16)
+
+
+@pytest.fixture(scope="session")
+def toy_bundle(tmp_path_factory):
+    """Factory exporting the serving tests' toy PECAN-D bundle.
+
+    ``toy_bundle(seed, name="toy")`` exports Conv(1→4, 3×3) → ReLU →
+    MaxPool(2) → Linear(64→6) with 4 distance-mode prototypes, input shape
+    (1, 10, 10) and every weight drawn from ``default_rng(seed)``, into a
+    fresh directory, and returns the bundle's path.
+    """
+    def export(seed: int, name: str = "toy") -> Path:
+        return build_bundle(tmp_path_factory.mktemp(name), seed=seed,
+                            name=name, image=10, in_channels=1, prototypes=4,
+                            hidden=(4,), classes=6)
+    return export
 
 
 @pytest.fixture

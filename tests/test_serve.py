@@ -34,23 +34,20 @@ from repro.serve.trace import Tracer
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def small_model(rng, mode="distance", in_channels=1, image_size=10):
-    """A tiny sequential conv→fc PECAN model (trace-exportable)."""
-    cfg = PQLayerConfig(num_prototypes=4, mode=mode,
-                        temperature=0.5 if mode == "distance" else 1.0)
-    spatial = (image_size - 2) // 2
+def small_model(rng):
+    """The toy conv→fc PECAN model as an object, for the one test that
+    compares a model's engine with its exported bundle's."""
+    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
     model = Sequential(
-        Conv2d(in_channels, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * spatial * spatial, 6, rng=rng),
+        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
+        Linear(4 * 4 * 4, 6, rng=rng),
     )
     return convert_to_pecan(model, cfg, rng=rng)
 
 
 @pytest.fixture
-def bundle_path(rng, tmp_path) -> Path:
-    model = small_model(rng)
-    return export_deployment_bundle(model, tmp_path / "toy.npz",
-                                    input_shape=(1, 10, 10))
+def bundle_path(toy_bundle) -> Path:
+    return toy_bundle(1234)
 
 
 @pytest.fixture
@@ -451,12 +448,9 @@ class TestModelRegistry:
         with pytest.raises(FileNotFoundError):
             registry.register("ghost", bundle_path.parent / "ghost.npz")
 
-    def test_lru_eviction_by_total_values(self, rng, tmp_path):
-        paths = {}
-        for name in ("a", "b", "c"):
-            model = small_model(rng)
-            paths[name] = export_deployment_bundle(model, tmp_path / f"{name}.npz",
-                                                   input_shape=(1, 10, 10))
+    def test_lru_eviction_by_total_values(self, toy_bundle):
+        paths = {name: toy_bundle(seed, name=name)
+                 for seed, name in enumerate(("a", "b", "c"))}
         one = BundleEngine(paths["a"]).bundle.total_values()
         registry = ModelRegistry(max_total_values=2 * one)
         for name in ("a", "b", "c"):
@@ -698,12 +692,9 @@ class TestServerEndToEnd:
 
 
 class TestServerEviction:
-    def test_registry_eviction_retires_served_record(self, rng, tmp_path):
-        paths = {}
-        for name in ("a", "b"):
-            paths[name] = export_deployment_bundle(small_model(rng),
-                                                   tmp_path / f"{name}.npz",
-                                                   input_shape=(1, 10, 10))
+    def test_registry_eviction_retires_served_record(self, rng, toy_bundle):
+        paths = {name: toy_bundle(seed, name=name)
+                 for seed, name in enumerate(("a", "b"))}
         one = BundleEngine(paths["a"]).bundle.total_values()
         registry = ModelRegistry(max_total_values=one)       # room for one engine
         server = PECANServer(registry=registry, config=ServeConfig.build(
@@ -724,15 +715,12 @@ class TestServerEviction:
         finally:
             server.stop()
 
-    def test_default_registry_honours_engine_config(self, rng, tmp_path):
+    def test_default_registry_honours_engine_config(self, rng, toy_bundle):
         # Without an explicit registry the server builds one from
         # config.engine: the value budget, the optimization passes and eager
         # (non-mmap) loading must all reach the engines it serves.
-        paths = {}
-        for name in ("a", "b"):
-            paths[name] = export_deployment_bundle(small_model(rng),
-                                                   tmp_path / f"{name}.npz",
-                                                   input_shape=(1, 10, 10))
+        paths = {name: toy_bundle(seed, name=name)
+                 for seed, name in enumerate(("a", "b"))}
         one = BundleEngine(paths["a"]).bundle.total_values()
         server = PECANServer(config=ServeConfig.build(
             max_total_values=one, optimize=True, mmap=False,

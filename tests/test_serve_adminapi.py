@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.io import export_deployment_bundle
 from repro.serve import PECANServer, PoolServer, ServeClient, ServeHTTPError
 from repro.serve.adminapi import (ADMIN_VERBS, AdminError, DeployRequest,
                                   PromoteRequest, RollbackRequest,
@@ -26,7 +25,6 @@ from repro.serve.adminapi import (ADMIN_VERBS, AdminError, DeployRequest,
 from repro.serve.config import ServeConfig
 from repro.serve.lifecycle import LifecycleError
 
-from tests.test_serve_pool import small_model
 
 
 # --------------------------------------------------------------------------- #
@@ -146,11 +144,8 @@ class TestDispatch:
 # Golden test: both live servers answer with the same structured shapes
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
-def admin_bundle(tmp_path_factory) -> Path:
-    rng = np.random.default_rng(7)
-    return export_deployment_bundle(
-        small_model(rng), tmp_path_factory.mktemp("adminapi") / "toy.npz",
-        input_shape=(1, 10, 10))
+def admin_bundle(toy_bundle) -> Path:
+    return toy_bundle(7)
 
 
 @pytest.fixture(scope="module")

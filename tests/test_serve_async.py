@@ -22,34 +22,17 @@ import numpy as np
 import pytest
 
 from harness import SlowlorisSwarm, run_concurrent_load
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, Headers, HTTPParseError, PECANServer,
                          RequestParser, ServeClient, ServeConfig,
                          render_response)
 
 
-def small_model(seed: int):
-    rng = np.random.default_rng(seed)
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, 6, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
-
-
 @pytest.fixture(scope="module")
-def bundles(tmp_path_factory):
-    root = tmp_path_factory.mktemp("netfront")
-    v1 = export_deployment_bundle(small_model(0), root / "v1.npz",
-                                  input_shape=(1, 10, 10))
-    v2 = root / "v2.npz"
+def bundles(toy_bundle):
+    v1 = toy_bundle(0, name="v1")
+    v2 = v1.parent / "v2.npz"
     shutil.copyfile(v1, v2)
-    v3 = export_deployment_bundle(small_model(99), root / "v3.npz",
-                                  input_shape=(1, 10, 10))
+    v3 = toy_bundle(99, name="v3")
     return {"v1": v1, "v2": v2, "v3": v3}
 
 

@@ -17,13 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.io import export_deployment_bundle
 from repro.serve import BundleEngine, PoolServer, ServeClient
 from repro.serve.autoscale import Autoscaler, ScaleSignals
 from repro.serve.config import AutoscaleConfig, ServeConfig
 from repro.serve.lifecycle import LifecycleError
 
-from tests.test_serve_pool import small_model
 
 
 class FakeClock:
@@ -177,11 +175,8 @@ class TestAutoscalerPolicy:
 # The elastic pool, end to end
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
-def scale_bundle(tmp_path_factory) -> Path:
-    rng = np.random.default_rng(42)
-    return export_deployment_bundle(
-        small_model(rng), tmp_path_factory.mktemp("autoscale") / "toy.npz",
-        input_shape=(1, 10, 10))
+def scale_bundle(toy_bundle) -> Path:
+    return toy_bundle(42)
 
 
 def elastic_pool(scale_bundle, hardware_hz=None,

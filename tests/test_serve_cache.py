@@ -22,10 +22,6 @@ import numpy as np
 import pytest
 
 from harness import run_zipf_load
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, CacheAffinityPolicy, InvariantMonitor,
                          ModelRegistry, PECANServer, PoolServer, ResultCache,
                          ServeClient, ServeConfig, ServeHTTPError,
@@ -36,25 +32,10 @@ from repro.serve import (BundleEngine, CacheAffinityPolicy, InvariantMonitor,
 from repro.serve.scheduler import RequestTimeout
 
 
-def small_model(seed: int, num_classes: int = 6):
-    rng = np.random.default_rng(seed)
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, num_classes, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
-
-
 @pytest.fixture(scope="module")
-def bundles(tmp_path_factory):
+def bundles(toy_bundle):
     """v1 and a differently-trained v2 (divergent outputs)."""
-    root = tmp_path_factory.mktemp("cache")
-    v1 = export_deployment_bundle(small_model(0), root / "v1.npz",
-                                  input_shape=(1, 10, 10))
-    v2 = export_deployment_bundle(small_model(99), root / "v2.npz",
-                                  input_shape=(1, 10, 10))
-    return {"v1": v1, "v2": v2}
+    return {"v1": toy_bundle(0, name="v1"), "v2": toy_bundle(99, name="v2")}
 
 
 # --------------------------------------------------------------------------- #

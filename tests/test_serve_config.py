@@ -58,7 +58,6 @@ PRE_EXISTING_FLAGS = {
     "--no_trace": False,
     "--invariant_every": 16,
     "--cache_mb": 64.0,
-    "--no_cache": False,
     "--cache_check_every": 64,
     "--max_connections": 512,
     "--idle_timeout_s": 30.0,
@@ -89,7 +88,7 @@ class TestPreExistingFlagParity:
             "serve", "--bundle", "m=toy.npz", "--host", "0.0.0.0",
             "--port", "9000", "--max_batch_size", "8",
             "--max_queue", "64", "--timeout_s", "5", "--workers", "3",
-            "--policy", "cache_affinity", "--no_mmap", "--no_cache",
+            "--policy", "cache_affinity", "--no_mmap", "--cache_mb", "0",
             "--no_trace", "--lazy_load", "--optimize",
             "--p99_slo_ms", "50", "--tenant_rate", "10"])
         config = serve_config_from_args(args)
@@ -100,7 +99,7 @@ class TestPreExistingFlagParity:
         assert config.pool.workers == 3
         assert config.pool.policy == "cache_affinity"
         assert config.engine.mmap is False and config.engine.mmap_mode is None
-        assert config.cache.enabled is False and config.cache.effective_mb == 0.0
+        assert config.cache.cache_mb == 0.0
         assert config.trace.enabled is False
         assert config.lifecycle.preload is False    # --lazy_load inverts
         assert config.engine.optimize is True
@@ -247,11 +246,11 @@ class TestBuild:
         assert config.cache.cache_mb == 8.0 and config.trace.enabled is False
 
     def test_ambiguous_name_requires_dotting(self):
-        # "enabled" lives on cache, trace, autoscale.
+        # "enabled" lives on trace and autoscale.
         with pytest.raises(TypeError, match="ambiguous"):
             ServeConfig.build(enabled=False)
-        config = ServeConfig.build(**{"cache.enabled": False})
-        assert config.cache.enabled is False and config.trace.enabled is True
+        config = ServeConfig.build(**{"autoscale.enabled": True})
+        assert config.autoscale.enabled is True and config.trace.enabled is True
 
     def test_unknown_name_raises(self):
         with pytest.raises(TypeError, match="unknown config field"):
@@ -261,9 +260,9 @@ class TestBuild:
 
     def test_replace_is_a_deep_copy(self):
         base = ServeConfig.build(port=1234)
-        changed = base.replace(**{"cache.enabled": False, "workers": 8})
-        assert base.pool.workers == 1 and base.cache.enabled is True
-        assert changed.pool.workers == 8 and changed.cache.enabled is False
+        changed = base.replace(**{"trace.enabled": False, "workers": 8})
+        assert base.pool.workers == 1 and base.trace.enabled is True
+        assert changed.pool.workers == 8 and changed.trace.enabled is False
         assert changed.net.port == 1234
 
 

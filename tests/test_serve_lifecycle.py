@@ -21,10 +21,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, CanaryPolicy, LifecycleError,
                          ModelRegistry, PECANServer, PoolServer, RolloutGate,
                          ServeClient, ServeConfig, ServeHTTPError,
@@ -32,26 +28,13 @@ from repro.serve import (BundleEngine, CanaryPolicy, LifecycleError,
 from repro.serve.server import _AcceleratorPacer
 
 
-def small_model(seed: int, num_classes: int = 6):
-    rng = np.random.default_rng(seed)
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, num_classes, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
-
-
 @pytest.fixture(scope="module")
-def bundles(tmp_path_factory):
+def bundles(toy_bundle):
     """v1, an identical copy (v2) and a differently-trained bundle (v3)."""
-    root = tmp_path_factory.mktemp("lifecycle")
-    v1 = export_deployment_bundle(small_model(0), root / "v1.npz",
-                                  input_shape=(1, 10, 10))
-    v2 = root / "v2.npz"
+    v1 = toy_bundle(0, name="v1")
+    v2 = v1.parent / "v2.npz"
     shutil.copyfile(v1, v2)              # identical content → bitwise parity
-    v3 = export_deployment_bundle(small_model(99), root / "v3.npz",
-                                  input_shape=(1, 10, 10))
+    v3 = toy_bundle(99, name="v3")
     return {"v1": v1, "v2": v2, "v3": v3}
 
 
@@ -182,6 +165,44 @@ class TestRegistryVersioning:
             registry.set_active("m", 9)
         with pytest.raises(LifecycleError, match="no previous"):
             registry.rollback_active("m")
+
+    def test_version_numbers_are_never_reused(self, bundles):
+        registry = ModelRegistry()
+        registry.register("m", bundles["v1"])
+        assert registry.deploy("m", bundles["v2"]).name == "m@v2"
+        registry.undeploy("m@v2")
+        assert registry.deploy("m", bundles["v3"]).name == "m@v3"
+        with pytest.raises(LifecycleError, match="already used; next free "
+                                                 "version is 4"):
+            registry.deploy("m", bundles["v2"], version=2)
+        with pytest.raises(LifecycleError, match="already used"):
+            registry.register("m@v2", bundles["v2"])
+        with pytest.raises(ValueError, match="already registered"):
+            registry.deploy("m", bundles["v2"], version=3)
+
+    def test_server_and_pool_resolve_cache_namespaces_alike(self, bundles):
+        """One resolver: both server kinds key the response cache the same
+        way for bare, default, explicit, unknown and unregistered names."""
+        server = PECANServer(config=ServeConfig.build(port=0))
+        pool = PoolServer(config=ServeConfig.build(port=0))
+        for front in (server, pool):
+            front.add_bundle(bundles["v1"], name="m")
+            front.add_bundle(bundles["v2"], name="m@v2")
+        expected = {"": ("m@v1", "m"), "m": ("m@v1", "m"),
+                    "m@v1": ("m@v1", "m@v1"), "m@v2": ("m@v2", "m@v2"),
+                    "m@v9": None, "ghost": None}
+        for model, namespace in expected.items():
+            assert server.pipeline.resolve(model) == namespace, model
+            assert pool.pipeline.resolve(model) == namespace, model
+
+    def test_pool_deploy_without_ready_workers_publishes_nothing(self, bundles):
+        pool = PoolServer(config=ServeConfig.build(port=0))
+        pool.add_bundle(bundles["v1"], name="m")
+        pool._running = True               # admitting, but no worker is up
+        with pytest.raises(LifecycleError, match="no ready workers"):
+            pool.deploy("m", bundles["v2"])
+        # A worker spawned now must not come up with the failed candidate.
+        assert dict(pool._worker_config().bundles) == {"m": str(bundles["v1"])}
 
     def test_undeploy_guards_active_version(self, bundles):
         registry = ModelRegistry()

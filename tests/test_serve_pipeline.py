@@ -14,10 +14,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BundleEngine, PECANServer, PoolServer, ServeConfig,
                          canonical_response_bytes)
 from repro.serve.cache import canonical_input_hash, canonical_num_samples
@@ -25,21 +21,9 @@ from repro.serve.pipeline import decode_predict_body
 from repro.serve.trace import LAMPORT_HEADER, TRACE_HEADER, new_trace_id
 
 
-def small_model(seed: int = 0):
-    rng = np.random.default_rng(seed)
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, 6, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
-
-
 @pytest.fixture(scope="module")
-def bundle(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pipeline")
-    return export_deployment_bundle(small_model(), root / "m.npz",
-                                    input_shape=(1, 10, 10))
+def bundle(toy_bundle):
+    return toy_bundle(0, name="m")
 
 
 @pytest.fixture(scope="module")

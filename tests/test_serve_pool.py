@@ -23,12 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
-from repro.serve import (BundleEngine, LeastOutstandingPolicy,
-                         ModelAffinityPolicy, PECANServer, PoolServer,
+from repro.serve import (BundleEngine, CacheAffinityPolicy,
+                         LeastOutstandingPolicy, PECANServer, PoolServer,
                          RoundRobinPolicy, ServeClient, ServeConfig,
                          ServeHTTPError, WorkerConfig, aggregate_counter_trees,
                          make_policy)
@@ -38,17 +34,6 @@ from repro.serve.qos import QoSConfig
 from repro.serve.server import _AcceleratorPacer
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def small_model(rng, mode="distance", in_channels=1, image_size=10):
-    cfg = PQLayerConfig(num_prototypes=4, mode=mode,
-                        temperature=0.5 if mode == "distance" else 1.0)
-    spatial = (image_size - 2) // 2
-    model = Sequential(
-        Conv2d(in_channels, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * spatial * spatial, 6, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
 
 
 # --------------------------------------------------------------------------- #
@@ -81,30 +66,31 @@ class TestRoutingPolicies:
         picks = {policy.choose(workers).id for _ in range(3)}
         assert picks == {0, 1, 2}          # ties spread, not pile onto worker 0
 
+    # Without an input hash, cache_affinity pins the model name.
     def test_model_affinity_is_sticky_and_spreads(self):
         workers = [FakeWorker(i) for i in range(4)]
-        policy = ModelAffinityPolicy()
+        policy = CacheAffinityPolicy()
         names = [f"model_{i}" for i in range(32)]
-        first = {name: policy.choose(workers, model=name).id for name in names}
-        second = {name: policy.choose(workers, model=name).id for name in names}
+        first = {name: policy.choose(workers, model=name, key="").id
+                 for name in names}
+        second = {name: policy.choose(workers, model=name, key="").id
+                  for name in names}
         assert first == second             # deterministic pinning
         assert len(set(first.values())) > 1    # hash actually spreads models
 
     def test_model_affinity_remaps_over_survivors(self):
         workers = [FakeWorker(i) for i in range(3)]
-        policy = ModelAffinityPolicy()
+        policy = CacheAffinityPolicy()
         # Whatever worker "m" pins to, removing it must remap onto a survivor
         # (and deterministically so).
-        pinned = policy.choose(workers, model="m")
+        pinned = policy.choose(workers, model="m", key="")
         survivors = [worker for worker in workers if worker is not pinned]
-        remapped = policy.choose(survivors, model="m")
+        remapped = policy.choose(survivors, model="m", key="")
         assert remapped in survivors
-        assert policy.choose(survivors, model="m") is remapped
+        assert policy.choose(survivors, model="m", key="") is remapped
 
     def test_make_policy(self):
         assert isinstance(make_policy("round_robin"), RoundRobinPolicy)
-        custom = LeastOutstandingPolicy()
-        assert make_policy(custom) is custom
         with pytest.raises(ValueError, match="unknown routing policy"):
             make_policy("cleverest_worker")
 
@@ -148,10 +134,8 @@ def module_rng():
 
 
 @pytest.fixture(scope="module")
-def pool_bundle(tmp_path_factory, module_rng) -> Path:
-    model = small_model(module_rng)
-    return export_deployment_bundle(
-        model, tmp_path_factory.mktemp("pool") / "toy.npz", input_shape=(1, 10, 10))
+def pool_bundle(toy_bundle) -> Path:
+    return toy_bundle(1234)
 
 
 class TestMmapEngine:
@@ -182,7 +166,7 @@ class TestMmapEngine:
         # budgets, and only the bulk-class budget of the QoS plane.
         worker = worker_serve_config(clone.serve)
         assert worker.net == NetConfig(host="0.0.0.0", port=0)
-        assert worker.cache.effective_mb == 0.0
+        assert worker.cache.cache_mb == 0.0
         assert worker.qos == QoSConfig(batch_class_samples=4)
         assert worker.engine == router.engine
         assert worker.trace == router.trace

@@ -25,10 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan.config import PQLayerConfig
-from repro.pecan.convert import convert_to_pecan
 from repro.serve import (BrownoutController, FairScheduler, PECANServer,
                          PoolServer, QoSConfig, RequestQoS, ServeClient,
                          ServeConfig, ServeHTTPError, ShedError, TokenBucket,
@@ -39,21 +35,9 @@ from repro.serve.qos import backoff_delay, qos_wire_fields
 from repro.serve.scheduler import QueueFullError, RequestTimeout
 
 
-def small_model(rng):
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, 6, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
-
-
 @pytest.fixture(scope="module")
-def qos_bundle(tmp_path_factory) -> Path:
-    rng = np.random.default_rng(7)
-    return export_deployment_bundle(
-        small_model(rng), tmp_path_factory.mktemp("qos") / "toy.npz",
-        input_shape=(1, 10, 10))
+def qos_bundle(toy_bundle) -> Path:
+    return toy_bundle(7)
 
 
 def _post_json(url, payload, headers=None):

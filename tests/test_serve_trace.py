@@ -33,9 +33,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.io import export_deployment_bundle
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.pecan import PQLayerConfig, convert_to_pecan
 from repro.serve import (InvariantMonitor, PECANServer, PoolServer, QoSConfig,
                          ServeClient, ServeConfig, check_causal_order)
 from repro.serve.trace import (ATTEMPT_HEADER, LAMPORT_HEADER,
@@ -45,21 +42,9 @@ from repro.serve.trace import (ATTEMPT_HEADER, LAMPORT_HEADER,
                                read_trace_dir, slowest_traces, summarize_spans)
 
 
-def small_model(rng):
-    cfg = PQLayerConfig(num_prototypes=4, mode="distance", temperature=0.5)
-    model = Sequential(
-        Conv2d(1, 4, 3, rng=rng), ReLU(), MaxPool2d(2), Flatten(),
-        Linear(4 * 4 * 4, 6, rng=rng),
-    )
-    return convert_to_pecan(model, cfg, rng=rng)
-
-
 @pytest.fixture(scope="module")
-def trace_bundle(tmp_path_factory) -> Path:
-    rng = np.random.default_rng(11)
-    return export_deployment_bundle(
-        small_model(rng), tmp_path_factory.mktemp("trace") / "toy.npz",
-        input_shape=(1, 10, 10))
+def trace_bundle(toy_bundle) -> Path:
+    return toy_bundle(11)
 
 
 def _post_json(url, payload, headers=None):
