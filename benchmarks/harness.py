@@ -1,7 +1,11 @@
 """The one load scaffold shared by the serving benches and the chaos tests.
 
 * :func:`build_bundle` — export the seeded PECAN-D model a bench serves
-  (the conv→pool→fc toy by default, or a registry architecture);
+  (the conv→pool→fc toy by default, or a registry architecture;
+  :func:`bench_model` builds it without exporting);
+* :func:`unfolded_bundle` — a model's traced program before export's graph
+  passes, as an in-memory bundle (what bundles held before export folded
+  batch norm);
 * :func:`accelerator_hz` — the emulated accelerator clock that paces one
   sample to a chosen latency under the Section 4.3 cost model;
 * :func:`pct` — the floor-index latency percentile every bench reports;
@@ -38,7 +42,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.io import export_deployment_bundle
+from repro.cam.lut import build_model_luts
+from repro.io import DeploymentBundle, export_deployment_bundle
+from repro.io.deployment import trace_inference_graph
 from repro.models import build_model
 from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.pecan.config import PQLayerConfig
@@ -51,11 +57,26 @@ from repro.serve.server import _AcceleratorPacer
 MAX_RECORDED_ERRORS = 512
 
 
-def build_bundle(tmp_path: Path, *, seed: int = 0, name: str = "bench",
-                 image: int = 12, in_channels: int = 3, prototypes: int = 8,
-                 hidden: Tuple[int, ...] = (16, 32), classes: int = 10,
-                 arch: Optional[str] = None, width: float = 1.0) -> Path:
-    """Export a seeded PECAN-D model to ``tmp_path / f"{name}.npz"``.
+def build_bundle(tmp_path: Path, *, name: str = "bench", image: int = 12,
+                 in_channels: int = 3, **model_args) -> Path:
+    """Export :func:`bench_model` to ``tmp_path / f"{name}.npz"``."""
+    model = bench_model(image=image, in_channels=in_channels, **model_args)
+    return export_deployment_bundle(model, tmp_path / f"{name}.npz",
+                                    input_shape=(in_channels, image, image))
+
+
+def unfolded_bundle(model, input_shape: Sequence[int]) -> DeploymentBundle:
+    """``model``'s traced graph and LUTs as they are before export's passes."""
+    return DeploymentBundle(luts=build_model_luts(model),
+                            graph=trace_inference_graph(model, input_shape),
+                            input_shape=tuple(input_shape))
+
+
+def bench_model(*, seed: int = 0, image: int = 12, in_channels: int = 3,
+                prototypes: int = 8, hidden: Tuple[int, ...] = (16, 32),
+                classes: int = 10, arch: Optional[str] = None,
+                width: float = 1.0):
+    """A seeded PECAN-D model for a bench.
 
     The default model is Conv(3×3, ``hidden[0]`` channels) → ReLU →
     MaxPool(2) → one Linear+ReLU per further ``hidden`` width → Linear to
@@ -81,8 +102,7 @@ def build_bundle(tmp_path: Path, *, seed: int = 0, name: str = "bench",
         cfg = PQLayerConfig(num_prototypes=prototypes, mode="distance",
                             temperature=0.5)
         model = convert_to_pecan(Sequential(*layers), cfg, rng=rng)
-    return export_deployment_bundle(model, tmp_path / f"{name}.npz",
-                                    input_shape=(in_channels, image, image))
+    return model
 
 
 def accelerator_hz(bundle: Path, seconds_per_sample: float) -> float:

@@ -8,8 +8,8 @@ shortcuts) to a format-v3 bundle and drives it through the full serving stack
 concurrent closed-loop single-sample clients at scheduler batch budgets
 {1, 8, 32}.  Sustained requests/s and p50/p95/p99 latency per configuration
 are recorded into ``.bench_results/BENCH_PR3.json``, alongside a
-direct-engine comparison of the pristine graph vs. the optimized
-(BN-folded + ReLU-fused) graph.
+direct-engine comparison of the traced (unfolded) graph, built in process,
+vs. the exported bundle's graph (BN-folded + ReLU-fused at export).
 
 Asserts:
 
@@ -17,7 +17,8 @@ Asserts:
 * the sampled parity audit ran at every budget and saw zero mismatches,
 * micro-batching at budget 32 sustains at least 0.6× the req/s of budget 1
   (generous floor: 1.5 s windows on shared CI boxes are noisy),
-* the optimized graph loses no accuracy (allclose to the pristine engine).
+* the exported, folded graph loses no accuracy (allclose to the unfolded
+  engine) and has fewer nodes.
 
 Run it alone with::
 
@@ -35,7 +36,8 @@ import numpy as np
 import pytest
 
 from bench_results import result_path
-from harness import build_bundle, run_singles
+from harness import bench_model, run_singles, unfolded_bundle
+from repro.io import export_deployment_bundle
 from repro.serve import BundleEngine, PECANServer, ServeClient, ServeConfig
 
 RESULT_PATH = result_path("BENCH_PR3.json")
@@ -64,16 +66,19 @@ def _engine_throughput(engine: BundleEngine, images: np.ndarray,
 
 @pytest.fixture(scope="module")
 def bench_results(tmp_path_factory):
-    bundle_path = build_bundle(
-        tmp_path_factory.mktemp("graph_serving"), name="resnet_bench",
-        arch="resnet20_pecan_d", width=WIDTH, prototypes=PROTOTYPE_CAP,
-        image=IMAGE, in_channels=IN_CHANNELS)
+    shape = (IN_CHANNELS, IMAGE, IMAGE)
+    model = bench_model(arch="resnet20_pecan_d", width=WIDTH,
+                        prototypes=PROTOTYPE_CAP, image=IMAGE,
+                        in_channels=IN_CHANNELS)
+    bundle_path = export_deployment_bundle(
+        model, tmp_path_factory.mktemp("graph_serving") / "resnet_bench.npz",
+        input_shape=shape)
     engine = BundleEngine(bundle_path)
-    optimized = BundleEngine(bundle_path, optimize=True)
+    unfolded = BundleEngine(unfolded_bundle(model, shape))
     rng = np.random.default_rng(1)
-    images = rng.standard_normal((64, IN_CHANNELS, IMAGE, IMAGE))
+    images = rng.standard_normal((64, *shape))
     expected = engine.predict(images[:4])
-    np.testing.assert_allclose(optimized.predict(images[:4]), expected, atol=1e-8)
+    np.testing.assert_allclose(unfolded.predict(images[:4]), expected, atol=1e-8)
 
     results = {}
     for budget in BATCH_BUDGETS:
@@ -117,14 +122,14 @@ def bench_results(tmp_path_factory):
             "clients": CLIENTS,
             "window_s": WINDOW_S,
             "image": [IN_CHANNELS, IMAGE, IMAGE],
-            "graph_nodes": len(engine.executor.graph.nodes),
-            "optimized_nodes": len(optimized.executor.graph.nodes),
-            "optimization_applied": optimized.optimization["applied"],
+            "graph_nodes": len(unfolded.executor.graph.nodes),
+            "optimized_nodes": len(engine.executor.graph.nodes),
+            "optimization_applied": engine.bundle.passes,
             "kernels": engine.kernel_names(),
         },
         "engine_direct": {
-            "pristine_samples_per_s": _engine_throughput(engine, images),
-            "optimized_samples_per_s": _engine_throughput(optimized, images),
+            "pristine_samples_per_s": _engine_throughput(unfolded, images),
+            "optimized_samples_per_s": _engine_throughput(engine, images),
         },
         "results": results,
     }
@@ -172,5 +177,5 @@ def test_bench_graph_serving_report(bench_results):
         print(f"{budget:>8} {entry['requests_per_s']:>10} {entry['p50_ms']:>9} "
               f"{entry['p95_ms']:>9} {entry['p99_ms']:>9} {entry['mean_batch']:>11}")
     direct = bench_results["engine_direct"]
-    print(f"direct engine: pristine {direct['pristine_samples_per_s']} samples/s, "
-          f"optimized {direct['optimized_samples_per_s']} samples/s")
+    print(f"direct engine: unfolded {direct['pristine_samples_per_s']} samples/s, "
+          f"exported (folded) {direct['optimized_samples_per_s']} samples/s")

@@ -16,7 +16,10 @@ their LUT, conventional layers with their folded parameters, explicit
 graph embedded, :class:`repro.serve.engine.BundleEngine` reconstructs the
 *entire* forward pass from the ``.npz`` alone — no model object, no autograd
 — which is what the serving stack runs in production.  Export validates the
-graph by replaying it and comparing against the live CAM engine.
+graph by replaying it against the model's own forward, then runs the graph
+passes of :mod:`repro.ir.passes` (batch norm folded into the PECAN tables,
+ReLUs fused) and checks the folded program against the traced one, so the
+bundle on disk is the one program every serving path runs.
 
 Format history (all versions load through :func:`load_deployment_bundle`):
 
@@ -95,7 +98,9 @@ class DeploymentBundle:
     batch-norm statistics, traced constants) carry them in their ``arrays``.
     ``program`` holds the raw linear step list of a legacy v2 bundle (its
     lifted graph is stored in ``graph``).  ``input_shape`` is the per-sample
-    shape the program was traced with.
+    shape the program was traced with.  ``passes`` names the graph passes
+    export applied to ``graph`` (empty for bundles written before export
+    folded batch norm, and for bundles built in memory).
     """
 
     luts: Dict[str, LayerLUT] = field(default_factory=dict)
@@ -103,6 +108,7 @@ class DeploymentBundle:
     graph: Optional[Graph] = None
     program: Optional[List[Dict[str, object]]] = None
     input_shape: Optional[Tuple[int, ...]] = None
+    passes: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         # Legacy construction path: a bundle built with only a linear program
@@ -130,7 +136,7 @@ class DeploymentBundle:
 
     def is_multiplier_free(self) -> bool:
         """True when every exported layer uses the distance (PECAN-D) mode."""
-        return all(lut.mode is PECANMode.DISTANCE for lut in self.luts.values())
+        return _multiplier_free(self.luts)
 
 
 # --------------------------------------------------------------------------- #
@@ -157,11 +163,21 @@ def export_deployment_bundle(model, path: PathLike,
 
     When ``input_shape`` (per-sample, e.g. ``(1, 28, 28)``) is given, the
     model's inference graph is traced and embedded so the bundle alone can
-    drive :class:`repro.serve.engine.BundleEngine`.  The traced graph is
-    replay-verified against :class:`repro.cam.inference.CAMInferenceEngine`
-    before the bundle is written; an untraceable model raises ``ValueError``
-    (:class:`repro.ir.trace.GraphTraceError`) naming the offending modules
-    instead of exporting a silently wrong program.
+    drive :class:`repro.serve.engine.BundleEngine`.  Before the bundle is
+    written:
+
+    * the traced graph is replayed against the model's own forward
+      (bitwise for multiplier-free bundles); an untraceable model raises
+      ``ValueError`` (:class:`repro.ir.trace.GraphTraceError`) naming the
+      offending modules instead of exporting a silently wrong program;
+    * :func:`repro.ir.passes.optimize_graph` folds batch norm into the
+      preceding PECAN tables (or conv/linear weights) and fuses ReLUs, and
+      the folded program is checked against the traced one on the same
+      probe — bitwise when only exact passes applied, ``atol=1e-8`` once
+      ``fold_batchnorm`` did.  A mismatch raises.
+
+    The bundle stores the folded graph and LUTs, and its manifest lists the
+    applied passes (:attr:`DeploymentBundle.passes`).
     """
     from repro.cam.lut import build_model_luts
 
@@ -173,6 +189,7 @@ def export_deployment_bundle(model, path: PathLike,
         raise ValueError("model contains no PECAN layers; nothing to export")
 
     graph = None
+    passes: List[str] = []
     if input_shape is not None:
         input_shape = tuple(int(s) for s in input_shape)
         graph = trace_inference_graph(model, input_shape)
@@ -183,7 +200,9 @@ def export_deployment_bundle(model, path: PathLike,
                 f"model contains {sorted(luts)}; some PECAN layers never ran on the "
                 f"traced input shape {input_shape}, so the bundle cannot be exported "
                 f"as a servable program")
-        _verify_graph(model, luts, graph, input_shape)
+        probe = np.random.default_rng(0).standard_normal((2, *input_shape))
+        traced = _verify_graph(model, luts, graph, probe)
+        graph, luts, passes = _fold_graph(luts, graph, probe, traced)
 
     arrays: Dict[str, np.ndarray] = {}
     manifest: Dict[str, object] = {
@@ -193,6 +212,7 @@ def export_deployment_bundle(model, path: PathLike,
         "input_shape": list(input_shape) if input_shape is not None else None,
         "graph": None,
         "graph_output": None,
+        "passes": passes,
     }
     for name, lut in luts.items():
         arrays[f"{name}/prototypes"] = lut.prototypes
@@ -226,7 +246,34 @@ def export_deployment_bundle(model, path: PathLike,
     return path
 
 
-def _verify_graph(model, luts, graph, input_shape) -> None:
+def _replay(luts, graph: Graph, probe: np.ndarray):
+    """Run ``graph`` on ``probe`` with throwaway fused LUT runtimes.
+
+    Returns the output and, per PECAN layer, a copy of the input it read.
+    """
+    from repro.cam.counters import OpCounter
+    from repro.cam.runtime import LUTLayerRuntime
+    from repro.ir.executor import GraphExecutor
+
+    counter = OpCounter()
+    layer_inputs: Dict[str, np.ndarray] = {}
+
+    def recording(name: str, runtime: LUTLayerRuntime):
+        def run(x: np.ndarray) -> np.ndarray:
+            layer_inputs[name] = np.array(x)
+            return runtime(x)
+        return run
+
+    runtimes = {name: recording(name, LUTLayerRuntime(lut, counter))
+                for name, lut in luts.items()}
+    return GraphExecutor(graph, runtimes).run(probe), layer_inputs
+
+
+def _multiplier_free(luts) -> bool:
+    return all(lut.mode is PECANMode.DISTANCE for lut in luts.values())
+
+
+def _verify_graph(model, luts, graph, probe):
     """Replay the traced graph and compare against the model's own forward.
 
     The oracle is :meth:`CAMInferenceEngine.predict_via_module` — Algorithm 1
@@ -237,25 +284,50 @@ def _verify_graph(model, luts, graph, input_shape) -> None:
     hooks, which the tracer then freezes as constants) would replay
     identically on both sides and export a silently wrong program.  Against
     the module forward it diverges on the random probe and is rejected here.
+    Returns what :func:`_replay` returned.
     """
     from repro.cam.inference import CAMInferenceEngine
-    from repro.serve.engine import BundleEngine
 
-    bundle = DeploymentBundle(luts=dict(luts), graph=graph,
-                              input_shape=tuple(input_shape))
-    rng = np.random.default_rng(0)
-    probe = rng.standard_normal((2, *input_shape))
-    replayed = BundleEngine(bundle).predict(probe)
+    replay = _replay(luts, graph, probe)
     expected = CAMInferenceEngine(model).predict_via_module(probe)
-    exact = bundle.is_multiplier_free()
-    close = (np.array_equal(replayed, expected) if exact
-             else np.allclose(replayed, expected, atol=1e-8))
+    close = (np.array_equal(replay[0], expected) if _multiplier_free(luts)
+             else np.allclose(replay[0], expected, atol=1e-8))
     if not close:
         raise ValueError(
             "replaying the traced inference graph does not reproduce the "
             "model's own forward pass; the model must perform an operation "
             "the tracer cannot capture (e.g. math smuggled through fresh "
             "arrays) — export without input_shape to write a LUT-only bundle")
+    return replay
+
+
+def _fold_graph(luts, graph: Graph, probe: np.ndarray, traced):
+    """Run the graph passes and check the folded program on ``probe``.
+
+    ``traced`` is :func:`_replay` of the traced graph on ``probe``.  The
+    output *and* the input of every PECAN layer must match: a PECAN-D
+    network's logits are table rows picked by argmin, so for an untrained
+    network they can hide a wrong fold that the layer inputs still show.  The
+    check is bitwise when only exact passes applied to a multiplier-free
+    bundle, and ``atol=1e-8`` (no relative slack) once ``fold_batchnorm``
+    reassociated the arithmetic.  Returns ``(graph, luts, applied pass names)``.
+    """
+    from repro.ir.passes import optimize_graph
+
+    folded, folded_luts, info = optimize_graph(graph, luts)
+    output, layer_inputs = _replay(folded_luts, folded, probe)
+    pairs = [(output, traced[0])] + [(value, traced[1][name])
+                                     for name, value in layer_inputs.items()]
+    if info["exact"] and _multiplier_free(luts):
+        close = all(np.array_equal(a, b) for a, b in pairs)
+    else:
+        close = all(np.allclose(a, b, rtol=0.0, atol=1e-8) for a, b in pairs)
+    if not close:
+        raise ValueError(
+            f"the graph passes {info['applied']} changed the traced "
+            f"program's output or a PECAN layer's input on the verification "
+            f"probe; refusing to export the folded program")
+    return folded, folded_luts, list(info["applied"])
 
 
 # --------------------------------------------------------------------------- #
@@ -485,7 +557,8 @@ def _bundle_from_manifest(manifest: Dict[str, object], fetch: _Fetch,
     input_shape = (tuple(manifest["input_shape"])
                    if manifest.get("input_shape") else None)
     return DeploymentBundle(luts=luts, metadata=manifest.get("user", {}),
-                            graph=graph, program=program, input_shape=input_shape)
+                            graph=graph, program=program, input_shape=input_shape,
+                            passes=list(manifest.get("passes") or []))
 
 
 def load_deployment_bundle(path: PathLike,

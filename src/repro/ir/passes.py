@@ -1,9 +1,12 @@
-"""Optimization passes over inference graphs.
+"""Optimization passes over inference graphs, run once at export.
 
-Each pass takes (and returns) a :class:`~repro.ir.graph.Graph` plus the LUT
-dictionary of the bundle being compiled, never mutating its inputs: nodes are
-shallow-copied and modified arrays/LUTs are rebuilt, so the unoptimized graph
-stays available for parity verification.
+:func:`repro.io.deployment.export_deployment_bundle` is the one caller of
+:func:`optimize_graph`: it folds the traced graph, checks the folded program
+against the traced one on a probe, and writes only the folded program, so
+every serving path runs it.  Each pass takes (and returns) a
+:class:`~repro.ir.graph.Graph` plus the LUT dictionary of the bundle being
+exported, never mutating its inputs: nodes are shallow-copied and modified
+arrays/LUTs are rebuilt, so the traced graph stays available for that check.
 
 Available passes (see :data:`DEFAULT_PASSES` for the pipeline order):
 
@@ -13,7 +16,7 @@ Available passes (see :data:`DEFAULT_PASSES` for the pipeline order):
     (the LUT columns and bias are rescaled — for PECAN-D this removes the
     per-position BN multiplications entirely, restoring the multiplier-free
     property).  The algebra is exact, but float rounding reassociates, so
-    outputs match the unfused graph to ``atol``-level rather than bitwise.
+    the export check holds it to ``atol=1e-8`` rather than bitwise.
 
 ``fuse_relu`` (**exact**)
     Merges a ``relu`` into its single producer (``conv``/``linear``/

@@ -149,11 +149,6 @@ class EngineConfig:
     max_total_values: Optional[int] = cfgfield(
         None, parse=int,
         help="LRU-evict engines beyond this many resident CAM values")
-    optimize: bool = cfgfield(
-        False,
-        help="run the graph optimization passes (BN folding, ReLU fusion, "
-             "dead-node elimination) on every engine, parity-checked "
-             "against the pristine graph")
     mmap: bool = cfgfield(
         True, flag="--no_mmap", invert=True,
         help="load bundle arrays eagerly instead of memory-mapping the "

@@ -14,10 +14,11 @@ other node dispatches through the unified op registry of
 PECAN-D lookup path).  Legacy v2 bundles (linear programs) serve through the
 automatic lift-to-graph path.
 
-With ``optimize=True`` the graph is run through the optimization pipeline of
-:mod:`repro.ir.passes` (batch-norm folding, ReLU fusion, dead-node
-elimination) and the optimized program is parity-checked against the pristine
-graph on a probe batch before it ever answers traffic.
+The engine runs the graph the bundle holds, as it is.  Batch-norm folding and
+ReLU fusion happen once, at export
+(:func:`~repro.io.deployment.export_deployment_bundle`), so the fused, the
+reference, the canary and the cached paths all run that one program; bundles
+exported before the fold moved there serve their unfolded graph unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.cam.counters import OpCounter
 from repro.cam.runtime import LUTLayerRuntime, RuntimeStatsMixin
 from repro.io.deployment import DeploymentBundle, load_deployment_bundle
 from repro.ir.executor import GraphExecutor
-from repro.ir.graph import Graph
 from repro.perf import ChunkPolicy, Workspace, iter_slices
 from repro.serve.trace import current_context
 
@@ -61,16 +61,7 @@ class BundleEngine(RuntimeStatsMixin):
         sidecar ``.npz.mmap/`` cache so concurrent worker processes share the
         resident LUT/weight pages instead of copying them.  Ignored when an
         already-loaded :class:`DeploymentBundle` is passed.
-    optimize:
-        Run the graph optimization pipeline (:data:`repro.ir.passes.DEFAULT_PASSES`)
-        before serving.  The optimized graph is verified against the pristine
-        one on a random probe batch (bitwise when only exact passes applied,
-        ``atol=1e-8`` once batch-norm folding reassociated the arithmetic);
-        a mismatch raises instead of serving wrong outputs.
     """
-
-    #: Probe batch size used for optimize-time parity verification.
-    _VERIFY_BATCH = 2
 
     #: Optional :class:`~repro.serve.trace.Tracer`; when set and a trace
     #: context is active on the calling thread, ``predict`` records an
@@ -80,7 +71,6 @@ class BundleEngine(RuntimeStatsMixin):
     def __init__(self, bundle: Union[DeploymentBundle, str, Path],
                  chunk_policy: Optional[ChunkPolicy] = None,
                  use_fused: bool = True,
-                 optimize: bool = False,
                  mmap_mode: Optional[str] = None):
         self.mmap_mode = mmap_mode if not isinstance(bundle, DeploymentBundle) else None
         if not isinstance(bundle, DeploymentBundle):
@@ -99,70 +89,19 @@ class BundleEngine(RuntimeStatsMixin):
         #: overwrite each other's scratch buffers.  A serving batcher is its
         #: engine's only caller, so the lock is uncontended there.
         self._forward_lock = threading.Lock()
-        self.optimized = bool(optimize)
-        self.optimization: Dict[str, object] = {"applied": [], "exact": True}
-
-        graph: Graph = bundle.graph
-        luts = dict(bundle.luts)
-        if optimize:
-            from repro.ir.passes import optimize_graph
-
-            if bundle.input_shape is None:
-                raise ValueError(
-                    "cannot optimize a bundle without an input_shape: the "
-                    "optimized graph is parity-verified on a probe batch "
-                    "before serving, and there is no shape to probe with — "
-                    "re-export the bundle with input_shape=... or construct "
-                    "the DeploymentBundle with one")
-            opt_graph, opt_luts, info = optimize_graph(graph, luts)
-            self._verify_optimized(graph, luts, opt_graph, opt_luts,
-                                   exact=bool(info["exact"]) and bundle.is_multiplier_free())
-            graph, luts = opt_graph, opt_luts
-            self.optimization = info
-
         self.runtimes: Dict[str, LUTLayerRuntime] = {
             name: LUTLayerRuntime(lut, self.op_counter,
                                   chunk_policy=self.chunk_policy,
                                   workspace=self.workspace, use_fused=use_fused)
-            for name, lut in luts.items()}
-        self.executor = GraphExecutor(graph, self.runtimes)
-
-    # ------------------------------------------------------------------ #
-    def _verify_optimized(self, graph: Graph, luts, opt_graph: Graph, opt_luts,
-                          exact: bool) -> None:
-        """Replay a probe through both graphs; raise on divergence.
-
-        Runs on throwaway runtimes so serving statistics stay clean.
-        """
-        counter = OpCounter()
-
-        def throwaway(table):
-            return {name: LUTLayerRuntime(lut, counter) for name, lut in table.items()}
-
-        probe = np.random.default_rng(0).standard_normal(
-            (self._VERIFY_BATCH, *self.input_shape))
-        baseline = GraphExecutor(graph, throwaway(luts)).run(probe)
-        optimized = GraphExecutor(opt_graph, throwaway(opt_luts)).run(probe)
-        close = (np.array_equal(optimized, baseline) if exact
-                 else np.allclose(optimized, baseline, atol=1e-8))
-        if not close:
-            raise ValueError(
-                "optimized inference graph does not reproduce the pristine "
-                "graph's outputs on the verification probe; refusing to serve "
-                "the optimized program")
+            for name, lut in bundle.luts.items()}
+        self.executor = GraphExecutor(bundle.graph, self.runtimes)
 
     # ------------------------------------------------------------------ #
     def reference_engine(self) -> "BundleEngine":
-        """A per-group reference-loop engine executing the *same* program.
-
-        Mirrors this engine's configuration (same bundle, same optimization
-        pipeline — passes are deterministic) with ``use_fused=False``, so a
-        parity audit compares fused vs. reference kernels on an identical
-        graph rather than flagging legitimate optimization divergence as
-        mismatches.
-        """
+        """A per-group reference-loop engine (``use_fused=False``) executing
+        the same bundle, so a parity audit compares kernels on one program."""
         return BundleEngine(self.bundle, chunk_policy=self.chunk_policy,
-                            use_fused=False, optimize=self.optimized)
+                            use_fused=False)
 
     @property
     def input_shape(self) -> Optional[Tuple[int, ...]]:
@@ -237,10 +176,10 @@ class BundleEngine(RuntimeStatsMixin):
         """JSON-ready engine statistics for the ``/metrics`` endpoint."""
         return {
             "ops": self.op_counter.summary(),
-            "multiplier_free": self.op_counter.is_multiplier_free(),
+            "multiplier_free": self.is_multiplier_free(),
             "cam": dataclasses.asdict(self.cam_stats()),
             "kernels": self.kernel_names(),
             "stored_values": self.bundle.total_values(),
             "mmap_mode": self.mmap_mode,
-            "optimization": self.optimization,
+            "optimization": list(self.bundle.passes),
         }

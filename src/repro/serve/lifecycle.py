@@ -2,7 +2,7 @@
 
 The serving plane (engine → registry → server → pool) freezes its model set
 at startup; this module adds the pieces that turn shipping a retrained or
-re-optimized bundle into a *routed operation* instead of a pool restart:
+re-exported bundle into a *routed operation* instead of a pool restart:
 
 * **Versioned names** — every registered bundle is a version of a base model
   (``resnet@v3``); the bare base name is an alias for the *active* version.

@@ -62,10 +62,6 @@ class Window:
         }
 
 
-#: Backwards-compatible alias (the window predates the lifecycle module).
-_Window = Window
-
-
 #: Metric keys that do not sum meaningfully across workers.  Percentiles,
 #: maxima and configuration values take the cross-worker maximum (a "worst
 #: worker" view); everything else numeric sums (counts, totals, rates — a
@@ -157,12 +153,12 @@ class ServerMetrics:
         self.batched_samples = 0
         self.batch_size_histogram: Dict[int, int] = {}
         # Latency windows (seconds; rendered as ms).
-        self._request_latency = _Window(window)
-        self._queue_wait = _Window(window)
-        self._infer_latency = _Window(window)
+        self._request_latency = Window(window)
+        self._queue_wait = Window(window)
+        self._infer_latency = Window(window)
         # The engine thread's CPU time over the same calls: wall minus CPU
         # is time it was runnable but waited (for the GIL or for a core).
-        self._infer_cpu = _Window(window)
+        self._infer_cpu = Window(window)
         # QoS: per-class / per-tenant latency windows (lazily created — a
         # deployment that never sends QoS fields pays nothing) and shed
         # accounting: priority class -> reason -> count.

@@ -35,7 +35,6 @@ dropped while batch work was admitted"*.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from collections import deque
@@ -806,20 +805,3 @@ class QoSConfig:
             max_waiting=self.max_waiting,
             tenant_weights=self.tenant_weights,
             batch_waiting_fraction=self.batch_waiting_fraction)
-
-
-def backoff_delay(attempt: int, retry_after_s: Optional[float],
-                  base_s: float = 0.1, cap_s: float = 5.0,
-                  rng: Optional[random.Random] = None) -> float:
-    """Capped exponential backoff with full jitter, seeded by ``Retry-After``.
-
-    The server's hint is the floor (it knows its own recovery horizon); the
-    exponential term spreads retries from many blocked clients so recovery is
-    not met by a thundering herd.
-    """
-    rng = rng if rng is not None else random
-    exp = min(base_s * (2.0 ** max(attempt, 0)), cap_s)
-    jittered = rng.uniform(exp * 0.5, exp)
-    if retry_after_s is not None and retry_after_s > 0:
-        return min(max(jittered, retry_after_s), cap_s)
-    return jittered

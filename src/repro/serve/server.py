@@ -133,8 +133,8 @@ class PECANServer(FrontDoor):
     ----------
     registry:
         Optional pre-populated :class:`ModelRegistry`.  By default one is
-        built from ``config.engine`` (``max_total_values``, ``optimize``,
-        ``mmap``) and bundles are added via :meth:`add_bundle`.
+        built from ``config.engine`` (``max_total_values``, ``mmap``) and
+        bundles are added via :meth:`add_bundle`.
     config:
         Every serving knob (:class:`~repro.serve.config.ServeConfig`;
         ``None`` means the defaults).  The server reads ``net`` (bind
@@ -158,11 +158,9 @@ class PECANServer(FrontDoor):
         self.config = config
         if registry is None:
             engine = config.engine
-            mmap_mode, optimize = engine.mmap_mode, engine.optimize
             registry = ModelRegistry(
-                max_total_values=engine.max_total_values, mmap_mode=mmap_mode,
-                engine_factory=lambda path: BundleEngine(
-                    path, mmap_mode=mmap_mode, optimize=optimize))
+                max_total_values=engine.max_total_values,
+                mmap_mode=engine.mmap_mode)
         self.registry = registry
         self.host = config.net.host
         self.port = config.net.port
@@ -274,9 +272,9 @@ class PECANServer(FrontDoor):
                 engine = lease.engine
                 reference = on_batch = None
                 if self.audit_every:
-                    # Mirror the served engine's configuration (including any
-                    # optimization passes) so the audit compares fused vs.
-                    # reference kernels on the *same* program.
+                    # The reference engine runs the same bundle, so the
+                    # audit compares fused vs. reference kernels on one
+                    # program.
                     reference = engine.reference_engine()
                     on_batch = functools.partial(self._audit_batch, record_id,
                                                  reference)

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.serve.metrics import percentile
+
 __all__ = [
     "ATTEMPT_HEADER",
     "LAMPORT_HEADER",
@@ -496,13 +498,6 @@ def causal_sort(spans: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     ]
 
 
-def _percentile(ordered: List[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def summarize_spans(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
     """Per span-name duration percentiles — the per-stage breakdown."""
 
@@ -514,13 +509,12 @@ def summarize_spans(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, A
         by_name.setdefault(str(span.get("name")), []).append(float(duration))
     summary: Dict[str, Dict[str, Any]] = {}
     for name, durations in sorted(by_name.items()):
-        durations.sort()
         summary[name] = {
             "count": len(durations),
-            "p50_ms": round(_percentile(durations, 0.50), 3),
-            "p95_ms": round(_percentile(durations, 0.95), 3),
-            "p99_ms": round(_percentile(durations, 0.99), 3),
-            "max_ms": round(durations[-1], 3),
+            "p50_ms": round(percentile(durations, 0.50), 3),
+            "p95_ms": round(percentile(durations, 0.95), 3),
+            "p99_ms": round(percentile(durations, 0.99), 3),
+            "max_ms": round(max(durations), 3),
         }
     return summary
 

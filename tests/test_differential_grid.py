@@ -17,6 +17,11 @@ must be equal. The ``batchnorm`` op (with and without a fused ReLU, NaNs
 included) must equal the allocating NumPy expression byte for byte, for
 float64 and float32 inputs.
 
+Export folds batch norm into the PECAN tables, so the folded program is what
+a served BN model runs: for generated ``pecan → batchnorm (→ relu)`` graphs
+the folded program must agree byte for byte across the same kernel paths,
+and to ``atol=1e-8`` with the unfolded program.
+
 The ``/predict`` wire format has its own grid: for generated and named JSON
 bodies, ``decode_predict_body`` (the compiled tensor parser with its
 ``json.loads`` fallback) must give exactly what ``json.loads`` +
@@ -39,6 +44,7 @@ from repro.cam.counters import OpCounter
 from repro.cam.layer_lut import LayerLUT
 from repro.ir.executor import GraphExecutor
 from repro.ir.graph import Graph, Node
+from repro.ir.passes import optimize_graph
 from repro.pecan.config import PECANMode
 from repro.serve.pipeline import decode_predict_body
 
@@ -126,6 +132,45 @@ def build_lut(case, rng):
         group_permutation=permutation)
 
 
+def layer_input(case, rng):
+    if case["kind"] == "conv":
+        shape = (case["batch"], case["cin"], case["h"], case["w"])
+    else:
+        shape = (case["batch"], case["cin"])
+    return values(rng, shape, case["integer"])
+
+
+def kernel_paths(lut):
+    """Yield ``(path name, runtime)`` for every kernel path available here.
+
+    Run each runtime before asking for the next: the ``numpy`` path must run
+    while scipy is hidden.
+    """
+    def make(**kwargs):
+        return runtime_mod.LUTLayerRuntime(lut, OpCounter(), **kwargs)
+
+    def make_fused_numpy():
+        runtime = make()
+        runtime._ckernel = None
+        return runtime
+
+    compiled = make()
+    if compiled.kernel_name == "ckernel":
+        yield "ckernel", compiled
+    cdist = make_fused_numpy()
+    if cdist.kernel_name == "cdist":
+        yield "cdist", cdist
+    with scipy_hidden():
+        broadcast = make_fused_numpy()
+        assert broadcast.kernel_name == "numpy"
+        yield "numpy", broadcast
+    yield "reference", make(use_fused=False)
+    with kernels_disabled():
+        disabled = make()
+    assert disabled.kernel_name in ("cdist", "numpy")
+    yield "disabled", disabled
+
+
 def run(runtime, x):
     out = runtime(x)
     ops = runtime.counter.layer(runtime.lut.name, runtime.lut.kind)
@@ -138,36 +183,12 @@ def run(runtime, x):
 def test_pecan_d_paths_agree_bitwise(case):
     rng = np.random.default_rng(case["seed"])
     lut = build_lut(case, rng)
-    if case["kind"] == "conv":
-        x = values(rng, (case["batch"], case["cin"], case["h"], case["w"]), case["integer"])
-    else:
-        x = values(rng, (case["batch"], case["cin"]), case["integer"])
-
-    def make(**kwargs):
-        return runtime_mod.LUTLayerRuntime(lut, OpCounter(), **kwargs)
-
-    def make_fused_numpy():
-        runtime = make()
-        runtime._ckernel = None
-        return runtime
-
-    paths = {}
-    compiled = make()
-    if compiled.kernel_name == "ckernel":
-        paths["ckernel"] = run(compiled, x)
-    cdist = make_fused_numpy()
-    if cdist.kernel_name == "cdist":
-        paths["cdist"] = run(cdist, x)
-    with scipy_hidden():
-        broadcast = make_fused_numpy()
-        assert broadcast.kernel_name == "numpy"
-        paths["numpy"] = run(broadcast, x)
-    reference = make(use_fused=False)
-    paths["reference"] = run(reference, x)
-    with kernels_disabled():
-        disabled = make()
-    assert disabled.kernel_name in ("cdist", "numpy")
-    paths["disabled"] = run(disabled, x)
+    x = layer_input(case, rng)
+    paths, runtimes = {}, {}
+    for name, runtime in kernel_paths(lut):
+        runtimes[name] = runtime
+        paths[name] = run(runtime, x)
+    reference = runtimes["reference"]
 
     out, usage, stats, ops = paths.pop("reference")
     for name, (p_out, p_usage, p_stats, p_ops) in paths.items():
@@ -243,6 +264,47 @@ def test_batchnorm_matches_reference_bitwise(case):
     got32 = GraphExecutor(graph).run(x32)
     assert got32.dtype == expected32.dtype
     assert got32.tobytes() == expected32.tobytes()
+
+
+@st.composite
+def folded_cases(draw):
+    case = draw(pecan_d_cases())
+    case.update(relu=draw(st.booleans()),
+                eps=draw(st.sampled_from([1e-5, 1e-3, 0.1])))
+    return case
+
+
+def pecan_batchnorm_graph(case, rng):
+    """``input → pecan → batchnorm (→ relu)``, the shape export folds."""
+    c = case["cout"]
+    arrays = {"mean": rng.standard_normal(c), "var": rng.random(c) * 2.0,
+              "gamma": rng.standard_normal(c), "beta": rng.standard_normal(c)}
+    nodes = [Node(0, "input"), Node(1, "pecan", [0], {"layer": "layer"}),
+             Node(2, "batchnorm", [1], {"eps": case["eps"]}, arrays)]
+    if case["relu"]:
+        nodes.append(Node(3, "relu", [2]))
+    return Graph(nodes, output_id=nodes[-1].id)
+
+
+@GRID
+@given(case=folded_cases())
+def test_folded_batchnorm_paths_agree_bitwise(case):
+    rng = np.random.default_rng(case["seed"])
+    lut = build_lut(case, rng)
+    graph = pecan_batchnorm_graph(case, rng)
+    x = layer_input(case, rng)
+    folded, luts, info = optimize_graph(graph, {"layer": lut})
+    assert info["applied"][0] == "fold_batchnorm"
+    assert folded.op_names() == ["pecan"]
+    outputs = {name: GraphExecutor(folded, {"layer": runtime}).run(x)
+               for name, runtime in kernel_paths(luts["layer"])}
+    reference = outputs.pop("reference")
+    for name, out in outputs.items():
+        assert out.tobytes() == reference.tobytes(), name
+    # The export check's rule against the unfolded program.
+    unfolded = GraphExecutor(
+        graph, {"layer": runtime_mod.LUTLayerRuntime(lut, OpCounter())}).run(x)
+    np.testing.assert_allclose(reference, unfolded, rtol=0.0, atol=1e-8)
 
 
 # --------------------------------------------------------------------------- #

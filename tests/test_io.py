@@ -187,6 +187,108 @@ class TestDeploymentBundle:
         np.testing.assert_array_equal(lut.group_permutation, converted[0]._perm)
 
 
+def trained_batchnorm(model, seed=0):
+    """Give every batch norm of ``model`` non-identity statistics."""
+    from repro.nn.layers import BatchNorm2d
+
+    rng = np.random.default_rng(seed)
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d):
+            c = module.running_mean.shape[0]
+            module.running_mean[...] = 0.5 * rng.standard_normal(c)
+            module.running_var[...] = rng.uniform(0.25, 4.0, c)
+            module.weight.data[...] = rng.uniform(-2.0, 2.0, c)
+            module.bias.data[...] = 0.5 * rng.standard_normal(c)
+    return model
+
+
+class TestExportFold:
+    """Export folds batch norm into the tables and checks the folded program."""
+
+    SHAPE = (3, 16, 16)
+
+    @pytest.fixture(scope="class")
+    def resnet(self, tmp_path_factory):
+        model = trained_batchnorm(build_model(
+            "resnet20_pecan_d", width_multiplier=0.125, prototype_cap=4,
+            rng=np.random.default_rng(3)))
+        path = export_deployment_bundle(
+            model, tmp_path_factory.mktemp("fold") / "resnet.npz",
+            input_shape=self.SHAPE)
+        return model, path
+
+    def test_resnet_bundle_holds_no_batchnorm(self, resnet):
+        from repro.serve import BundleEngine
+
+        _, path = resnet
+        engine = BundleEngine(path)
+        assert "batchnorm" not in engine.bundle.graph.op_names()
+        assert engine.executor.multiplier_ops() == ["global_avgpool"]
+        assert engine.bundle.passes == ["fold_batchnorm", "fuse_relu",
+                                        "eliminate_identities"]
+        snapshot = engine.stats_snapshot()
+        assert snapshot["optimization"] == engine.bundle.passes
+        # The PECAN layers charge no multiplications, but the average pool
+        # still multiplies, so the engine is not multiplier-free.
+        assert engine.op_counter.is_multiplier_free()
+        assert snapshot["multiplier_free"] is False
+
+    def test_unfolded_bundle_still_serves(self, resnet, rng):
+        # Stands in for a bundle written before export folded batch norm.
+        from harness import unfolded_bundle
+        from repro.serve import BundleEngine
+
+        model, path = resnet
+        engine = BundleEngine(unfolded_bundle(model, self.SHAPE))
+        assert engine.executor.multiplier_ops().count("batchnorm") == 19
+        x = rng.standard_normal((5, *self.SHAPE))
+        expected = CAMInferenceEngine(model).predict(x)
+        np.testing.assert_array_equal(engine.predict(x), expected)
+        np.testing.assert_array_equal(engine.reference_engine().predict(x),
+                                      expected)
+        assert engine.stats_snapshot()["optimization"] == []
+        # On this PECAN-D model the folded program is bitwise equal too.
+        np.testing.assert_array_equal(BundleEngine(path).predict(x), expected)
+
+    def test_pecan_a_folds_within_tolerance(self, rng, tmp_path):
+        from repro.serve import BundleEngine
+
+        model = trained_batchnorm(build_model(
+            "resnet20_pecan_a", width_multiplier=0.125, prototype_cap=4,
+            rng=rng))
+        path = export_deployment_bundle(model, tmp_path / "angle.npz",
+                                        input_shape=self.SHAPE)
+        engine = BundleEngine(path)
+        assert "fold_batchnorm" in engine.bundle.passes
+        x = rng.standard_normal((4, *self.SHAPE))
+        np.testing.assert_allclose(engine.predict(x),
+                                   CAMInferenceEngine(model).predict(x),
+                                   rtol=0, atol=1e-8)
+
+    def test_corrupt_fold_fails_export(self, resnet, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from repro.ir import passes
+
+        model, _ = resnet
+        fold = passes.fold_batchnorm
+
+        def skewed_scale(graph, luts):
+            # A fold whose table scale is off by one part in a million: the
+            # size of the error a dropped eps makes.  The logits of this
+            # untrained network hide it; the PECAN layer inputs do not.
+            graph, folded, changed = fold(graph, luts)
+            return graph, {name: (lut if lut is luts[name] else
+                                  replace(lut, table=lut.table * (1 + 1e-6)))
+                           for name, lut in folded.items()}, changed
+
+        monkeypatch.setitem(passes._PASSES, "fold_batchnorm", skewed_scale)
+        with pytest.raises(ValueError, match="graph passes"):
+            export_deployment_bundle(model, tmp_path / "bad.npz",
+                                     input_shape=self.SHAPE)
+        assert not (tmp_path / "bad.npz").exists()
+
+
 # --------------------------------------------------------------------------- #
 # Memory-mapped loading (the sidecar .npy cache behind mmap_mode="r")
 # --------------------------------------------------------------------------- #

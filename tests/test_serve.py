@@ -717,13 +717,13 @@ class TestServerEviction:
 
     def test_default_registry_honours_engine_config(self, rng, toy_bundle):
         # Without an explicit registry the server builds one from
-        # config.engine: the value budget, the optimization passes and eager
-        # (non-mmap) loading must all reach the engines it serves.
+        # config.engine: the value budget and eager (non-mmap) loading must
+        # both reach the engines it serves.
         paths = {name: toy_bundle(seed, name=name)
                  for seed, name in enumerate(("a", "b"))}
         one = BundleEngine(paths["a"]).bundle.total_values()
         server = PECANServer(config=ServeConfig.build(
-            max_total_values=one, optimize=True, mmap=False,
+            max_total_values=one, mmap=False,
             cache_mb=0.0))
         server.add_bundle(paths["a"], name="a")
         server.add_bundle(paths["b"], name="b")
@@ -733,12 +733,11 @@ class TestServerEviction:
             outputs = server.predict(x, model="b")["outputs"]    # evicts "a"
             assert set(server.registry.loaded_names()) == {"b"}
             engine = server._served["b"].engine
-            assert engine.optimized
             assert engine.mmap_mode is None
             lut = next(iter(engine.bundle.luts.values()))
             assert not isinstance(lut.table, np.memmap)
-            np.testing.assert_allclose(
-                outputs, BundleEngine(paths["b"]).predict(x), atol=1e-8)
+            np.testing.assert_array_equal(
+                outputs, BundleEngine(paths["b"]).predict(x))
         finally:
             server.stop()
 

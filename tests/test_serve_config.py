@@ -40,7 +40,6 @@ PRE_EXISTING_FLAGS = {
     "--audit_every": 0,
     "--max_total_values": None,
     "--lazy_load": False,
-    "--optimize": False,
     "--workers": 1,
     "--policy": "least_outstanding",
     "--heartbeat_interval_s": 0.25,
@@ -89,7 +88,7 @@ class TestPreExistingFlagParity:
             "--port", "9000", "--max_batch_size", "8",
             "--max_queue", "64", "--timeout_s", "5", "--workers", "3",
             "--policy", "cache_affinity", "--no_mmap", "--cache_mb", "0",
-            "--no_trace", "--lazy_load", "--optimize",
+            "--no_trace", "--lazy_load",
             "--p99_slo_ms", "50", "--tenant_rate", "10"])
         config = serve_config_from_args(args)
         assert config.net.host == "0.0.0.0" and config.net.port == 9000
@@ -102,9 +101,15 @@ class TestPreExistingFlagParity:
         assert config.cache.cache_mb == 0.0
         assert config.trace.enabled is False
         assert config.lifecycle.preload is False    # --lazy_load inverts
-        assert config.engine.optimize is True
         assert config.qos.p99_slo_ms == 50.0 and config.qos.tenant_rate == 10.0
         assert config.lifecycle.bundles == ("m=toy.npz",)
+
+    def test_optimize_flag_is_gone(self, capsys):
+        # Bundles are folded at export; there is no serve-time rewrite.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--bundle", "m=toy.npz",
+                                       "--optimize"])
+        assert "--optimize" in capsys.readouterr().err
 
     def test_every_config_field_declares_serve_metadata(self):
         # flag_specs raises on a bare field; walking every section proves the

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from harness import unfolded_bundle
 from repro.cam.inference import CAMInferenceEngine
 from repro.data import make_dataset
 from repro.data.loader import DataLoader
@@ -90,8 +91,11 @@ class TestTrainedBundleParity:
         bundle = load_deployment_bundle(trained_bundle)
         assert bundle.has_program
         assert bundle.input_shape == (1, 12, 12)
-        assert bundle.graph.op_names() == ["pecan", "relu", "maxpool",
-                                           "flatten", "pecan"]
+        # Export fuses the ReLU into the first PECAN layer.
+        assert bundle.graph.op_names() == ["pecan", "maxpool", "flatten",
+                                           "pecan"]
+        assert bundle.graph.nodes[1].attrs.get("fused_relu")
+        assert bundle.passes == ["fuse_relu"]
         assert bundle.graph.pecan_layers() == ["0", "4"]
 
 
@@ -243,27 +247,25 @@ class TestMultiTopologyParity:
             np.testing.assert_allclose(streamed, full, atol=1e-12)
 
     def test_optimized_graph_parity(self, topology, request):
+        # Export runs the graph passes; the bundle holds the folded program.
         model, path, images = topology
-        optimized = BundleEngine(path, optimize=True)
+        engine = BundleEngine(path)
+        unfolded = BundleEngine(unfolded_bundle(model, images.shape[1:]))
         if "resnet" in request.node.name:
             # Every conv/pecan–BN pair of the ResNet folds away.
-            assert "fold_batchnorm" in optimized.optimization["applied"]
-            assert len(optimized.step_names()) < len(BundleEngine(path).step_names())
-        np.testing.assert_allclose(optimized.predict(images),
+            assert "fold_batchnorm" in engine.bundle.passes
+            assert len(engine.step_names()) < len(unfolded.step_names())
+        assert engine.stats_snapshot()["optimization"] == engine.bundle.passes
+        np.testing.assert_allclose(engine.predict(images),
                                    CAMInferenceEngine(model).predict(images),
                                    atol=1e-8)
 
     def test_optimized_server_audits_clean(self, topology):
-        # The audit's reference engine must execute the *same* (optimized)
-        # program as the served engine — otherwise legitimate BN-folding
-        # divergence would be counted as parity mismatches.
-        from repro.serve import ModelRegistry
-
+        # The audit's reference engine executes the *same* (folded) program
+        # as the served engine, so the parity audit counts no mismatches.
         model, path, images = topology
-        registry = ModelRegistry(
-            engine_factory=lambda p: BundleEngine(p, optimize=True))
         # Output sampling off, so `checks` counts the parity audits alone.
-        server = PECANServer(registry=registry, config=ServeConfig.build(
+        server = PECANServer(config=ServeConfig.build(
             port=0, max_batch_size=8, audit_every=1,
             cache_mb=0.0, invariant_every=0))
         server.add_bundle(path, name="opt", preload=True)
@@ -271,8 +273,7 @@ class TestMultiTopologyParity:
             for start in range(0, 4, 2):
                 server.predict(images[start:start + 2], model="opt")
             served = server._served["opt"]
-            assert served.engine.optimized
-            assert served.reference.optimized
+            assert served.reference.step_names() == served.engine.step_names()
             # The batch hook runs after the caller is answered, so the
             # second batch's audit may not be queued yet; the first's is.
             server.monitor.drain()
@@ -283,22 +284,15 @@ class TestMultiTopologyParity:
             server.stop()
 
     def test_reference_engine_mirrors_optimization(self, topology):
-        _, path, _ = topology
-        optimized = BundleEngine(path, optimize=True)
-        reference = optimized.reference_engine()
-        assert not reference.use_fused
-        assert reference.optimized
-        assert reference.step_names() == optimized.step_names()
-        pristine_reference = BundleEngine(path).reference_engine()
-        assert not pristine_reference.optimized
-
-    def test_optimize_without_input_shape_rejected(self, topology):
-        _, path, _ = topology
-        bundle = load_deployment_bundle(path)
-        bare = type(bundle)(luts=bundle.luts, graph=bundle.graph,
-                            input_shape=None)
-        with pytest.raises(ValueError, match="cannot optimize"):
-            BundleEngine(bare, optimize=True)
+        model, path, _ = topology
+        engine = BundleEngine(path)
+        reference = engine.reference_engine()
+        assert set(reference.kernel_names().values()) == {"reference"}
+        assert reference.step_names() == engine.step_names()
+        # An unfolded bundle's reference runs the unfolded program.
+        unfolded = BundleEngine(unfolded_bundle(model, engine.input_shape))
+        assert (unfolded.reference_engine().step_names()
+                == unfolded.step_names())
 
     def test_resnet_ckernel_fallback_parity(self, rng, tmp_path, monkeypatch):
         import repro.perf.ckernels as ck

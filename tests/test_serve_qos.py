@@ -29,9 +29,9 @@ from repro.serve import (BrownoutController, FairScheduler, PECANServer,
                          PoolServer, QoSConfig, RequestQoS, ServeClient,
                          ServeConfig, ServeHTTPError, ShedError, TokenBucket,
                          TokenBucketTable, parse_qos)
-from repro.serve.client import BulkScorer
+from repro.serve.client import BulkScorer, _backoff_delay
 from repro.serve.cache import splice_json
-from repro.serve.qos import backoff_delay, qos_wire_fields
+from repro.serve.qos import qos_wire_fields
 from repro.serve.scheduler import QueueFullError, RequestTimeout
 
 
@@ -430,9 +430,9 @@ class TestBrownoutController:
 class TestBackoff:
     def test_retry_after_is_the_floor_and_cap_holds(self):
         for attempt in range(8):
-            delay = backoff_delay(attempt, retry_after_s=0.5, cap_s=2.0)
+            delay = _backoff_delay(attempt, retry_after_s=0.5, cap_s=2.0)
             assert 0.5 <= delay <= 2.0
-        assert backoff_delay(0, None, base_s=0.1) <= 0.1
+        assert _backoff_delay(0, None, base_s=0.1) <= 0.1
 
     def test_qos_config_factories(self):
         config = QoSConfig(slots_per_worker=2, tenant_rate=5.0,
